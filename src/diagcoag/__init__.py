@@ -39,7 +39,7 @@ from .dynamics import (
     simulate_collapse,
     step,
 )
-from .pipeline import build_profile, profile_for, sweep_row
+from .pipeline import build_profile, sweep_row
 
 __all__ = [
     "KernelParams",
@@ -83,7 +83,6 @@ __all__ = [
     "simulate_collapse",
     "step",
     "build_profile",
-    "profile_for",
     "sweep_row",
 ]
 

@@ -20,9 +20,14 @@ def cumtrapz_corrected(phi: np.ndarray, dphi: np.ndarray, dtau: float) -> np.nda
     """Cumulative integral of phi over [tau_0, tau_i] for every node i.
 
     ``dphi`` holds d(phi)/dtau at the nodes; entry 0 of the result is 0.
+    Stacked integrands (nodes along the last axis) are integrated row by row.
     """
-    inner = np.concatenate(([0.0], np.cumsum(phi[1:] + phi[:-1]) * (0.5 * dtau)))
-    return inner - (dtau * dtau / 12.0) * (dphi - dphi[0])
+    out = np.empty(phi.shape)
+    out[..., 0] = 0.0
+    np.add.accumulate(phi[..., 1:] + phi[..., :-1], axis=-1, out=out[..., 1:])
+    out[..., 1:] *= 0.5 * dtau
+    out -= (dtau * dtau / 12.0) * (dphi - dphi[..., :1])
+    return out
 
 
 def hermite_eval(

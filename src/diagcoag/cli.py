@@ -331,8 +331,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Options taking a comma-separated list of numbers, whose first entry may be
+# negative ("--gammas -1,0,0.5"); argparse would take such a value for a flag.
+_LIST_OPTIONS = ("--gammas", "--rhos")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--gammas -1,0`` as ``--gammas=-1,0`` so argparse keeps the value."""
+    out: list[str] = []
+    for arg in argv:
+        if (
+            out
+            and out[-1] in _LIST_OPTIONS
+            and arg[:1] == "-"
+            and (arg[1:2].isdigit() or arg[1:2] == ".")
+        ):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line (``sys.argv[1:]`` when ``argv`` is None)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return build_parser().parse_args(_attach_negative_lists(argv))
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

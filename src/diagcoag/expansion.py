@@ -17,12 +17,19 @@ geometrically.  Integrals are evaluated on a geometric grid (uniform in
 tau = log s) by the corrected trapezoid rule; the part of the cumulative
 integral below the lowest node uses the extrapolation j(s) ~ j(x1)*(s/x1)**mu,
 which is the exact leading behavior of the fixed point.
+
+The factors of T that do not depend on j (powers of the nodes, the head
+integrals' powers of the lowest node and of the delayed points below it,
+the norm weights, the grid check) are built once per fixed point, as a
+plan that rides on the iterated grid.  The evaluation order is kept:
+every floating-point operation has the same operands and grouping as when
+T is evaluated from scratch, so outputs are bit-identical to that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,14 +61,86 @@ class ExpansionGrid:
     j_values: np.ndarray
     weighted_norm: float
     nodes_per_octave: int
+    # j-independent factors of T on this grid (built by fixed_point).
+    _plan: _TPlan | None = field(default=None, compare=False, repr=False)
 
     @property
     def x_min(self) -> float:
         return float(self.nodes[0])
 
 
-def _weighted_norm(nodes: np.ndarray, j: np.ndarray, epsilon: float) -> float:
-    return float(np.max(np.abs(j) * nodes ** (-epsilon)))
+class _Head:
+    """Powers of the upper limits y of the analytic head integrals over (0, y]."""
+
+    __slots__ = ("lin", "sq0", "sq1", "sq2")
+
+    def __init__(self, y, c: float, e1: float, e2: float, mu: float):
+        self.lin = y ** (e1 + mu)
+        self.sq0 = c * c * y**e2 / e2  # the j-free term of the square integral
+        self.sq1 = y ** (e2 + mu)
+        self.sq2 = y ** (e2 + 2.0 * mu)
+
+
+class _TPlan:
+    """The j-independent factors of T on one grid, for one parameter set.
+
+    Each entry is the expression that T would otherwise evaluate on every
+    call, with the same operands in the same order.
+    """
+
+    def __init__(self, grid: ExpansionGrid, params: SimilarityParams):
+        x = grid.nodes
+        n_oct = grid.nodes_per_octave
+        # Three nodes at least: the second-order edge derivative needs them.
+        if len(x) < 3 or np.any(np.diff(np.log(x)) <= 0):
+            raise QuadratureError("degenerate expansion grid")
+        self.nodes = x
+        self.params = params
+        self.c = grid.c
+        self.epsilon = grid.epsilon
+        self.n_oct = n_oct
+        self.dtau = _LN2 / n_oct
+
+        gamma, beta, mu = params.gamma, params.beta, params.mu
+        self.two_a = 2.0 / (1.0 - params.theta)
+        self.lam = (1.0 - gamma) * (beta - params.beta_star)
+        # exponents of the linear and square integrands (with jacobian)
+        self.e1 = e1 = 1.0 - gamma + mu
+        self.e2 = e2 = 1.0 - gamma + 2.0 * mu
+
+        self.x_e1 = x**e1
+        self.x_e2 = x**e2
+        self.x_e1_two_a = self.x_e1 * self.two_a
+        self.x_e2_two = self.x_e2 * 2.0
+        self.den = beta * self.x_e1
+        self.e_rows = np.array([[e1], [e2], [e1]])
+        self.weight = x ** (-grid.epsilon)
+
+        # np.gradient(j, dtau, edge_order=2) on a uniform grid, spelled out.
+        self.two_dtau = 2.0 * self.dtau
+        self.edge_n = (0.5 / self.dtau, -2.0 / self.dtau, 1.5 / self.dtau)
+
+        x1 = x[0]
+        self.x1_mu = x1**-mu
+        self.x1_2mu = x1 ** (-2.0 * mu)
+        self.k_lin = e1 + mu
+        self.k_sq1 = e2 + mu
+        self.k_sq2 = e2 + 2.0 * mu
+        self.head_x1 = _Head(x1, grid.c, e1, e2, mu)
+        self.head_half = _Head((x / 2.0)[:n_oct], grid.c, e1, e2, mu)
+
+    def fits(self, grid: ExpansionGrid, params: SimilarityParams) -> bool:
+        return (
+            grid.nodes is self.nodes
+            and grid.c == self.c
+            and grid.epsilon == self.epsilon
+            and grid.nodes_per_octave == self.n_oct
+            and params == self.params
+        )
+
+    def norm(self, j: np.ndarray) -> float:
+        """Weighted norm max x**(-epsilon) |j(x)| over the nodes."""
+        return float((np.abs(j) * self.weight).max())
 
 
 def empty_grid(
@@ -172,69 +251,64 @@ def default_z(params: SimilarityParams, c: float = 1.0, epsilon: float | None = 
 
 def apply_T(grid: ExpansionGrid, params: SimilarityParams) -> ExpansionGrid:
     """One application of the operator T; the input grid is not mutated."""
-    x = grid.nodes
+    plan = grid._plan
+    if plan is None or not plan.fits(grid, params):
+        plan = _TPlan(grid, params)
     j = grid.j_values
     c = grid.c
-    n_oct = grid.nodes_per_octave
-    if len(x) < 2 or np.any(np.diff(np.log(x)) <= 0):
-        raise QuadratureError("degenerate expansion grid")
-    dtau = _LN2 / n_oct
+    n_oct = plan.n_oct
+    dtau = plan.dtau
+    mu = params.mu
+    two_a, e1, e2 = plan.two_a, plan.e1, plan.e2
+    x_e1, x_e2, x_e1_two_a = plan.x_e1, plan.x_e2, plan.x_e1_two_a
 
-    gamma, beta, mu = params.gamma, params.beta, params.mu
-    two_a = 2.0 / (1.0 - params.theta)
-    lam = (1.0 - gamma) * (beta - params.beta_star)
-
-    e1 = 1.0 - gamma + mu  # exponent of the linear integrands (with jacobian)
-    e2 = 1.0 - gamma + 2.0 * mu
-    x_e1 = x**e1
-    x_e2 = x**e2
-
-    djdtau = np.gradient(j, dtau, edge_order=2)
+    djdtau = np.empty(len(j))
+    djdtau[1:-1] = (j[2:] - j[:-2]) / plan.two_dtau
     # Anchor the bottom edge on the known leading behavior j ~ x**mu.
     djdtau[0] = mu * j[0]
+    a, b, c_n = plan.edge_n
+    djdtau[-1] = a * j[-3] + b * j[-2] + c_n * j[-1]
 
+    # The integrands stacked as rows: the linear term 2/(1-theta) j, the
+    # square term (c - j)**2 and the memory term j, each times its power of x.
     cmj = c - j  # (-c + j)**2 == (c - j)**2
-    phi1 = x_e1 * two_a * j
-    phi2 = x_e2 * cmj * cmj
-    phi3 = x_e1 * j
-    dphi1 = e1 * phi1 + x_e1 * two_a * djdtau
-    dphi2 = e2 * phi2 - x_e2 * 2.0 * cmj * djdtau
-    dphi3 = e1 * phi3 + x_e1 * djdtau
+    phi = np.empty((3, len(j)))
+    np.multiply(x_e1_two_a, j, out=phi[0])
+    np.multiply(x_e2, cmj, out=phi[1])
+    phi[1] *= cmj
+    np.multiply(x_e1, j, out=phi[2])
+    dphi = plan.e_rows * phi
+    dphi[0] += x_e1_two_a * djdtau
+    dphi[1] -= plan.x_e2_two * cmj * djdtau
+    dphi[2] += x_e1 * djdtau
 
-    x1 = x[0]
     j1 = j[0]
 
     # Analytic integrals over (0, y] for y <= x1 under j(s) = j1*(s/x1)**mu.
-    def head_lin(y):
-        return j1 * x1**-mu * y ** (e1 + mu) / (e1 + mu)
+    def head_lin(y: _Head):
+        return j1 * plan.x1_mu * y.lin / plan.k_lin
 
-    def head_sq(y):
+    def head_sq(y: _Head):
         return (
-            c * c * y**e2 / e2
-            - 2.0 * c * j1 * x1**-mu * y ** (e2 + mu) / (e2 + mu)
-            + j1 * j1 * x1 ** (-2.0 * mu) * y ** (e2 + 2.0 * mu) / (e2 + 2.0 * mu)
+            y.sq0
+            - 2.0 * c * j1 * plan.x1_mu * y.sq1 / plan.k_sq1
+            + j1 * j1 * plan.x1_2mu * y.sq2 / plan.k_sq2
         )
 
-    i1 = two_a * head_lin(x1) + cumtrapz_corrected(phi1, dphi1, dtau)
-    i2 = head_sq(x1) + cumtrapz_corrected(phi2, dphi2, dtau)
-    i3 = head_lin(x1) + cumtrapz_corrected(phi3, dphi3, dtau)
+    i = cumtrapz_corrected(phi, dphi, dtau)
+    i[0] += two_a * head_lin(plan.head_x1)
+    i[1] += head_sq(plan.head_x1)
+    i[2] += head_lin(plan.head_x1)
 
-    # Delay differences int_{x/2}^{x}: exactly n_oct nodes back on the grid,
-    # analytic below the lowest node.
-    half = x / 2.0
-    d1 = np.empty_like(i1)
-    d2 = np.empty_like(i2)
-    d1[n_oct:] = i1[n_oct:] - i1[:-n_oct]
-    d2[n_oct:] = i2[n_oct:] - i2[:-n_oct]
-    d1[:n_oct] = i1[:n_oct] - two_a * head_lin(half[:n_oct])
-    d2[:n_oct] = i2[:n_oct] - head_sq(half[:n_oct])
+    # Delay differences int_{x/2}^{x} of the first two rows: exactly n_oct
+    # nodes back on the grid, analytic below the lowest node.
+    d = np.empty((2, len(j)))
+    d[:, n_oct:] = i[:2, n_oct:] - i[:2, :-n_oct]
+    d[0, :n_oct] = i[0, :n_oct] - two_a * head_lin(plan.head_half)
+    d[1, :n_oct] = i[1, :n_oct] - head_sq(plan.head_half)
 
-    new_j = (d1 + d2 + lam * i3) / (beta * x**e1)
-    return replace(
-        grid,
-        j_values=new_j,
-        weighted_norm=_weighted_norm(x, new_j, grid.epsilon),
-    )
+    new_j = (d[0] + d[1] + plan.lam * i[2]) / plan.den
+    return replace(grid, j_values=new_j, weighted_norm=plan.norm(new_j), _plan=plan)
 
 
 def fixed_point(
@@ -264,10 +338,12 @@ def fixed_point(
     if c == 0.0:
         return grid  # T[0] = 0 identically: the constant branch
 
+    plan = _TPlan(grid, params)
+    grid = replace(grid, _plan=plan)
     radius = ball_radius(params, c, z, epsilon)
     for _ in range(max_iter):
         new = apply_T(grid, params)
-        if not np.all(np.isfinite(new.j_values)):
+        if not np.isfinite(new.j_values).all():
             raise ConvergenceError(
                 f"fixed-point iteration diverged at z={z:g} (non-finite iterate)"
             )
@@ -276,7 +352,7 @@ def fixed_point(
                 f"iterate left the invariant ball (norm {new.weighted_norm:g} > "
                 f"R = {radius:g}): z={z:g} too large"
             )
-        change = _weighted_norm(grid.nodes, new.j_values - grid.j_values, epsilon)
+        change = plan.norm(new.j_values - grid.j_values)
         grid = new
         if change <= tol:
             return grid
@@ -322,9 +398,7 @@ def h_from_expansion(
     h_half[m:] = h[:-m]
     low = x[:m] / 2.0
     h_half[:m] = limit + low**mu * (j1 * (low / x1) ** mu - c)
-    dh = np.array(
-        [rhs(xi, hi, hhi, params) for xi, hi, hhi in zip(x, h, h_half)]
-    )
+    dh = rhs(x, h, h_half, params)  # elementwise over the nodes
 
     seed = Profile(
         params=params,

@@ -10,7 +10,7 @@ import math
 
 from .errors import ConvergenceError, MonotonicityError, PositivityError
 from .expansion import contraction_margin, default_z, fixed_point, h_from_expansion
-from .params import SimilarityParams, make_params, params_from_rho
+from .params import SimilarityParams, params_from_rho
 from .profile import Profile, integrate, normalize
 from . import tail
 
@@ -120,19 +120,6 @@ def build_profile(
                 )
             profile = integrate(profile, params, need * 2.0)
     return profile
-
-
-def profile_for(
-    gamma: float,
-    beta: float | None = None,
-    rho: float | None = None,
-    **kwargs,
-) -> Profile:
-    """Convenience wrapper taking either beta or rho."""
-    if (beta is None) == (rho is None):
-        raise ConvergenceError("exactly one of beta/rho must be given")
-    params = make_params(gamma, beta) if beta is not None else params_from_rho(gamma, rho)
-    return build_profile(params, **kwargs)
 
 
 def sweep_row(gamma: float, rho: float, m: int = DEFAULT_M) -> dict:

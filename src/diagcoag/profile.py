@@ -92,8 +92,13 @@ class Profile:
         return x_arr ** (-(1.0 + self.params.gamma)) * self.h_at(x)
 
 
-def rhs(x: float, h_at_x: float, h_at_half: float, params: SimilarityParams) -> float:
-    """h'(x) of the delay equation given h(x) and h(x/2)."""
+def rhs(
+    x: float | np.ndarray,
+    h_at_x: float | np.ndarray,
+    h_at_half: float | np.ndarray,
+    params: SimilarityParams,
+) -> float | np.ndarray:
+    """h'(x) of the delay equation given h(x) and h(x/2); elementwise on arrays."""
     theta = params.theta
     return (h_at_x * h_at_x - theta * h_at_half * h_at_half - h_at_x) / (params.beta * x)
 
@@ -233,18 +238,26 @@ def rescale(profile: Profile, a: float) -> Profile:
     """Apply the scaling invariance h(x) -> h(a*x): a pure shift in tau.
 
     Node values are unchanged; the grid, derivative values, amplitude c and
-    hand-off point z are re-expressed in the new gauge.
+    hand-off point z are re-expressed in the new gauge.  Raises
+    ``RangeError`` when the amplitude's gauge factor a**mu overflows.
     """
     if not a > 0.0:
         raise DomainError("rescale factor a must be positive")
     if a == 1.0:
         return profile
     mu = profile.params.mu
+    try:
+        c = profile.c * a**mu
+    except OverflowError as exc:
+        raise RangeError(
+            f"gauge factor a = {a:g} is out of floating-point range: "
+            f"a**mu overflows (mu = {mu:g})"
+        ) from exc
     out = replace(
         profile,
         tau0=profile.tau0 - math.log(a),
         dh_values=profile.dh_values * a,
-        c=profile.c * a**mu,
+        c=c,
         z=profile.z / a,
         normalized=False,
     )

@@ -74,11 +74,6 @@ def estimate_d(profile: Profile) -> tuple[float, float]:
     return d, 2.0 * profile.x_max ** (-1.0 / beta)
 
 
-def d_converged(profile: Profile) -> bool:
-    d, err = estimate_d(profile)
-    return err <= 0.1 * d
-
-
 def _phi_integrand(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     """phi = x**(1-gamma) h and its tau derivative (jacobian included)."""
     gamma = profile.params.gamma

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +205,21 @@ def test_sweep_boundary_row_marked_invalid(tmp_path, capsys):
     statuses = {r.split(",")[1]: r.split(",")[-1] for r in rows}
     assert statuses["0"] == "invalid"
     assert statuses["0.5"] == "ok"
+
+
+def test_sweep_readme_command_parses_as_written():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(
+        ln for ln in readme.read_text().splitlines() if ln.startswith("diagcoag sweep ")
+    )
+    args = cli.parse_args(shlex.split(line)[1:])
+    assert args.gammas == "-1,0,0.5"
+    assert args.rhos == "0.3,0.5,0.7"
+    assert args.jobs == 4
+    assert args.out == "sweep.csv"
+
+
+@pytest.mark.parametrize("gammas", ["-1", "-1e0", "-1,"])
+def test_sweep_negative_first_gamma_runs(gammas, capsys):
+    # the row's bound verdict may fail by design (exit 4); a parse error is 2
+    assert run(["sweep", "--gammas", gammas, "--rhos", "0.5"]) in (0, 4)

@@ -18,6 +18,7 @@ from diagcoag.expansion import (
 )
 from diagcoag.mu import F_of
 from diagcoag.params import make_params, params_from_rho
+from diagcoag.profile import rhs
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +198,118 @@ def test_default_z_has_margin(canon):
     assert z == 0.125
     grid = fixed_point(canon, c=1.0, z=z)
     assert grid.weighted_norm < 1.0
+
+
+# -- bit-identity of the planned operator -------------------------------------
+
+BIT_IDENTITY_CELLS = [(0.0, 0.5), (-1.0, 0.1)]  # (gamma, frac); frac = 0.1: kappa ~ 0.96
+
+
+def cell_params(gamma, frac):
+    return params_from_rho(gamma, gamma + frac * (1.0 - gamma))
+
+
+def apply_T_from_scratch(grid, params):
+    """T evaluated with no hoisted factors: the reference for bit-identity."""
+    x, j, c, n_oct = grid.nodes, grid.j_values, grid.c, grid.nodes_per_octave
+    dtau = math.log(2.0) / n_oct
+    gamma, beta, mu = params.gamma, params.beta, params.mu
+    two_a = 2.0 / (1.0 - params.theta)
+    lam = (1.0 - gamma) * (beta - params.beta_star)
+    e1 = 1.0 - gamma + mu
+    e2 = 1.0 - gamma + 2.0 * mu
+    x_e1 = x**e1
+    x_e2 = x**e2
+    djdtau = np.gradient(j, dtau, edge_order=2)
+    djdtau[0] = mu * j[0]
+    cmj = c - j
+    phi = [x_e1 * two_a * j, x_e2 * cmj * cmj, x_e1 * j]
+    dphi = [
+        e1 * phi[0] + x_e1 * two_a * djdtau,
+        e2 * phi[1] - x_e2 * 2.0 * cmj * djdtau,
+        e1 * phi[2] + x_e1 * djdtau,
+    ]
+    x1, j1 = x[0], j[0]
+
+    def head_lin(y):
+        return j1 * x1**-mu * y ** (e1 + mu) / (e1 + mu)
+
+    def head_sq(y):
+        return (
+            c * c * y**e2 / e2
+            - 2.0 * c * j1 * x1**-mu * y ** (e2 + mu) / (e2 + mu)
+            + j1 * j1 * x1 ** (-2.0 * mu) * y ** (e2 + 2.0 * mu) / (e2 + 2.0 * mu)
+        )
+
+    def cumtrapz(p, dp):
+        inner = np.concatenate(([0.0], np.cumsum(p[1:] + p[:-1]) * (0.5 * dtau)))
+        return inner - (dtau * dtau / 12.0) * (dp - dp[0])
+
+    heads = [two_a * head_lin(x1), head_sq(x1), head_lin(x1)]
+    i1, i2, i3 = (h + cumtrapz(p, dp) for h, p, dp in zip(heads, phi, dphi))
+    half = (x / 2.0)[:n_oct]
+    d1 = np.concatenate((i1[:n_oct] - two_a * head_lin(half), i1[n_oct:] - i1[:-n_oct]))
+    d2 = np.concatenate((i2[:n_oct] - head_sq(half), i2[n_oct:] - i2[:-n_oct]))
+    new_j = (d1 + d2 + lam * i3) / (beta * x**e1)
+    return new_j, float(np.max(np.abs(new_j) * x ** (-grid.epsilon)))
+
+
+@pytest.mark.parametrize("gamma,frac", BIT_IDENTITY_CELLS)
+def test_apply_T_bit_identical_to_unplanned_evaluation(gamma, frac):
+    params = cell_params(gamma, frac)
+    grid = empty_grid(default_z(params), c=1.0, epsilon=0.5 * params.mu)
+    for _ in range(5):  # the first iterates, then a nonzero j far from a power
+        new = apply_T(grid, params)
+        ref_j, ref_norm = apply_T_from_scratch(grid, params)
+        assert np.array_equal(new.j_values, ref_j)
+        assert new.weighted_norm == ref_norm
+        grid = new
+
+
+def test_apply_T_rebuilds_a_plan_that_no_longer_fits(canon):
+    grid = fixed_point(canon, c=1.0, z=1e-2, epsilon=0.5)
+    other = make_params(0.0, 3.0)
+    for moved, params in (
+        (replace(grid, c=2.0), canon),
+        (replace(grid, epsilon=0.25), canon),
+        (replace(grid, nodes=grid.nodes * 0.5), canon),
+        (grid, other),
+    ):
+        ref_j, ref_norm = apply_T_from_scratch(moved, params)
+        out = apply_T(moved, params)
+        assert np.array_equal(out.j_values, ref_j)
+        assert out.weighted_norm == ref_norm
+
+
+@pytest.mark.parametrize("gamma,frac", BIT_IDENTITY_CELLS)
+def test_fixed_point_bit_identical_to_public_apply_T_loop(gamma, frac):
+    params = cell_params(gamma, frac)
+    z, eps, tol = default_z(params), 0.5 * params.mu, 1e-12
+    result = fixed_point(params, c=1.0, z=z, epsilon=eps, tol=tol)
+    grid = empty_grid(z, c=1.0, epsilon=eps)
+    while True:
+        new = apply_T(grid, params)
+        change = weighted_norm(grid.nodes, new.j_values - grid.j_values, eps)
+        grid = new
+        if change <= tol:
+            break
+    assert np.array_equal(result.j_values, grid.j_values)
+    assert result.weighted_norm == grid.weighted_norm
+
+
+@pytest.mark.parametrize("gamma,frac", BIT_IDENTITY_CELLS)
+def test_h_from_expansion_dh_matches_rhs_per_node(gamma, frac):
+    params = cell_params(gamma, frac)
+    grid = fixed_point(params, c=1.0, z=default_z(params))
+    seed = h_from_expansion(grid, params)
+    m = seed.m
+    x = grid.nodes  # output density equals the grid's: no subsampling
+    h = seed.h_values
+    low = x[:m] / 2.0
+    h_half = np.concatenate((
+        1.0 / (1.0 - params.theta)
+        + low**params.mu * (grid.j_values[0] * (low / x[0]) ** params.mu - grid.c),
+        h[:-m],
+    ))
+    expected = np.array([rhs(xi, hi, hhi, params) for xi, hi, hhi in zip(x, h, h_half)])
+    assert np.array_equal(seed.dh_values, expected)

@@ -121,6 +121,14 @@ def test_rescale_invalid(canonical_profile):
         rescale(canonical_profile, -2.0)
 
 
+def test_rescale_overflowing_gauge_factor_is_range_error(canonical_profile):
+    # mu > 1 here, so a**mu leaves the double range although a does not
+    prof = replace(canonical_profile, params=make_params(0.0, 1.5))
+    assert prof.params.mu > 1.0
+    with pytest.raises(RangeError, match=r"a = 1e\+300"):
+        rescale(prof, 1e300)
+
+
 # -- normalize ----------------------------------------------------------------
 
 

@@ -105,8 +105,8 @@ class _TPlan:
         self.two_a = 2.0 / (1.0 - params.theta)
         self.lam = (1.0 - gamma) * (beta - params.beta_star)
         # exponents of the linear and square integrands (with jacobian)
-        self.e1 = e1 = 1.0 - gamma + mu
-        self.e2 = e2 = 1.0 - gamma + 2.0 * mu
+        e1 = 1.0 - gamma + mu
+        e2 = 1.0 - gamma + 2.0 * mu
 
         self.x_e1 = x**e1
         self.x_e2 = x**e2
@@ -259,7 +259,7 @@ def apply_T(grid: ExpansionGrid, params: SimilarityParams) -> ExpansionGrid:
     n_oct = plan.n_oct
     dtau = plan.dtau
     mu = params.mu
-    two_a, e1, e2 = plan.two_a, plan.e1, plan.e2
+    two_a = plan.two_a
     x_e1, x_e2, x_e1_two_a = plan.x_e1, plan.x_e2, plan.x_e1_two_a
 
     djdtau = np.empty(len(j))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -27,12 +26,10 @@ from .errors import (
     RangeError,
     StepCollapseError,
 )
-from .expansion import default_z
 from .mu import solve_mu
 from .params import beta_from_rho, make_params
 from .profile import (
-    Profile,
-    integrate,
+    profile_metadata,
     read_profile_csv,
     write_profile_csv,
 )
@@ -111,15 +108,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     out = cfg.get("out", "profile.csv")
     if cfg.get("format", "csv") == "json":
         payload = {
-            "meta": {
-                **params.to_dict(),
-                "c": profile.c,
-                "z": profile.z,
-                "m": profile.m,
-                "x_min": profile.x_min,
-                "x_max": profile.x_max,
-                "normalized": profile.normalized,
-            },
+            "meta": {**params.to_dict(), **profile_metadata(profile)},
             "x": profile.x_values.tolist(),
             "h": profile.h_values.tolist(),
             "g": profile.g_values.tolist(),
@@ -148,14 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             k: v for k, v in details.items() if isinstance(v, (bool, int, float, str))
         }
         reports[str(path)] = entry
-        ok = (
-            report.upper_bound_ok
-            and report.lower_bound_ok
-            and details.get("hineq_ok", True)
-            and report.cauchy_max_violation <= tail.BOUND_SLACK
-            and report.max_residual_sss4b <= 1e-6
-        )
-        if not ok:
+        if not tail.bounds_hold(report, details):
             failures.append(str(path))
     _print_json(reports, args.out)
     if failures:
@@ -164,12 +146,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_init(spec: str, params, profile: Profile | None, field_kwargs: dict):
+def _parse_init(spec: str, params, field_kwargs: dict):
     kind, _, rest = spec.partition(":")
     if kind == "profile":
-        prof = read_profile_csv(rest) if rest else profile
-        if prof is None:
+        if not rest:
             raise DomainError("initial data 'profile' needs a profile CSV path")
+        prof = read_profile_csv(rest)
         return dynamics.field_from_profile(prof, **field_kwargs), prof
     if kind == "powerlaw":
         if rest:
@@ -193,13 +175,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         octaves=args.octaves,
         nodes_per_octave=args.md,
     )
-    profile = None
-    if args.init.startswith("profile"):
-        field, profile = _parse_init(args.init, params, None, field_kwargs)
-    else:
-        field, _ = _parse_init(args.init, params, None, field_kwargs)
-        if args.profile:
-            profile = read_profile_csv(args.profile)
+    field, profile = _parse_init(args.init, params, field_kwargs)
+    if profile is None and args.profile:
+        profile = read_profile_csv(args.profile)
 
     out_prefix = cfg.get("out", "sim")
     try:

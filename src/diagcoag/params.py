@@ -15,7 +15,6 @@ of derived constants collected here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, MonotonicityError, PositivityError
+from .errors import ConvergenceError, MonotonicityError
 from .expansion import contraction_margin, default_z, fixed_point, h_from_expansion
 from .params import SimilarityParams, params_from_rho
 from .profile import Profile, integrate, normalize
@@ -35,61 +35,39 @@ def build_profile(
     z: float | None = None,
     m: int = DEFAULT_M,
     x_max: float | None = None,
-    epsilon: float | None = None,
-    expansion_density: int | None = None,
-    do_normalize: bool = True,
     tol: float = 1e-12,
-    auto_extend: bool = True,
 ) -> Profile:
-    """Construct a full profile for the given parameters.
+    """Construct a full profile: seed from the local expansion, march, normalize.
 
-    With c > 0 and auto_extend, the integration range is extended after
-    normalization until the tail constant is converged and the slope-fit
-    window is asymptotically clean.  c = 0 selects the constant branch and
-    skips normalization (the constant never attains 1/2).
+    ``c`` is the bifurcation amplitude (0 selects the constant branch, which
+    is not normalized), ``z`` the hand-off point (``default_z`` when None),
+    ``m`` the nodes per octave, ``x_max`` the end of the march (when None the
+    tail is extended until d converges) and ``tol`` the fixed-point
+    tolerance.  A hand-off point whose expansion fails is halved, at most 5
+    times.  The march runs once: an invariant violation raises its typed
+    error (``MonotonicityError``, ``PositivityError``) and is not retried;
+    pass a larger ``m``.
     """
     if z is None:
-        z = default_z(params, c, epsilon)
-    density = expansion_density or m
-    if density % m != 0:
-        raise ConvergenceError(
-            f"expansion density {density} must be a multiple of m = {m}"
-        )
+        z = default_z(params, c)
 
-    grid = None
     for _ in range(6):
         try:
-            grid = fixed_point(params, c, z, epsilon, nodes_per_octave=density, tol=tol)
+            grid = fixed_point(params, c, z, nodes_per_octave=m, tol=tol)
             seed = h_from_expansion(grid, params, m=m)
             break
         except (ConvergenceError, MonotonicityError):
             z *= 0.5  # hand-off point beyond the safe neighbourhood
-            grid = None
-    if grid is None:
+    else:
         raise ConvergenceError(
             f"no converged expansion found down to z = {z:g} for "
             f"gamma={params.gamma}, beta={params.beta}"
         )
 
     target = x_max if x_max is not None else 2.0**40 * z
-    m_eff = m
-    profile = None
-    for _ in range(3):
-        try:
-            profile = integrate(seed, params, target)
-            break
-        except (MonotonicityError, PositivityError):
-            # numerical artifact: retry the whole march at doubled density
-            m_eff *= 2
-            dens = density * (m_eff // m) if density % m_eff else density
-            grid2 = fixed_point(params, c, z, epsilon, nodes_per_octave=dens, tol=tol)
-            seed = h_from_expansion(grid2, params, m=m_eff)
-    if profile is None:
-        raise ConvergenceError(
-            f"integration kept violating invariants up to m = {m_eff}"
-        )
+    profile = integrate(seed, params, target)
 
-    if not do_normalize or c == 0.0:
+    if c == 0.0:
         return profile
 
     # The normalization target 1/2 must be attained inside the stored domain;
@@ -105,7 +83,7 @@ def build_profile(
 
     profile = normalize(profile)
 
-    if auto_extend and x_max is None and not params.degenerate:
+    if x_max is None and not params.degenerate:
         beta = params.beta
         for _ in range(5):
             d, err = tail.estimate_d(profile)
@@ -122,7 +100,7 @@ def build_profile(
     return profile
 
 
-def sweep_row(gamma: float, rho: float, m: int = DEFAULT_M) -> dict:
+def sweep_row(gamma: float, rho: float) -> dict:
     """One sweep entry: parameters, contraction margin and tail summary."""
     row: dict = {"gamma": gamma, "rho": rho}
     try:
@@ -135,7 +113,7 @@ def sweep_row(gamma: float, rho: float, m: int = DEFAULT_M) -> dict:
         row["beta"] = params.beta
         row["mu"] = params.mu
         row["kappa"] = contraction_margin(params, 0.5 * params.mu)
-        profile = build_profile(params, m=m)
+        profile = build_profile(params)
         report, details = tail.build_tail_report(profile)
         row["d_estimate"] = report.d_estimate
         row["d_error_bound"] = report.d_error_bound
@@ -148,14 +126,7 @@ def sweep_row(gamma: float, rho: float, m: int = DEFAULT_M) -> dict:
         row["hineq_margin"] = details.get("hineq_margin", float("nan"))
         row["cauchy_max_violation"] = report.cauchy_max_violation
         row["max_residual_sss4b"] = report.max_residual_sss4b
-        ok = (
-            report.upper_bound_ok
-            and report.lower_bound_ok
-            and details.get("hineq_ok", True)
-            and report.cauchy_max_violation <= tail.BOUND_SLACK
-            and row["slope_err_rel"] <= 0.01
-            and report.max_residual_sss4b <= 1e-6
-        )
+        ok = tail.bounds_hold(report, details) and row["slope_err_rel"] <= 0.01
         row["status"] = "ok" if ok else "bound_failure"
     except Exception as exc:
         row["status"] = "error"

@@ -149,8 +149,8 @@ def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
     """Continue a profile out to x_max by the method of steps.
 
     The seed must carry at least one delay interval (m+1 nodes) of history.
-    Monotonicity or positivity violations abort with the offending x; they
-    signal a step too coarse for the parameters, retry with larger m.
+    Monotonicity or positivity violations abort with the offending x; the
+    step is too coarse, and nothing retries: pass a seed with a larger m.
     """
     m = seed.m
     if m < 32:

@@ -314,3 +314,15 @@ def build_tail_report(profile: Profile, residual_samples=None) -> tuple[TailRepo
     details["d_converged"] = d_err <= 0.1 * d
     details["slope_window"] = (lo, hi)
     return report, details
+
+
+def bounds_hold(report: TailReport, details: dict) -> bool:
+    """Verdict: upper, lower and h-inequality bounds hold, the Cauchy bound
+    within ``BOUND_SLACK``, and the integral-form residual is at most 1e-6."""
+    return (
+        report.upper_bound_ok
+        and report.lower_bound_ok
+        and details.get("hineq_ok", True)
+        and report.cauchy_max_violation <= BOUND_SLACK
+        and report.max_residual_sss4b <= 1e-6
+    )

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diagcoag import cli
+from diagcoag import cli, pipeline
+from diagcoag.params import make_params
 from diagcoag.profile import read_profile_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -104,6 +107,19 @@ def test_profile_json_format(tmp_path, capsys):
     assert set(payload) == {"meta", "x", "h", "g", "dhdx"}
 
 
+def test_profile_json_meta_is_params_plus_sidecar(tmp_path, capsys):
+    as_json = tmp_path / "prof.json"
+    as_csv = tmp_path / "prof.csv"
+    flags = ["profile", "--gamma", "0", "--rho", "0.5"]
+    assert run(flags + ["--format", "json", "--out", str(as_json)]) == 0
+    assert run(flags + ["--out", str(as_csv)]) == 0
+    meta = json.loads(as_json.read_text())["meta"]
+    sidecar = json.loads((tmp_path / "prof.meta.json").read_text())
+    expected = {**make_params(0.0, 2.0).to_dict(), **sidecar}
+    assert meta == expected
+    assert list(meta) == list(expected)
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -133,6 +149,17 @@ def test_verify_corrupted_profile(saved_profile, tmp_path, capsys):
     meta = saved_profile.with_name(saved_profile.stem + ".meta.json")
     (tmp_path / "bad.meta.json").write_text(meta.read_text())
     assert run(["verify", str(bad)]) == 4
+
+
+def test_verify_and_sweep_share_the_bound_verdict(tmp_path, capsys):
+    # beta < 2 beta_star: the stated c0/beta lower bound fails by design
+    out = tmp_path / "rho07.csv"
+    assert run(["profile", "--gamma", "0", "--rho", "0.7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 4
+    report = json.loads(capsys.readouterr().out)[str(out)]
+    assert report["upper_bound_ok"] and not report["lower_bound_ok"]
+    assert pipeline.sweep_row(0.0, 0.7)["status"] == "bound_failure"
 
 
 def test_verify_constant_profile_precondition(tmp_path, capsys):
@@ -207,16 +234,29 @@ def test_sweep_boundary_row_marked_invalid(tmp_path, capsys):
     assert statuses["0.5"] == "ok"
 
 
+def _readme_commands() -> list[str]:
+    """The ``diagcoag ...`` lines of the README's Command line block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [ln for ln in block.splitlines() if ln.startswith("diagcoag ")]
+
+
 def test_sweep_readme_command_parses_as_written():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    line = next(
-        ln for ln in readme.read_text().splitlines() if ln.startswith("diagcoag sweep ")
-    )
+    line = next(ln for ln in _readme_commands() if ln.startswith("diagcoag sweep "))
     args = cli.parse_args(shlex.split(line)[1:])
     assert args.gammas == "-1,0,0.5"
     assert args.rhos == "0.3,0.5,0.7"
     assert args.jobs == 4
     assert args.out == "sweep.csv"
+
+
+@pytest.mark.parametrize(
+    "line", _readme_commands(), ids=lambda line: line.split()[1]
+)
+def test_readme_command_parses_as_written(line):
+    argv = shlex.split(line)[1:]
+    args = cli.parse_args(argv)
+    assert args.func is getattr(cli, f"cmd_{argv[0]}")
 
 
 @pytest.mark.parametrize("gammas", ["-1", "-1e0", "-1,"])

@@ -191,10 +191,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             print(json.dumps(report.to_dict(), indent=2))
         else:
-            times = np.geomspace(field.t, args.t_end, args.snapshots)
-            fields = [field]
-            for t_out in times[1:]:
-                fields.append(dynamics.advance_to(fields[-1], float(t_out)))
+            fields = dynamics.evolve(field, args.t_end, args.snapshots)
     except StepCollapseError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_STEP
@@ -203,11 +200,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         xi = fld.xi_grid
         scale = fld.t**params.beta
         resc = fld.t ** (1.0 + (1.0 + gamma) * params.beta) * fld.f_values
-        lines = ["xi,f,x_rescaled,density_rescaled"]
-        for a, b, cch, d in zip(xi, fld.f_values, xi / scale, resc):
-            lines.append(f"{a:.17g},{b:.17g},{cch:.17g},{d:.17g}")
-        path = f"{out_prefix}.t{fld.t:.6g}.csv"
-        Path(path).write_text("\n".join(lines) + "\n")
+        np.savetxt(
+            f"{out_prefix}.t{fld.t:.6g}.csv",
+            np.column_stack([xi, fld.f_values, xi / scale, resc]),
+            fmt="%.17g", delimiter=",", comments="",
+            header="xi,f,x_rescaled,density_rescaled",
+        )
     print(f"wrote {len(fields)} snapshots with prefix {out_prefix}")
     return EXIT_OK
 

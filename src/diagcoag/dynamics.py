@@ -11,6 +11,10 @@ with f = 0 below the grid (no influx from under the domain).  Explicit
 densities are rejected and retried at half the step.  The escaped-mass
 budget is accumulated with the same Runge-Kutta stages, which makes the
 discrete mass balance exact to rounding.
+
+The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
+in its window, so data with empty nodes (a pulse) can be measured against a
+profile, and a field sampled from the profile has D = 0 at t = 1.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ _LN2 = math.log(2.0)
 
 DEFAULT_NODES_PER_OCTAVE = 16
 DEFAULT_OCTAVES = 40
-DEFAULT_ETA = 0.1
+ETA = 0.1
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -40,21 +45,20 @@ class NumberDensityField:
     """
 
     kernel: KernelParams
-    xi_min: float
     nodes_per_octave: int
+    xi_grid: np.ndarray
     f_values: np.ndarray
     t: float
     escaped_mass: float = 0.0
 
     @property
-    def xi_grid(self) -> np.ndarray:
-        k = np.arange(len(self.f_values))
-        # exp2 keeps xi_{k-m_d} == xi_k / 2 exact in floating point
-        return self.xi_min * np.exp2(k / self.nodes_per_octave)
-
-    @property
     def dlog(self) -> float:
         return _LN2 / self.nodes_per_octave
+
+
+def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray:
+    # exp2 keeps xi_{k-m_d} == xi_k / 2 exact in floating point
+    return xi_min * np.exp2(np.arange(n_nodes) / nodes_per_octave)
 
 
 def make_field(
@@ -62,17 +66,14 @@ def make_field(
     f_values: np.ndarray,
     xi_min: float = 2.0**-20,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
-    t: float = 1.0,
 ) -> NumberDensityField:
+    """Field at t = 1 with the given nodal densities from xi_min upward."""
     f = np.asarray(f_values, dtype=float)
     if np.any(f < 0.0):
         raise DomainError("number density must be nonnegative")
+    xi = _size_grid(len(f), xi_min, nodes_per_octave)
     return NumberDensityField(
-        kernel=kernel,
-        xi_min=xi_min,
-        nodes_per_octave=nodes_per_octave,
-        f_values=f,
-        t=t,
+        kernel=kernel, nodes_per_octave=nodes_per_octave, xi_grid=xi, f_values=f, t=1.0
     )
 
 
@@ -81,20 +82,12 @@ def field_from_profile(
     xi_min: float = 2.0**-20,
     octaves: int = DEFAULT_OCTAVES,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
-    t: float = 1.0,
 ) -> NumberDensityField:
-    """Initial data f(xi, t) = g(xi) sampled from a profile."""
-    field = make_field(
-        profile.params.kernel,
-        np.zeros(octaves * nodes_per_octave + 1),
-        xi_min,
-        nodes_per_octave,
-        t,
-    )
-    xi = field.xi_grid
+    """Initial data f(xi, 1) = g(xi) sampled from a profile."""
+    xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
     if xi[0] < profile.x_min or xi[-1] > profile.x_max:
         raise DomainError("profile does not cover the requested size grid")
-    return replace(field, f_values=np.asarray(profile.g_at(xi), dtype=float))
+    return make_field(profile.params.kernel, profile.g_at(xi), xi_min, nodes_per_octave)
 
 
 def power_law_field(
@@ -104,13 +97,10 @@ def power_law_field(
     xi_min: float = 2.0**-20,
     octaves: int = DEFAULT_OCTAVES,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
-    t: float = 1.0,
 ) -> NumberDensityField:
     """f = amplitude * xi**(-exponent); exponent (3+gamma)/2 is stationary."""
-    field = make_field(
-        kernel, np.zeros(octaves * nodes_per_octave + 1), xi_min, nodes_per_octave, t
-    )
-    return replace(field, f_values=amplitude * field.xi_grid ** (-exponent))
+    xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
+    return make_field(kernel, amplitude * xi ** (-exponent), xi_min, nodes_per_octave)
 
 
 def pulse_field(
@@ -120,12 +110,11 @@ def pulse_field(
     xi_min: float = 2.0**-20,
     octaves: int = DEFAULT_OCTAVES,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
-    t: float = 1.0,
 ) -> NumberDensityField:
     """Single occupied node (monomer-like pulse)."""
     f = np.zeros(octaves * nodes_per_octave + 1)
     f[node] = amplitude
-    return make_field(kernel, f, xi_min, nodes_per_octave, t)
+    return make_field(kernel, f, xi_min, nodes_per_octave)
 
 
 def coag_rhs(field: NumberDensityField) -> np.ndarray:
@@ -134,7 +123,7 @@ def coag_rhs(field: NumberDensityField) -> np.ndarray:
     xi = field.xi_grid
     f = field.f_values
     loss_density = xi ** (1.0 + field.kernel.gamma) * f * f
-    rate = -loss_density.copy()
+    rate = -loss_density
     # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m}
     rate[m:] += 0.25 * loss_density[:-m]
     return rate
@@ -157,8 +146,7 @@ def moments(field: NumberDensityField) -> tuple[float, float, float]:
     """(number N, mass M, boundary loss flux); trapezoid in log xi."""
     xi = field.xi_grid
     f = field.f_values
-    w = xi * field.dlog
-    w_trap = w.copy()
+    w_trap = xi * field.dlog
     w_trap[0] *= 0.5
     w_trap[-1] *= 0.5
     n = float(np.sum(w_trap * f))
@@ -166,8 +154,8 @@ def moments(field: NumberDensityField) -> tuple[float, float, float]:
     return n, mass, _boundary_flux(field)
 
 
-def step(field: NumberDensityField, dt: float, max_halvings: int = 20) -> NumberDensityField:
-    """One Runge-Kutta step; halves dt on negativity, at most max_halvings.
+def step(field: NumberDensityField, dt: float) -> NumberDensityField:
+    """One Runge-Kutta step; halves dt on negativity, at most MAX_HALVINGS times.
 
     Advances by the accepted dt (possibly smaller than requested) and
     accumulates the escaped-mass budget from the same stages.
@@ -175,7 +163,7 @@ def step(field: NumberDensityField, dt: float, max_halvings: int = 20) -> Number
     if not dt > 0.0:
         raise DomainError("dt must be positive")
     f0 = field.f_values
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         k1 = coag_rhs(field)
         s1 = replace(field, f_values=f0 + 0.5 * dt * k1)
         k2 = coag_rhs(s1)
@@ -198,27 +186,35 @@ def step(field: NumberDensityField, dt: float, max_halvings: int = 20) -> Number
             )
         dt *= 0.5
     raise StepCollapseError(
-        f"time step collapsed after {max_halvings} halvings at t = {field.t:g}"
+        f"time step collapsed after {MAX_HALVINGS} halvings at t = {field.t:g}"
     )
 
 
-def stable_dt(field: NumberDensityField, eta: float = DEFAULT_ETA) -> float:
-    """dt <= eta / max(xi**(1+gamma) f): the loss term's stiffness scale."""
+def stable_dt(field: NumberDensityField) -> float:
+    """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale."""
     xi = field.xi_grid
     scale = float(np.max(xi ** (1.0 + field.kernel.gamma) * field.f_values))
     if scale == 0.0:
         return math.inf
-    return eta / scale
+    return ETA / scale
 
 
-def advance_to(
-    field: NumberDensityField, t_target: float, eta: float = DEFAULT_ETA
-) -> NumberDensityField:
+def advance_to(field: NumberDensityField, t_target: float) -> NumberDensityField:
     """March the field to t_target with the adaptive step bound."""
     while field.t < t_target * (1.0 - 1e-15):
-        dt = min(stable_dt(field, eta), t_target - field.t)
+        dt = min(stable_dt(field), t_target - field.t)
         field = step(field, dt)
     return field
+
+
+def evolve(
+    field: NumberDensityField, t_end: float, n_outputs: int
+) -> list[NumberDensityField]:
+    """The field at the times np.geomspace(field.t, t_end, n_outputs)."""
+    fields = [field]
+    for t_out in np.geomspace(field.t, t_end, n_outputs):
+        fields.append(advance_to(fields[-1], float(t_out)))
+    return fields[1:]
 
 
 def self_similar_distance(
@@ -226,36 +222,32 @@ def self_similar_distance(
     profile: Profile,
     beta: float,
     window: tuple[float, float],
-    n_samples: int = 256,
 ) -> float:
-    """Sup of |t**(1+(1+gamma)beta) f(t**beta x, t) - g(x)| / g(x) over the window.
+    """Sup of |t**(1+(1+gamma)beta) f(xi, t) - g(x)| / g(x), x = xi / t**beta.
 
-    f is evaluated by log-linear interpolation on the size grid, g comes
-    from the profile's dense evaluation.
+    The sup runs over the grid nodes whose x lies in the window; g comes from
+    the profile's dense evaluation.
     """
     if field.t < 1.0:
         raise DomainError("distance defined for t >= 1")
     x_lo, x_hi = window
     if not 0.0 < x_lo < x_hi:
         raise WindowError("window must satisfy 0 < x_lo < x_hi")
-    gamma = field.kernel.gamma
     t = field.t
     scale = t**beta
-    x = np.geomspace(x_lo, x_hi, n_samples)
-    xi_eval = scale * x
     xi = field.xi_grid
-    if xi_eval[0] < xi[0] or xi_eval[-1] > xi[-1]:
+    if scale * x_lo < xi[0] or scale * x_hi > xi[-1]:
         raise WindowError(
-            f"rescaled window [{xi_eval[0]:g}, {xi_eval[-1]:g}] leaves the size grid"
+            f"rescaled window [{scale * x_lo:g}, {scale * x_hi:g}] leaves the size grid"
         )
-    if x[0] < profile.x_min or x[-1] > profile.x_max:
+    if x_lo < profile.x_min or x_hi > profile.x_max:
         raise WindowError("window leaves the profile domain")
-    f = field.f_values
-    if np.any(f[(xi >= xi_eval[0] / 2) & (xi <= xi_eval[-1] * 2)] <= 0.0):
-        raise DomainError("log-linear interpolation requires positive densities")
-    log_f = np.interp(np.log(xi_eval), np.log(xi), np.log(f))
-    rescaled = t ** (1.0 + (1.0 + gamma) * beta) * np.exp(log_f)
-    g_ref = np.asarray(profile.g_at(x), dtype=float)
+    x = xi / scale
+    inside = (x >= x_lo) & (x <= x_hi)
+    if not np.any(inside):
+        raise WindowError("window holds no grid node")
+    rescaled = t ** (1.0 + (1.0 + field.kernel.gamma) * beta) * field.f_values[inside]
+    g_ref = np.asarray(profile.g_at(x[inside]), dtype=float)
     return float(np.max(np.abs(rescaled - g_ref) / g_ref))
 
 
@@ -298,25 +290,14 @@ def simulate_collapse(
     beta: float,
     t_end: float,
     n_outputs: int = 5,
-    eta: float = DEFAULT_ETA,
-    window: tuple[float, float] | None = None,
     collect_fields: bool = False,
 ):
     """Evolve the field to t_end, recording D(t) at geometric output times."""
-    if window is None:
-        window = default_window(field, beta, t_end)
-    times = np.geomspace(field.t, t_end, n_outputs)
-    dists = []
-    snapshots = []
-    for k, t_out in enumerate(times):
-        if k > 0:
-            field = advance_to(field, float(t_out), eta)
-        dists.append(self_similar_distance(field, profile, beta, window))
-        if collect_fields:
-            snapshots.append(field)
+    window = default_window(field, beta, t_end)
+    fields = evolve(field, t_end, n_outputs)
     report = CollapseReport(
-        times=tuple(float(t) for t in times),
-        distances=tuple(dists),
+        times=tuple(float(t) for t in np.geomspace(field.t, t_end, n_outputs)),
+        distances=tuple(self_similar_distance(f, profile, beta, window) for f in fields),
         window=window,
     )
-    return (report, snapshots) if collect_fields else (report, [field])
+    return report, (fields if collect_fields else fields[-1:])

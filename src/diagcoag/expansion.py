@@ -220,7 +220,7 @@ def ball_radius(params: SimilarityParams, c: float, z: float, epsilon: float) ->
     return gap / (2.0 * quad)
 
 
-def default_z(params: SimilarityParams, c: float = 1.0, epsilon: float | None = None) -> float:
+def default_z(params: SimilarityParams, c: float = 1.0) -> float:
     """Largest z = 2**-k at which the contraction has a definite margin.
 
     Requires kappa + 2*sqrt(B2*Bc)*z**mu <= max(0.95, (1+kappa)/2) (the
@@ -230,8 +230,7 @@ def default_z(params: SimilarityParams, c: float = 1.0, epsilon: float | None = 
     stays a perturbation of the constant at the hand-off point.
     """
     mu = params.mu
-    if epsilon is None:
-        epsilon = 0.5 * mu
+    epsilon = 0.5 * mu
     if c <= 0.0:
         return 0.25
     kappa = contraction_margin(params, epsilon)

@@ -328,22 +328,21 @@ def profile_metadata(profile: Profile) -> dict:
 
 def write_profile_csv(profile: Profile, path: str | Path) -> None:
     """Write the profile table (17 significant digits) and its sidecar."""
-    x = profile.x_values
-    g = profile.g_values
-    lines = [_CSV_HEADER]
-    for xi, hi, gi, di in zip(x, profile.h_values, g, profile.dh_values):
-        lines.append(f"{xi:.17g},{hi:.17g},{gi:.17g},{di:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack(
+        [profile.x_values, profile.h_values, profile.g_values, profile.dh_values]
+    )
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=_CSV_HEADER, comments="")
     sidecar_path(path).write_text(json.dumps(profile_metadata(profile), indent=2) + "\n")
 
 
-def read_profile_csv(path: str | Path, meta_path: str | Path | None = None) -> Profile:
+def read_profile_csv(path: str | Path) -> Profile:
     """Reconstruct a profile from its CSV table and metadata sidecar."""
-    meta = json.loads(Path(meta_path or sidecar_path(path)).read_text())
-    rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != _CSV_HEADER:
-        raise DomainError(f"unexpected profile CSV header: {rows[0]!r}")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    meta = json.loads(sidecar_path(path).read_text())
+    with open(path) as fh:
+        header = fh.readline().strip()
+    if header != _CSV_HEADER:
+        raise DomainError(f"unexpected profile CSV header: {header!r}")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     params = make_params(meta["gamma"], meta["beta"])
     m = int(meta["m"])
     x = data[:, 0]

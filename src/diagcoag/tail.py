@@ -288,17 +288,16 @@ def derivative_bound_violation(profile: Profile) -> float:
     return float(np.max(beta * np.abs(dp[sel]) - 2.0 * x[sel] ** (-(1.0 + 1.0 / beta))))
 
 
-def build_tail_report(profile: Profile, residual_samples=None) -> tuple[TailReport, dict]:
+def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
     """Assemble the full tail report plus a details dict with margins."""
     d, d_err = estimate_d(profile)
     c0 = c0_of(profile)
     lo, hi = default_slope_window(profile)
     slope = fit_slope(profile, lo, hi)
     upper_ok, lower_ok, details = check_bounds(profile)
-    if residual_samples is None:
-        residual_samples = np.geomspace(
-            max(1e-4, profile.x_min * 4.0), min(1e4, profile.x_max / 4.0), 200
-        )
+    residual_samples = np.geomspace(
+        max(1e-4, profile.x_min * 4.0), min(1e4, profile.x_max / 4.0), 200
+    )
     resid = residual_sss4b(profile, residual_samples)
     report = TailReport(
         d_estimate=d,

@@ -192,6 +192,24 @@ def test_simulate_profile_collapse(saved_profile, tmp_path, capsys, monkeypatch)
     assert header == "xi,f,x_rescaled,density_rescaled"
 
 
+def test_simulate_pulse_with_profile(saved_profile, tmp_path, capsys):
+    # the collapse metric reads the pulse at its nodes; empty nodes are allowed
+    code = run(
+        [
+            "simulate",
+            "--gamma", "0", "--beta", "2",
+            "--init", "pulse", "--profile", str(saved_profile),
+            "--t-end", "1.2", "--snapshots", "2",
+            "--octaves", "20",
+            "--out", str(tmp_path / "pu"),
+        ]
+    )
+    assert code == 0
+    assert len(list(tmp_path.glob("pu.t*.csv"))) == 2
+    report = json.loads((tmp_path / "pu.collapse.json").read_text())
+    assert len(report["distances"]) == 2
+
+
 def test_simulate_stationary_power_law(tmp_path, capsys):
     code = run(
         [

@@ -172,9 +172,21 @@ def test_profile_bounds(canonical_profile):
 def test_csv_round_trip(tmp_path, canonical_profile):
     path = tmp_path / "prof.csv"
     write_profile_csv(canonical_profile, path)
+    p = canonical_profile
+    rows = zip(p.x_values, p.h_values, p.g_values, p.dh_values)
+    expected = "x,h,g,dhdx\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
+    assert path.read_bytes() == expected.encode()
     back = read_profile_csv(path)
     assert np.array_equal(back.h_values, canonical_profile.h_values)
     assert np.array_equal(back.dh_values, canonical_profile.dh_values)
     assert back.m == canonical_profile.m
     assert back.normalized == canonical_profile.normalized
     assert back.params.beta == canonical_profile.params.beta
+
+
+def test_csv_header_mismatch(tmp_path, canonical_profile):
+    path = tmp_path / "prof.csv"
+    write_profile_csv(canonical_profile, path)
+    path.write_text(path.read_text().replace("x,h,g,dhdx", "x,h,g,dh", 1))
+    with pytest.raises(DomainError, match="header"):
+        read_profile_csv(path)

@@ -4,8 +4,11 @@ Subcommands: ``mu`` (bifurcation exponent), ``profile`` (full pipeline),
 ``verify`` (tail bound suite on saved profiles), ``simulate`` (direct
 time-dependent runs), ``sweep`` (family coverage table).
 
-Exit codes: 0 success, 2 invalid parameters, 3 solver failure, 4 failed
-verification bounds, 5 time-step collapse.
+Exit codes: 0 success; 2 invalid input (``DomainError`` or ``WindowError``:
+a parameter out of range, a missing profile CSV or sidecar, a malformed or
+out-of-range ``--init``, a collapse window off the grid); 3 solver failure
+(every other package error); 4 failed verification bounds; 5 time-step
+collapse (``StepCollapseError``).
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import numpy as np
 
 from . import dynamics, pipeline, tail
 from .errors import (
-    ConvergenceError,
     DiagcoagError,
     DomainError,
     RangeError,
     StepCollapseError,
+    WindowError,
 )
 from .mu import solve_mu
 from .params import beta_from_rho, make_params
@@ -146,6 +149,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _spec_number(kind, text: str, spec: str):
+    """``kind(text)``, or ``DomainError`` naming the ``--init`` spec."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"malformed initial data spec: {spec!r}") from None
+
+
 def _parse_init(spec: str, params, field_kwargs: dict):
     kind, _, rest = spec.partition(":")
     if kind == "profile":
@@ -156,12 +167,12 @@ def _parse_init(spec: str, params, field_kwargs: dict):
     if kind == "powerlaw":
         if rest:
             amp_s, _, exp_s = rest.partition(",")
-            amp, exp = float(amp_s), float(exp_s)
+            amp, exp = _spec_number(float, amp_s, spec), _spec_number(float, exp_s, spec)
         else:
             amp, exp = 1.0, (3.0 + params.gamma) / 2.0
         return dynamics.power_law_field(params.kernel, amp, exp, **field_kwargs), None
     if kind == "pulse":
-        node = int(rest) if rest else 320
+        node = _spec_number(int, rest, spec) if rest else 320
         return dynamics.pulse_field(params.kernel, node, **field_kwargs), None
     raise DomainError(f"unknown initial data spec: {spec!r}")
 
@@ -180,21 +191,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profile = read_profile_csv(args.profile)
 
     out_prefix = cfg.get("out", "sim")
-    try:
-        if profile is not None:
-            report, fields = dynamics.simulate_collapse(
-                field, profile, params.beta, args.t_end,
-                n_outputs=args.snapshots, collect_fields=True,
-            )
-            Path(f"{out_prefix}.collapse.json").write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n"
-            )
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            fields = dynamics.evolve(field, args.t_end, args.snapshots)
-    except StepCollapseError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_STEP
+    if profile is not None:
+        report, fields = dynamics.simulate_collapse(
+            field, profile, params.beta, args.t_end,
+            n_outputs=args.snapshots, collect_fields=True,
+        )
+        Path(f"{out_prefix}.collapse.json").write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n"
+        )
+        print(json.dumps(report.to_dict(), indent=2))
+    else:
+        fields = dynamics.evolve(field, args.t_end, args.snapshots)
 
     for fld in fields:
         xi = fld.xi_grid
@@ -334,19 +341,22 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser().parse_args(_attach_negative_lists(argv))
 
 
+def _exit_code(exc: DiagcoagError) -> int:
+    """The documented exit code of a package error (module docstring)."""
+    if isinstance(exc, (DomainError, WindowError)):
+        return EXIT_INVALID
+    if isinstance(exc, StepCollapseError):
+        return EXIT_STEP
+    return EXIT_SOLVER
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except DiagcoagError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except ConvergenceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SOLVER
-    except StepCollapseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_STEP
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

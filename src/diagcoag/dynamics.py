@@ -111,8 +111,10 @@ def pulse_field(
     octaves: int = DEFAULT_OCTAVES,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
-    """Single occupied node (monomer-like pulse)."""
+    """Single occupied node (monomer-like pulse); ``node`` counts from xi_min."""
     f = np.zeros(octaves * nodes_per_octave + 1)
+    if not 0 <= node < len(f):
+        raise DomainError(f"pulse node {node} is outside the grid's nodes 0..{len(f) - 1}")
     f[node] = amplitude
     return make_field(kernel, f, xi_min, nodes_per_octave)
 

@@ -10,7 +10,9 @@ with spacing log(2)/m makes the delay land exactly m nodes back (method of
 steps with exact delay alignment).  Classical 4-stage Runge-Kutta marches in
 tau; half-step delayed values are read from history by cubic Hermite
 interpolation, which keeps the interpolation error below the truncation
-error of the integrator.
+error of the integrator.  A march reads only the last delay interval (m+1
+nodes) of the history it continues, so extending a profile costs the new
+steps plus one vector pass, however long the stored history is.
 """
 
 from __future__ import annotations
@@ -103,15 +105,15 @@ def rhs(
     return (h_at_x * h_at_x - theta * h_at_half * h_at_half - h_at_x) / (params.beta * x)
 
 
-def _resolvable_decrement(profile: Profile) -> np.ndarray:
+def _resolvable_decrement(profile: Profile, x: np.ndarray) -> np.ndarray:
     """Nodes where the true per-step decrement of h exceeds float resolution.
 
     Near the origin h approaches its limit like x**mu; once c*x**mu falls
     below the ulp of h the sampled values tie exactly and strictness cannot
-    be observed in double precision.
+    be observed in double precision.  ``x`` is ``profile.x_values``.
     """
     h = profile.h_values
-    dh_tau = profile._dh_dtau()
+    dh_tau = profile.dh_values * x
     return np.abs(dh_tau) * profile.dtau > 64.0 * np.finfo(float).eps * np.abs(h)
 
 
@@ -129,7 +131,7 @@ def check_invariants(profile: Profile) -> None:
     if bad.size:
         raise PositivityError(f"h <= 0 at x = {x[bad[0]]:g}", x=float(x[bad[0]]))
     if profile.c > _C_ZERO:
-        resolvable = _resolvable_decrement(profile)
+        resolvable = _resolvable_decrement(profile, x)
         bad = np.nonzero((h > limit) | ((h == limit) & resolvable))[0]
         if bad.size:
             raise DomainError(f"h >= 1/(1-theta) at x = {x[bad[0]]:g}")
@@ -149,6 +151,11 @@ def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
     """Continue a profile out to x_max by the method of steps.
 
     The seed must carry at least one delay interval (m+1 nodes) of history.
+    Only that last interval feeds the march, as h and dh/dtau = x dh/dx, so
+    a call costs its new steps plus one vector pass over the history.  The
+    nodes are bit-identical to those of a march that re-reads the whole
+    history (kept as the reference in ``tests/test_profile.py``), on a
+    first call and on every continuation.
     Monotonicity or positivity violations abort with the offending x; the
     step is too coarse, and nothing retries: pass a seed with a larger m.
     """
@@ -168,64 +175,57 @@ def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
 
     tau_last = seed.tau0 + dtau * (n_have - 1)
     n_new = int(math.ceil((math.log(x_max) - tau_last) / dtau - 1e-12))
-    n_total = n_have + n_new
+    x = np.exp(seed.tau0 + dtau * np.arange(n_have + n_new))
+    hd_seed = seed.dh_values * x[:n_have]  # dh/dtau
 
-    h = np.empty(n_total)
-    hd = np.empty(n_total)  # dh/dtau
-    h[:n_have] = seed.h_values
-    hd[:n_have] = seed._dh_dtau()
-
-    hl = h.tolist()
-    hdl = hd.tolist()
-
-    def f(hv: float, hh: float) -> float:
-        return (hv * hv - theta * hh * hh - hv) / beta
+    # The last delay interval: hl[k] and hl[k + 1] are the delayed nodes of
+    # the k-th new step, hl[-1] is its current node.
+    hl = seed.h_values[-(m + 1):].tolist()
+    hdl = hd_seed[-(m + 1):].tolist()
 
     half = 0.5 * dtau
     eighth = dtau / 8.0
-    for n in range(n_have - 1, n_total - 1):
-        i = n - m
-        h_b0 = hl[i]
-        h_b1 = hl[i + 1]
+    sixth = dtau / 6.0
+    h_b1 = hl[0]
+    q_b1 = theta * h_b1 * h_b1
+    for k in range(n_new):
+        h_b0 = h_b1
+        q_b0 = q_b1
+        h_b1 = hl[k + 1]
+        q_b1 = theta * h_b1 * h_b1
         # Hermite midpoint of the delayed history interval.
-        h_mid = 0.5 * (h_b0 + h_b1) + eighth * (hdl[i] - hdl[i + 1])
-        hn = hl[n]
-        k1 = f(hn, h_b0)
-        k2 = f(hn + half * k1, h_mid)
-        k3 = f(hn + half * k2, h_mid)
-        k4 = f(hn + dtau * k3, h_b1)
-        hnext = hn + (dtau / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        h_mid = 0.5 * (h_b0 + h_b1) + eighth * (hdl[k] - hdl[k + 1])
+        q_mid = theta * h_mid * h_mid
+        hn = hl[-1]
+        k1 = (hn * hn - q_b0 - hn) / beta
+        hv = hn + half * k1
+        k2 = (hv * hv - q_mid - hv) / beta
+        hv = hn + half * k2
+        k3 = (hv * hv - q_mid - hv) / beta
+        hv = hn + dtau * k3
+        k4 = (hv * hv - q_b1 - hv) / beta
+        hnext = hn + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not hnext > 0.0:
             if hn <= 1e-250:
                 # double-precision floor: exponentially decaying branches
                 # (beta == beta_star) underflow; truncate the march there
-                n_total = n + 1
-                h = h[:n_total]
-                hd = hd[:n_total]
-                hl = hl[:n_total]
-                hdl = hdl[:n_total]
                 break
-            raise PositivityError(
-                f"h lost positivity at x = {math.exp(seed.tau0 + dtau * (n + 1)):g}",
-                x=math.exp(seed.tau0 + dtau * (n + 1)),
-            )
+            x_bad = math.exp(seed.tau0 + dtau * (n_have + k))
+            raise PositivityError(f"h lost positivity at x = {x_bad:g}", x=x_bad)
         if strict and not hnext < hn:
-            raise MonotonicityError(
-                f"h failed to decrease at x = {math.exp(seed.tau0 + dtau * (n + 1)):g}",
-                x=math.exp(seed.tau0 + dtau * (n + 1)),
-            )
-        hl[n + 1] = hnext
-        hdl[n + 1] = f(hnext, h_b1)
+            x_bad = math.exp(seed.tau0 + dtau * (n_have + k))
+            raise MonotonicityError(f"h failed to decrease at x = {x_bad:g}", x=x_bad)
+        hl.append(hnext)
+        hdl.append((hnext * hnext - q_b1 - hnext) / beta)
 
-    h = np.array(hl)
-    hd = np.array(hdl)
-    x = np.exp(seed.tau0 + dtau * np.arange(n_total))
+    h = np.concatenate((seed.h_values, hl[m + 1:]))
+    hd = np.concatenate((hd_seed, hdl[m + 1:]))
     out = Profile(
         params=params,
         m=m,
         tau0=seed.tau0,
         h_values=h,
-        dh_values=hd / x,
+        dh_values=hd / x[: len(h)],
         c=seed.c,
         z=seed.z,
         normalized=seed.normalized,
@@ -336,10 +336,16 @@ def write_profile_csv(profile: Profile, path: str | Path) -> None:
 
 
 def read_profile_csv(path: str | Path) -> Profile:
-    """Reconstruct a profile from its CSV table and metadata sidecar."""
-    meta = json.loads(sidecar_path(path).read_text())
-    with open(path) as fh:
-        header = fh.readline().strip()
+    """Reconstruct a profile from its CSV table and metadata sidecar.
+
+    Raises ``DomainError`` when either file is missing or the header differs.
+    """
+    try:
+        meta = json.loads(sidecar_path(path).read_text())
+        with open(path) as fh:
+            header = fh.readline().strip()
+    except FileNotFoundError as exc:
+        raise DomainError(f"profile file not found: {exc.filename}") from exc
     if header != _CSV_HEADER:
         raise DomainError(f"unexpected profile CSV header: {header!r}")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

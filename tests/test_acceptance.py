@@ -88,7 +88,7 @@ def test_criterion_04_monotonicity_positivity(sweep_profiles):
         assert np.all(h > 0.0), (row["gamma"], row["frac"])
         assert np.all(h <= limit), (row["gamma"], row["frac"])
         diffs = np.diff(h)
-        resolvable = _resolvable_decrement(prof)[sel][:-1]
+        resolvable = _resolvable_decrement(prof, x)[sel][:-1]
         strict_ok = np.all((diffs < 0.0) | (~resolvable & (diffs == 0.0)))
         assert strict_ok, (row["gamma"], row["frac"])
         frac_strict = float(np.mean(diffs < 0.0))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diagcoag import cli, pipeline
+from diagcoag import cli, errors, pipeline
 from diagcoag.params import make_params
 from diagcoag.profile import read_profile_csv
 
@@ -222,6 +222,81 @@ def test_simulate_stationary_power_law(tmp_path, capsys):
         ]
     )
     assert code == 0
+
+
+# -- typed failures ----------------------------------------------------------------
+
+
+def test_simulate_window_off_grid_exits_2(saved_profile, tmp_path, capsys):
+    # at t = 1e9 the rescaled pulse grid no longer overlaps the profile's
+    code = run(
+        [
+            "simulate",
+            "--gamma", "0", "--rho", "0.5",
+            "--init", "pulse", "--profile", str(saved_profile),
+            "--t-end", "1e9",
+            "--out", str(tmp_path / "far"),
+        ]
+    )
+    assert code == 2
+    assert "do not overlap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["csv", "sidecar"])
+def test_verify_missing_profile_file_exits_2(saved_profile, tmp_path, capsys, missing):
+    path = tmp_path / "copy.csv"
+    if missing == "sidecar":
+        path.write_bytes(saved_profile.read_bytes())
+    else:
+        meta = saved_profile.with_name(saved_profile.stem + ".meta.json")
+        (tmp_path / "copy.meta.json").write_bytes(meta.read_bytes())
+    assert run(["verify", str(path)]) == 2
+    assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("init", ["pulse:999999", "pulse:-3"])
+def test_simulate_pulse_node_off_grid_exits_2(init, tmp_path, capsys):
+    code = run(["simulate", "--gamma", "0", "--beta", "2", "--init", init,
+                "--out", str(tmp_path / "pu")])
+    assert code == 2
+    assert "outside the grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("init", ["powerlaw:abc", "powerlaw:1", "pulse:x"])
+def test_simulate_malformed_init_exits_2(init, tmp_path, capsys):
+    code = run(["simulate", "--gamma", "0", "--beta", "2", "--init", init,
+                "--out", str(tmp_path / "pl")])
+    assert code == 2
+    assert "malformed initial data spec" in capsys.readouterr().err
+
+
+# Every package error and the exit code the cli docstring documents for it.
+_ERROR_CODES = [
+    (errors.DomainError, 2),
+    (errors.WindowError, 2),
+    (errors.BracketError, 3),
+    (errors.ConvergenceError, 3),
+    (errors.QuadratureError, 3),
+    (errors.MonotonicityError, 3),
+    (errors.PositivityError, 3),
+    (errors.RangeError, 3),
+    (errors.StepCollapseError, 5),
+]
+
+
+def test_error_code_table_lists_every_package_error():
+    assert set(errors.DiagcoagError.__subclasses__()) == {e for e, _ in _ERROR_CODES}
+
+
+@pytest.mark.parametrize("error, code", _ERROR_CODES, ids=lambda v: getattr(v, "__name__", v))
+def test_every_package_error_has_its_exit_code(error, code, monkeypatch, capsys):
+    def raise_it(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_mu", raise_it)
+    assert run(["mu", "--gamma", "0", "--beta", "2"]) == code
+    assert capsys.readouterr().err == "boom\n"
 
 
 # -- sweep -----------------------------------------------------------------------

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diagcoag import pipeline
-from diagcoag.errors import DomainError, RangeError
+from diagcoag import pipeline, tail
+from diagcoag.errors import DomainError, MonotonicityError, PositivityError, RangeError
 from diagcoag.expansion import fixed_point, h_from_expansion
-from diagcoag.params import make_params
+from diagcoag.params import beta_star_of, make_params
 from diagcoag.profile import (
+    Profile,
     check_invariants,
     integrate,
     normalize,
@@ -93,6 +94,136 @@ def test_finite_difference_residual(canon, canonical_profile):
     resid = beta * dh_dtau - (h[i] ** 2 - theta * h[i - m] ** 2 - h[i])
     rel = np.abs(resid) / np.maximum(np.abs(h[i]), 1e-30)
     assert np.max(rel) < 5.0 * dtau**2
+
+
+def _whole_history_integrate(seed, params, x_max):
+    """Reference march: the earlier ``integrate`` body, which listed and
+    re-arrayed the whole history on every call.  ``integrate`` must match it
+    bit for bit."""
+    m = seed.m
+    n_have = len(seed.h_values)
+    dtau = seed.dtau
+    theta = params.theta
+    beta = params.beta
+    strict = seed.c > 1e-300
+
+    tau_last = seed.tau0 + dtau * (n_have - 1)
+    n_new = int(math.ceil((math.log(x_max) - tau_last) / dtau - 1e-12))
+    n_total = n_have + n_new
+
+    h = np.empty(n_total)
+    hd = np.empty(n_total)
+    h[:n_have] = seed.h_values
+    hd[:n_have] = seed._dh_dtau()
+    hl = h.tolist()
+    hdl = hd.tolist()
+
+    def f(hv, hh):
+        return (hv * hv - theta * hh * hh - hv) / beta
+
+    half = 0.5 * dtau
+    eighth = dtau / 8.0
+    for n in range(n_have - 1, n_total - 1):
+        i = n - m
+        h_b0 = hl[i]
+        h_b1 = hl[i + 1]
+        h_mid = 0.5 * (h_b0 + h_b1) + eighth * (hdl[i] - hdl[i + 1])
+        hn = hl[n]
+        k1 = f(hn, h_b0)
+        k2 = f(hn + half * k1, h_mid)
+        k3 = f(hn + half * k2, h_mid)
+        k4 = f(hn + dtau * k3, h_b1)
+        hnext = hn + (dtau / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not hnext > 0.0:
+            if hn <= 1e-250:
+                n_total = n + 1
+                hl = hl[:n_total]
+                hdl = hdl[:n_total]
+                break
+            raise PositivityError("h lost positivity", x=math.exp(seed.tau0 + dtau * (n + 1)))
+        if strict and not hnext < hn:
+            raise MonotonicityError("h failed to decrease", x=math.exp(seed.tau0 + dtau * (n + 1)))
+        hl[n + 1] = hnext
+        hdl[n + 1] = f(hnext, h_b1)
+
+    x = np.exp(seed.tau0 + dtau * np.arange(n_total))
+    out = replace(seed, params=params, h_values=np.array(hl), dh_values=np.array(hdl) / x)
+    check_invariants(out)
+    return out
+
+
+def _assert_same_profile(got, want):
+    assert np.array_equal(got.h_values, want.h_values)
+    assert np.array_equal(got.dh_values, want.dh_values)
+    assert (got.tau0, got.c, got.z, got.m) == (want.tau0, want.c, want.z, want.m)
+    assert got.normalized == want.normalized
+
+
+def _hand_seed(params, h_values, c=1.0):
+    """An m = 64 seed from given node values, with dh/dx from differences."""
+    h = np.asarray(h_values, dtype=float)
+    m = 64
+    x = np.exp(-5.0 + (math.log(2.0) / m) * np.arange(len(h)))
+    return Profile(params=params, m=m, tau0=-5.0, h_values=h,
+                   dh_values=np.gradient(h, x), c=c, z=x[0])
+
+
+def test_integrate_matches_whole_history_march(canon):
+    grid = fixed_point(canon, c=1.0, z=0.125)
+    seed = h_from_expansion(grid, canon)
+    first = integrate(seed, canon, 0.125 * 2.0**30)
+    ref_first = _whole_history_integrate(seed, canon, 0.125 * 2.0**30)
+    _assert_same_profile(first, ref_first)
+    # re-entry: continue the returned profile
+    _assert_same_profile(
+        integrate(first, canon, first.x_max * 2.0**12),
+        _whole_history_integrate(ref_first, canon, first.x_max * 2.0**12),
+    )
+    # tail extension: continue a normalized profile
+    norm = normalize(first)
+    _assert_same_profile(
+        integrate(norm, canon, norm.x_max * 2.0**20),
+        _whole_history_integrate(norm, canon, norm.x_max * 2.0**20),
+    )
+
+
+def test_integrate_underflow_truncation_matches_whole_history_march():
+    # beta == beta_star; the last node is below the 1e-250 floor while its
+    # delayed node is O(1), so the first step overshoots to h <= 0 and the
+    # march stops there with the history it has
+    params = make_params(0.0, 1.0)
+    seed = _hand_seed(params, np.logspace(0.0, -256.0, 65))
+    out = integrate(seed, params, seed.x_max * 2.0**4)
+    assert len(out.h_values) == len(seed.h_values)
+    _assert_same_profile(out, _whole_history_integrate(seed, params, seed.x_max * 2.0**4))
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        (np.full(65, 3.0), MonotonicityError),  # above the fixed point: h grows
+        (np.logspace(0.0, -200.0, 65), PositivityError),  # overshoots above the floor
+    ],
+)
+def test_integrate_errors_match_whole_history_march(canon, values, error):
+    seed = _hand_seed(canon, values)
+    with pytest.raises(error) as got:
+        integrate(seed, canon, seed.x_max * 2.0)
+    with pytest.raises(error) as want:
+        _whole_history_integrate(seed, canon, seed.x_max * 2.0)
+    assert type(got.value) is type(want.value)
+    assert got.value.x == want.value.x == pytest.approx(seed.x_max * 2.0 ** (1 / 64))
+
+
+@pytest.mark.parametrize("gamma", [0.8, 0.9])
+def test_march_reproduces_exact_tail_at_twice_beta_star(gamma):
+    # at beta = 2 beta_star, h = d x^(-1/beta) solves the equation exactly
+    # (theta 2^(2/beta) = 1), so the compensated tail p is flat at d
+    params = make_params(gamma, 2.0 * beta_star_of(gamma))
+    prof = pipeline.build_profile(params)
+    d, _ = tail.estimate_d(prof)
+    p = tail.p_of(prof)
+    assert np.max(np.abs(p[prof.x_values >= 16.0] - d)) <= 1e-13
 
 
 # -- rescale ------------------------------------------------------------------

@@ -17,6 +17,11 @@ from . import tail
 DEFAULT_M = 64
 # Hard cap on the total integration span, as octaves above the hand-off point.
 MAX_OCTAVES = 600
+# Octaves of one extension of the h = 1/2 search.
+SEARCH_STEP_OCTAVES = 20
+# Largest extent the h = 1/2 search can store: MAX_OCTAVES plus one
+# extension, plus an octave for the step rounding of ``integrate``.
+MAX_SEARCH_OCTAVES = MAX_OCTAVES + SEARCH_STEP_OCTAVES + 1
 
 
 def _tail_x_target(beta: float, d_estimate: float) -> float:
@@ -27,6 +32,33 @@ def _tail_x_target(beta: float, d_estimate: float) -> float:
     """
     d = max(d_estimate, 1e-3)
     return max((20.0 / d) ** beta, 1e4 * (400.0 / d) ** beta, 4.0)
+
+
+def tail_octaves_floor(beta: float) -> float:
+    """Lower bound on the octaves the tail target spans above x_min.
+
+    The target exceeds 1e4 * 400**beta because d < 1 (the supersolution
+    bound h <= 1/(1 + x**(1/beta)) gives p < 1), and x_min <= 1 because
+    x = 1 lies inside the normalized domain.
+    """
+    return math.log2(1e4) + beta * math.log2(400.0)
+
+
+def _check_tail_budget(params: SimilarityParams, octaves_below: float) -> None:
+    """Raise when the tail target provably exceeds the octave budget.
+
+    ``octaves_below`` is a lower bound on log2(1/x_min) in the normalized
+    gauge (0 uses only x_min <= 1).  A profile built with the tail
+    extension never stores more than ``MAX_SEARCH_OCTAVES``, so past this
+    bound the extension would raise the same error on its first pass, if
+    no earlier stage failed first.
+    """
+    need = tail_octaves_floor(params.beta) + octaves_below
+    if need > MAX_SEARCH_OCTAVES:
+        raise ConvergenceError(
+            f"tail extension would exceed {MAX_OCTAVES} octaves "
+            f"(beta={params.beta}, needs more than {int(need)} octaves for any d < 1)"
+        )
 
 
 def build_profile(
@@ -47,7 +79,16 @@ def build_profile(
     times.  The march runs once: an invariant violation raises its typed
     error (``MonotonicityError``, ``PositivityError``) and is not retried;
     pass a larger ``m``.
+
+    When the tail is extended (``x_max`` None, ``c`` != 0, beta > beta_star),
+    a tail target that provably exceeds the ``MAX_OCTAVES`` budget raises
+    ``ConvergenceError`` before any work (``tail_octaves_floor(beta)`` alone
+    exceeds it: beta > ~70, rho - gamma < ~0.014), or during the search for
+    h = 1/2, once the octaves stored below that point add enough.
     """
+    budgeted = x_max is None and c != 0.0 and not params.degenerate
+    if budgeted:
+        _check_tail_budget(params, 0.0)
     if z is None:
         z = default_z(params, c)
 
@@ -74,12 +115,19 @@ def build_profile(
     # for slowly bifurcating cases (small mu) the crossing sits far above the
     # default span, so extend before rescaling.
     while profile.h_values[-1] >= 0.45:
-        if math.log2(profile.x_max / profile.x_min) > MAX_OCTAVES:
+        octaves = math.log2(profile.x_max / profile.x_min)
+        if octaves > MAX_OCTAVES:
             raise ConvergenceError(
                 f"h has not reached 1/2 within {MAX_OCTAVES} octaves "
                 f"(gamma={params.gamma}, beta={params.beta})"
             )
-        profile = integrate(profile, params, profile.x_max * 2.0**20)
+        # While h > 1/2 on the whole stored domain, x = 1 of the normalized
+        # gauge lies beyond x_max, so x_min lies that many octaves below it.
+        if budgeted and profile.h_values[-1] > 0.5:
+            _check_tail_budget(params, octaves)
+        profile = integrate(
+            profile, params, profile.x_max * 2.0**SEARCH_STEP_OCTAVES
+        )
 
     profile = normalize(profile)
 

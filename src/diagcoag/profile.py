@@ -158,6 +158,8 @@ def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
     first call and on every continuation.
     Monotonicity or positivity violations abort with the offending x; the
     step is too coarse, and nothing retries: pass a seed with a larger m.
+    A tail that reaches the double-precision floor (h <= 1e-250 and the next
+    value zero or tied) ends the march there, short of x_max.
     """
     m = seed.m
     if m < 32:
@@ -205,14 +207,16 @@ def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
         hv = hn + dtau * k3
         k4 = (hv * hv - q_b1 - hv) / beta
         hnext = hn + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        # Double-precision floor: a decaying tail (power law or exponential)
+        # underflows to zero or ties in subnormals; truncate the march there.
         if not hnext > 0.0:
             if hn <= 1e-250:
-                # double-precision floor: exponentially decaying branches
-                # (beta == beta_star) underflow; truncate the march there
                 break
             x_bad = math.exp(seed.tau0 + dtau * (n_have + k))
             raise PositivityError(f"h lost positivity at x = {x_bad:g}", x=x_bad)
         if strict and not hnext < hn:
+            if hnext == hn and hn <= 1e-250:
+                break
             x_bad = math.exp(seed.tau0 + dtau * (n_have + k))
             raise MonotonicityError(f"h failed to decrease at x = {x_bad:g}", x=x_bad)
         hl.append(hnext)

@@ -64,13 +64,20 @@ def estimate_d(profile: Profile) -> tuple[float, float]:
 
     The bound 2*x_max**(-1/beta) is theorem-backed for normalized profiles;
     an estimate is called converged when the bound is below 10% of it.
+    Raises ``RangeError`` when x_max**(1/beta) overflows.
     """
     if not profile.normalized:
         raise DomainError("estimate_d requires a normalized profile (h(1) = 1/2)")
     if profile.x_max < 2.0:
         raise DomainError("estimate_d requires x_max >= 2")
     beta = profile.params.beta
-    d = float(profile.x_max ** (1.0 / beta) * profile.h_values[-1])
+    try:
+        d = float(profile.x_max ** (1.0 / beta) * profile.h_values[-1])
+    except OverflowError as exc:
+        raise RangeError(
+            f"x_max = {profile.x_max:g} is out of floating-point range: "
+            f"x_max**(1/beta) overflows (beta = {beta:g})"
+        ) from exc
     return d, 2.0 * profile.x_max ** (-1.0 / beta)
 
 

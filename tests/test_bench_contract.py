@@ -31,18 +31,21 @@ def test_trace_points_exist(bench):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-# One item per workload; the deep_tail cell ends in the error its reference records.
+# One item per workload, two for deep_tail: cell (0.99, 0.9) ends, before its
+# seed, in the error its reference records; cell (0.8, 0.9) marches its tail.
 ITEMS = {
-    "sweep15": lambda inputs: inputs.grid_cells("sweep15")[0],
-    "deep_tail": lambda inputs: inputs.Cell(0.99, 0.9),
-    "roundtrip": lambda inputs: inputs.grid_cells("sweep15")[0],
-    "collapse": lambda inputs: inputs.Perturbation(0.0, 0.0),
+    "sweep15": ("sweep15", lambda inputs: inputs.grid_cells("sweep15")[0]),
+    "deep_tail": ("deep_tail", lambda inputs: inputs.Cell(0.99, 0.9)),
+    "deep_tail-marching": ("deep_tail", lambda inputs: inputs.Cell(0.8, 0.9)),
+    "roundtrip": ("roundtrip", lambda inputs: inputs.grid_cells("sweep15")[0]),
+    "collapse": ("collapse", lambda inputs: inputs.Perturbation(0.0, 0.0)),
 }
 
 
-@pytest.mark.parametrize("workload", list(ITEMS))
-def test_one_item_per_workload_is_correct(bench, tmp_path, workload):
+@pytest.mark.parametrize("name", list(ITEMS))
+def test_one_item_per_workload_is_correct(bench, tmp_path, name):
     workloads, inputs = bench
+    workload, item = ITEMS[name]
     state = workloads.prepare(workload, tmp_path)
-    out = workloads.run_item(state, ITEMS[workload](inputs))
+    out = workloads.run_item(state, item(inputs))
     assert out.correct, out.failed

@@ -168,6 +168,42 @@ def test_verify_constant_profile_precondition(tmp_path, capsys):
     assert run(["verify", str(out)]) == 2
 
 
+def test_profile_beyond_the_octave_budget_exits_3_up_front(tmp_path, capsys):
+    # beta = 100: the tail target needs more than 600 octaves for any d < 1
+    out = tmp_path / "deep.csv"
+    assert run(["profile", "--gamma", "0.9", "--beta", "100", "--out", str(out)]) == 3
+    assert "tail extension would exceed 600 octaves" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def subnormal_tail_profile(tmp_path_factory):
+    # h ~ x^-2 reaches the subnormals, where successive nodes tie, before 1e200
+    path = tmp_path_factory.mktemp("profiles") / "deg.csv"
+    code = run(["profile", "--gamma", "-1", "--beta", "0.5", "--allow-degenerate",
+                "--xmax", "1e200", "--out", str(path)])
+    return code, path
+
+
+def test_profile_march_stops_at_the_double_precision_floor(subnormal_tail_profile):
+    code, path = subnormal_tail_profile
+    assert code == 0
+    prof = read_profile_csv(path)
+    assert 1e150 < prof.x_max < 1e200
+    assert prof.h_values[-1] <= 1e-250
+    assert np.all(np.diff(prof.h_values[prof.x_values >= 1.0]) < 0.0)
+
+
+def test_verify_overflowing_tail_estimate_is_typed(subnormal_tail_profile, capsys):
+    # x_max**(1/beta) = x_max**2 overflows; a precondition of the tail suite
+    code, path = subnormal_tail_profile
+    assert code == 0
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed" in err and "overflows" in err
+
+
 # -- simulate --------------------------------------------------------------------
 
 

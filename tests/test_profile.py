@@ -198,6 +198,23 @@ def test_integrate_underflow_truncation_matches_whole_history_march():
     _assert_same_profile(out, _whole_history_integrate(seed, params, seed.x_max * 2.0**4))
 
 
+def test_integrate_truncates_at_a_subnormal_tie(canon):
+    # a power-law tail deep in the subnormals: once the per-step decrement
+    # rounds to zero the next node ties, and the march stops at the floor
+    seed = _hand_seed(canon, np.logspace(-300.0, -321.0, 65))
+    out = integrate(seed, canon, seed.x_max * 2.0**16)
+    assert seed.x_max < out.x_max < seed.x_max * 2.0**16
+    assert np.all(np.diff(out.h_values) < 0.0)
+    assert out.h_values[-1] <= 1e-250
+    _assert_same_profile(out, _whole_history_integrate(seed, canon, out.x_max))
+    # the earlier march raised at the tied node
+    with pytest.raises(MonotonicityError) as tie:
+        _whole_history_integrate(seed, canon, seed.x_max * 2.0**16)
+    assert tie.value.x == pytest.approx(out.x_max * 2.0 ** (1 / 64))
+    # a continuation stops at once
+    _assert_same_profile(integrate(out, canon, out.x_max * 2.0), out)
+
+
 @pytest.mark.parametrize(
     "values, error",
     [

@@ -12,6 +12,11 @@ densities are rejected and retried at half the step.  The escaped-mass
 budget is accumulated with the same Runge-Kutta stages, which makes the
 discrete mass balance exact to rounding.
 
+The kernel's weights on the grid (the loss weight xi**(1+gamma) and the
+boundary-flux weight of the top octave) do not depend on f: the field builds
+them once per grid and carries them along, and the Runge-Kutta stages are
+plain density arrays, so a step does only the work that depends on f.
+
 The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
 in its window, so data with empty nodes (a pulse) can be measured against a
 profile, and a field sampled from the profile has D = 0 at t = 1.
@@ -19,6 +24,7 @@ profile, and a field sampled from the profile has D = 0 at t = 1.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -50,10 +56,45 @@ class NumberDensityField:
     f_values: np.ndarray
     t: float
     escaped_mass: float = 0.0
+    # f-independent kernel weights on this grid; ``replace`` carries them.
+    _weights: _KernelWeights | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self._weights is None or not self._weights.fits(self):
+            object.__setattr__(self, "_weights", _KernelWeights(self))
 
     @property
     def dlog(self) -> float:
         return _LN2 / self.nodes_per_octave
+
+
+class _KernelWeights:
+    """The f-independent factors of the kernel terms on one grid.
+
+    Each entry is the expression the kernel terms would otherwise evaluate on
+    every call, with the same operands in the same order.
+    """
+
+    __slots__ = ("xi_grid", "gamma", "m", "loss", "boundary")
+
+    def __init__(self, fld: NumberDensityField):
+        xi = fld.xi_grid
+        m = fld.nodes_per_octave
+        self.xi_grid = xi
+        self.gamma = fld.kernel.gamma
+        self.m = m
+        self.loss = xi ** (1.0 + self.gamma)
+        top = xi[-m:]
+        self.boundary = (top * fld.dlog) * top ** (2.0 + self.gamma)
+
+    def fits(self, fld: NumberDensityField) -> bool:
+        return (
+            self.xi_grid is fld.xi_grid
+            and self.gamma == fld.kernel.gamma
+            and self.m == fld.nodes_per_octave
+        )
 
 
 def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray:
@@ -119,29 +160,33 @@ def pulse_field(
     return make_field(kernel, f, xi_min, nodes_per_octave)
 
 
-def coag_rhs(field: NumberDensityField) -> np.ndarray:
-    """df/dt per node; indices below the grid contribute nothing."""
+def coag_rhs(field: NumberDensityField, f: np.ndarray | None = None) -> np.ndarray:
+    """df/dt per node for the density f (default: the field's own).
+
+    Indices below the grid contribute nothing.  The loss weight
+    xi**(1+gamma) comes from the field's per-grid weights.
+    """
     m = field.nodes_per_octave
-    xi = field.xi_grid
-    f = field.f_values
-    loss_density = xi ** (1.0 + field.kernel.gamma) * f * f
+    if f is None:
+        f = field.f_values
+    loss_density = field._weights.loss * f * f
     rate = -loss_density
     # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m}
     rate[m:] += 0.25 * loss_density[:-m]
     return rate
 
 
-def _boundary_flux(field: NumberDensityField) -> float:
+def _boundary_flux(field: NumberDensityField, f: np.ndarray | None = None) -> float:
     """Mass per unit time leaving through the truncated upper boundary.
 
     Loss at the top m_d nodes has its gain above the grid; with uniform
     log weights this is the exact compensator of the discrete mass moment.
+    ``f`` defaults to the field's own density.
     """
     m = field.nodes_per_octave
-    xi = field.xi_grid
-    f = field.f_values
-    w = xi * field.dlog
-    return float(np.sum(w[-m:] * xi[-m:] ** (2.0 + field.kernel.gamma) * f[-m:] ** 2))
+    if f is None:
+        f = field.f_values
+    return float((field._weights.boundary * f[-m:] ** 2).sum())
 
 
 def moments(field: NumberDensityField) -> tuple[float, float, float]:
@@ -160,25 +205,28 @@ def step(field: NumberDensityField, dt: float) -> NumberDensityField:
     """One Runge-Kutta step; halves dt on negativity, at most MAX_HALVINGS times.
 
     Advances by the accepted dt (possibly smaller than requested) and
-    accumulates the escaped-mass budget from the same stages.
+    accumulates the escaped-mass budget from the same stages.  The stages
+    are density arrays evaluated against the field's per-grid weights, one
+    ``coag_rhs`` call each; the result is bit-identical to evaluating every
+    stage as a field of its own.
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
     f0 = field.f_values
     for _ in range(MAX_HALVINGS + 1):
         k1 = coag_rhs(field)
-        s1 = replace(field, f_values=f0 + 0.5 * dt * k1)
-        k2 = coag_rhs(s1)
-        s2 = replace(field, f_values=f0 + 0.5 * dt * k2)
-        k3 = coag_rhs(s2)
-        s3 = replace(field, f_values=f0 + dt * k3)
-        k4 = coag_rhs(s3)
+        f1 = f0 + 0.5 * dt * k1
+        k2 = coag_rhs(field, f1)
+        f2 = f0 + 0.5 * dt * k2
+        k3 = coag_rhs(field, f2)
+        f3 = f0 + dt * k3
+        k4 = coag_rhs(field, f3)
         f_new = f0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if np.all(f_new >= 0.0) and np.all(np.isfinite(f_new)):
+        if (f_new >= 0.0).all() and np.isfinite(f_new).all():
             escaped = (dt / 6.0) * (
                 _boundary_flux(field)
-                + 2.0 * (_boundary_flux(s1) + _boundary_flux(s2))
-                + _boundary_flux(s3)
+                + 2.0 * (_boundary_flux(field, f1) + _boundary_flux(field, f2))
+                + _boundary_flux(field, f3)
             )
             return replace(
                 field,
@@ -194,8 +242,7 @@ def step(field: NumberDensityField, dt: float) -> NumberDensityField:
 
 def stable_dt(field: NumberDensityField) -> float:
     """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale."""
-    xi = field.xi_grid
-    scale = float(np.max(xi ** (1.0 + field.kernel.gamma) * field.f_values))
+    scale = float((field._weights.loss * field.f_values).max())
     if scale == 0.0:
         return math.inf
     return ETA / scale
@@ -275,7 +322,9 @@ def default_window(
     """Middle two quartiles (in log) of the rescaled domains over [t, t_end].
 
     Intersecting the rescaled domains at the initial and final times excludes
-    the boundary-contaminated nodes at both ends.
+    the boundary-contaminated nodes at both ends.  A window narrower than one
+    octave (fewer than ``nodes_per_octave`` nodes) raises ``WindowError``:
+    D would rest on a handful of nodes.
     """
     xi = field.xi_grid
     lo = math.log(xi[0] / field.t**beta)
@@ -283,6 +332,11 @@ def default_window(
     if hi <= lo:
         raise WindowError("rescaled domains do not overlap; grid too short")
     span = hi - lo
+    if 0.5 * span < _LN2:
+        raise WindowError(
+            f"collapse window spans {0.5 * span / _LN2:.3g} octaves, less than one "
+            f"({field.nodes_per_octave} nodes); add octaves or lower t_end"
+        )
     return math.exp(lo + 0.25 * span), math.exp(lo + 0.75 * span)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._quad import cumtrapz_corrected
-from .errors import ConvergenceError, DomainError, QuadratureError
+from .errors import ConvergenceError, DomainError, QuadratureError, RangeError
 from .mu import F_of
 from .params import SimilarityParams
 from .profile import Profile, check_invariants as check_profile_invariants, rhs
@@ -113,6 +113,13 @@ class _TPlan:
         self.x_e1_two_a = self.x_e1 * self.two_a
         self.x_e2_two = self.x_e2 * 2.0
         self.den = beta * self.x_e1
+        # x**e1 is smallest at the lowest node; there it can underflow to 0
+        # for a tiny hand-off point, and T would then divide by zero.
+        if not self.den[0] > 0.0:
+            raise RangeError(
+                f"x**(1-gamma+mu) underflows to 0 at the lowest expansion node "
+                f"x = {x[0]:g} (z = {grid.z:g}), so T would divide by zero"
+            )
         self.e_rows = np.array([[e1], [e2], [e1]])
         self.weight = x ** (-grid.epsilon)
 

@@ -278,6 +278,22 @@ def test_simulate_window_off_grid_exits_2(saved_profile, tmp_path, capsys):
     assert "do not overlap" in capsys.readouterr().err
 
 
+def test_simulate_window_under_one_octave_exits_2(saved_profile, tmp_path, capsys):
+    # 40 octaves at md = 16 leave about one node in the window at t = 1e6
+    code = run(
+        [
+            "simulate",
+            "--gamma", "0", "--rho", "0.5",
+            "--init", "pulse", "--profile", str(saved_profile),
+            "--t-end", "1e6",
+            "--out", str(tmp_path / "far"),
+        ]
+    )
+    assert code == 2
+    assert "less than one" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("missing", ["csv", "sidecar"])
 def test_verify_missing_profile_file_exits_2(saved_profile, tmp_path, capsys, missing):
     path = tmp_path / "copy.csv"

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from diagcoag import dynamics as dy
-from diagcoag import pipeline
+from diagcoag import pipeline, tail
 from diagcoag.errors import StepCollapseError, WindowError
 from diagcoag.params import make_params
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,25 @@ def test_replace_keeps_grid(canon):
     field = dy.pulse_field(canon.kernel, 100)
     moved = replace(field, f_values=2.0 * field.f_values)
     assert moved.xi_grid is field.xi_grid
+    assert moved._weights is field._weights
+
+
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+def test_kernel_weights_are_built_bit_for_bit(gamma):
+    params = make_params(gamma, 2.0 / (1.0 - gamma))
+    field = dy.power_law_field(params.kernel, 1.0, stationary_exponent(gamma))
+    xi = field.xi_grid
+    m = field.nodes_per_octave
+    assert np.array_equal(field._weights.loss, xi ** (1.0 + gamma))
+    w = xi * field.dlog
+    assert np.array_equal(field._weights.boundary, w[-m:] * xi[-m:] ** (2.0 + gamma))
+
+
+def test_replace_with_another_kernel_rebuilds_weights(canon):
+    field = dy.pulse_field(canon.kernel, 100)
+    other = make_params(0.5, 4.0).kernel
+    moved = replace(field, kernel=other)
+    assert np.array_equal(moved._weights.loss, field.xi_grid ** 1.5)
 
 
 def test_constructors_share_make_field_grid(canonical_profile, canon):
@@ -130,6 +151,95 @@ def test_evolve_outputs_at_geometric_times(canon):
     assert np.array_equal(fields[-1].f_values, dy.advance_to(fields[-2], 2.0).f_values)
 
 
+# The step as it was written before the kernel weights were built once per
+# grid: every stage is a field of its own, and every call rebuilds its weights.
+# It is the reference the array-stage step must match bit for bit.
+
+
+def _reference_rhs(field):
+    m = field.nodes_per_octave
+    xi = field.xi_grid
+    f = field.f_values
+    loss_density = xi ** (1.0 + field.kernel.gamma) * f * f
+    rate = -loss_density
+    rate[m:] += 0.25 * loss_density[:-m]
+    return rate
+
+
+def _reference_flux(field):
+    m = field.nodes_per_octave
+    xi = field.xi_grid
+    f = field.f_values
+    w = xi * field.dlog
+    return float(np.sum(w[-m:] * xi[-m:] ** (2.0 + field.kernel.gamma) * f[-m:] ** 2))
+
+
+def _reference_stable_dt(field):
+    xi = field.xi_grid
+    scale = float(np.max(xi ** (1.0 + field.kernel.gamma) * field.f_values))
+    return math.inf if scale == 0.0 else dy.ETA / scale
+
+
+def _reference_step(field, dt):
+    f0 = field.f_values
+    for _ in range(dy.MAX_HALVINGS + 1):
+        k1 = _reference_rhs(field)
+        s1 = replace(field, f_values=f0 + 0.5 * dt * k1)
+        k2 = _reference_rhs(s1)
+        s2 = replace(field, f_values=f0 + 0.5 * dt * k2)
+        k3 = _reference_rhs(s2)
+        s3 = replace(field, f_values=f0 + dt * k3)
+        k4 = _reference_rhs(s3)
+        f_new = f0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if np.all(f_new >= 0.0) and np.all(np.isfinite(f_new)):
+            escaped = (dt / 6.0) * (
+                _reference_flux(field)
+                + 2.0 * (_reference_flux(s1) + _reference_flux(s2))
+                + _reference_flux(s3)
+            )
+            return replace(
+                field,
+                f_values=f_new,
+                t=field.t + dt,
+                escaped_mass=field.escaped_mass + escaped,
+            )
+        dt *= 0.5
+    raise StepCollapseError("reference step collapsed")
+
+
+def _assert_same_field(out, ref):
+    assert np.array_equal(out.f_values, ref.f_values)
+    assert out.t == ref.t
+    assert out.escaped_mass == ref.escaped_mass
+
+
+@pytest.mark.parametrize("kind", ["profile", "power_law", "pulse"])
+def test_step_matches_reference_bit_for_bit(canonical_profile, canon, kind):
+    if kind == "profile":
+        field = dy.field_from_profile(canonical_profile)
+    elif kind == "power_law":
+        params = make_params(0.5, 4.0)
+        field = dy.power_law_field(params.kernel, 2.0, 1.6)
+    else:
+        field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+    ref = field
+    for _ in range(6):
+        dt = _reference_stable_dt(ref)
+        assert dy.stable_dt(field) == dt
+        field, ref = dy.step(field, dt), _reference_step(ref, dt)
+        _assert_same_field(field, ref)
+    if kind != "pulse":
+        assert field.escaped_mass > 0.0
+
+
+def test_halved_step_matches_reference_bit_for_bit(canon):
+    field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+    dt = 40.0 * dy.stable_dt(field)
+    out = dy.step(field, dt)
+    assert out.t - field.t < 0.5 * dt  # rejected at least once
+    _assert_same_field(out, _reference_step(field, dt))
+
+
 # -- moments --------------------------------------------------------------------
 
 
@@ -226,3 +336,34 @@ def test_collapse_report_roundtrip(canonical_field, canonical_profile, canon):
     assert set(d) == {"times", "distances", "window"}
     assert len(d["times"]) == len(d["distances"]) == 3
     assert d["times"][0] == 1.0 and d["times"][-1] == pytest.approx(2.0)
+
+
+def test_window_under_one_octave_raises_before_evolving(canonical_field, canon, monkeypatch):
+    # 40 octaves at md = 16: at t = 1e5 the window holds about 54 nodes,
+    # at t = 1e6 about one
+    lo, hi = dy.default_window(canonical_field, canon.beta, 1e5)
+    x = canonical_field.xi_grid / 1e5**canon.beta
+    assert np.count_nonzero((x >= lo) & (x <= hi)) >= canonical_field.nodes_per_octave
+    with pytest.raises(WindowError, match="less than one"):
+        dy.default_window(canonical_field, canon.beta, 1e6)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("evolved before the window was checked")
+
+    monkeypatch.setattr(dy, "step", no_step)
+    with pytest.raises(WindowError, match="less than one"):
+        dy.simulate_collapse(canonical_field, None, canon.beta, 1e6)
+
+
+def test_smooth_data_approaches_the_profile(canonical_profile, canon):
+    # data with both asymptotes of the profile, x^-(1+gamma)/(1-theta) at the
+    # origin and d x^-(1+rho) in the tail, but a different core
+    d, _ = tail.estimate_d(canonical_profile)
+    gamma, beta = canon.gamma, canon.beta
+    xi = dy.make_field(canon.kernel, np.zeros(40 * 16 + 1)).xi_grid
+    f0 = xi ** -(1.0 + gamma) / ((1.0 - canon.theta) + xi ** (1.0 / beta) / d)
+    field = dy.make_field(canon.kernel, f0)
+    report, _ = dy.simulate_collapse(field, canonical_profile, beta, 256.0)
+    distances = report.distances
+    assert all(later < earlier for earlier, later in zip(distances, distances[1:]))
+    assert distances[-1] <= distances[0] / 10.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from diagcoag import pipeline
 from diagcoag.errors import ConvergenceError, MonotonicityError
 from diagcoag.params import beta_star_of, make_params, params_from_rho
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_invariant_violation_is_reported_without_reseeding(monkeypatch):
@@ -102,3 +105,17 @@ def test_octave_floor_is_below_what_a_successful_build_stores(gamma, frac):
     profile = pipeline.build_profile(params)
     stored = math.log2(profile.x_max / profile.x_min)
     assert stored >= pipeline.tail_octaves_floor(params.beta)
+
+
+@pytest.mark.parametrize("beta", [40.0, 70.0])
+def test_underflowing_expansion_node_fails_once_without_nan(monkeypatch, beta):
+    # default_z picks z ~ 1e-48 .. 1e-84 here; x**(1-gamma+mu) is 0 at the
+    # lowest node, and every smaller z of the halving ladder underflows more
+    calls = _count_calls(monkeypatch, "fixed_point")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = pipeline.sweep_row(-5.0, -5.0 + 1.0 / beta)
+    assert row["status"] == "error"
+    assert row["error"].startswith("x**(1-gamma+mu) underflows to 0 at the lowest")
+    assert calls == {"fixed_point": 1}
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -6,9 +6,9 @@ time-dependent runs), ``sweep`` (family coverage table).
 
 Exit codes: 0 success; 2 invalid input (``DomainError`` or ``WindowError``:
 a parameter out of range, a missing profile CSV or sidecar, a malformed or
-out-of-range ``--init``, a collapse window off the grid); 3 solver failure
-(every other package error); 4 failed verification bounds; 5 time-step
-collapse (``StepCollapseError``).
+out-of-range ``--init``, a collapse window off the grid or narrower than
+one octave); 3 solver failure (every other package error); 4 failed
+verification bounds; 5 time-step collapse (``StepCollapseError``).
 """
 
 from __future__ import annotations

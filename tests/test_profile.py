@@ -1,13 +1,14 @@
 import math
 from dataclasses import replace
+from io import StringIO
 
 import numpy as np
 import pytest
 
-from diagcoag import pipeline, tail
+from diagcoag import pipeline, profile as profile_mod, tail
 from diagcoag.errors import DomainError, MonotonicityError, PositivityError, RangeError
 from diagcoag.expansion import fixed_point, h_from_expansion
-from diagcoag.params import beta_star_of, make_params
+from diagcoag.params import beta_star_of, make_params, params_from_rho
 from diagcoag.profile import (
     Profile,
     check_invariants,
@@ -17,6 +18,7 @@ from diagcoag.profile import (
     rescale,
     rhs,
     write_profile_csv,
+    write_table,
 )
 
 
@@ -338,3 +340,30 @@ def test_csv_header_mismatch(tmp_path, canonical_profile):
     path.write_text(path.read_text().replace("x,h,g,dhdx", "x,h,g,dh", 1))
     with pytest.raises(DomainError, match="header"):
         read_profile_csv(path)
+
+
+def _savetxt_bytes(table, header):
+    buf = StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return buf.getvalue().encode()
+
+
+def test_profile_csv_longer_than_one_chunk_matches_savetxt(tmp_path):
+    # gamma 0.5, frac 0.1 stores 22,168 nodes: 43 full chunks and a partial one
+    p = pipeline.build_profile(params_from_rho(0.5, 0.55))
+    chunk = profile_mod._TABLE_CHUNK_ROWS
+    assert len(p.h_values) > chunk and len(p.h_values) % chunk != 0
+    path = tmp_path / "long.csv"
+    write_profile_csv(p, path)
+    table = np.column_stack([p.x_values, p.h_values, p.g_values, p.dh_values])
+    assert path.read_bytes() == _savetxt_bytes(table, "x,h,g,dhdx")
+
+
+@pytest.mark.parametrize("rows", [1, 2 * profile_mod._TABLE_CHUNK_ROWS], ids=["one row", "two chunks"])
+def test_write_table_matches_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+    table[0, :3] = (0.0, -0.0, 5e-324)  # exact zeros and a subnormal
+    path = tmp_path / "table.csv"
+    write_table(path, "a,b,c,d", table)
+    assert path.read_bytes() == _savetxt_bytes(table, "a,b,c,d")

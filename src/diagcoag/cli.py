@@ -5,8 +5,8 @@ Subcommands: ``mu`` (bifurcation exponent), ``profile`` (full pipeline),
 time-dependent runs), ``sweep`` (family coverage table).
 
 Exit codes: 0 success; 2 invalid input (``DomainError`` or ``WindowError``:
-a parameter out of range, a missing profile CSV or sidecar, a malformed or
-out-of-range ``--init``, a collapse window off the grid or narrower than
+a parameter out of range, a missing or malformed profile CSV or sidecar, a
+malformed or out-of-range ``--init``, a collapse window off the grid or narrower than
 one octave); 3 solver failure (every other package error); 4 failed
 verification bounds; 5 time-step collapse (``StepCollapseError``).
 """

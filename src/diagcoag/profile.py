@@ -322,7 +322,6 @@ def write_table(path: str | Path, header: str, table: np.ndarray) -> None:
     delimiter=",", header=header, comments="")``; the rows are formatted a
     chunk at a time with one ``%`` per chunk instead of one per row.
     """
-    table = np.asarray(table, dtype=float)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, pipeline, tail
+from . import dynamics, expansion, pipeline, tail
 from .errors import (
     DiagcoagError,
     DomainError,
@@ -102,7 +102,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             params,
             c=c,
             z=cfg.get("z"),
-            m=int(cfg.get("m", pipeline.DEFAULT_M)),
+            m=int(cfg.get("m", expansion.DEFAULT_NODES_PER_OCTAVE)),
             x_max=cfg.get("xmax"),
             tol=float(cfg.get("tol", 1e-12)),
         )

@@ -161,14 +161,13 @@ def empty_grid(
     c: float,
     epsilon: float,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
-    octaves: int = DEFAULT_OCTAVES,
 ) -> ExpansionGrid:
-    """Grid with j = 0 spanning [z*2**-octaves, z]."""
+    """Grid with j = 0 spanning [z*2**-DEFAULT_OCTAVES, z]."""
     if not z > 0.0:
         raise DomainError("z must be positive")
-    if nodes_per_octave < 1 or octaves < 1:
+    if nodes_per_octave < 1:
         raise DomainError("grid must have at least one node per octave")
-    n = nodes_per_octave * octaves + 1
+    n = nodes_per_octave * DEFAULT_OCTAVES + 1
     tau = math.log(z) + _LN2 * (np.arange(n) - (n - 1)) / nodes_per_octave
     nodes = np.exp(tau)
     nodes[-1] = z  # pin the right endpoint exactly
@@ -329,17 +328,15 @@ def fixed_point(
     z: float,
     epsilon: float | None = None,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
-    octaves: int = DEFAULT_OCTAVES,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ExpansionGrid:
     """Iterate T from j = 0 until the weighted norm of the change is <= tol.
 
     Raises ``ConvergenceError`` when an iterate diverges or leaves the
     invariant ball (z too large for the parameters), and its subclass
-    ``IterationLimitError`` when max_iter is exhausted.  The rate of
-    convergence is the contraction margin, which does not depend on z, so a
-    smaller z cannot make up for too few iterations.
+    ``IterationLimitError`` after ``DEFAULT_MAX_ITER`` iterations.  The rate
+    of convergence is the contraction margin, which does not depend on z, so
+    a smaller z cannot make up for too few iterations.
     """
     mu = params.mu
     if c < 0.0:
@@ -349,14 +346,14 @@ def fixed_point(
     if not (0.0 < epsilon < mu):
         raise DomainError(f"epsilon must lie in (0, mu) = (0, {mu}); got {epsilon}")
 
-    grid = empty_grid(z, c, epsilon, nodes_per_octave, octaves)
+    grid = empty_grid(z, c, epsilon, nodes_per_octave)
     if c == 0.0:
         return grid  # T[0] = 0 identically: the constant branch
 
     plan = _TPlan(grid, params)
     grid = replace(grid, _plan=plan)
     radius = ball_radius(params, c, z, epsilon)
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         new = apply_T(grid, params)
         if not np.isfinite(new.j_values).all():
             raise ConvergenceError(
@@ -372,7 +369,7 @@ def fixed_point(
         if change <= tol:
             return grid
     raise IterationLimitError(
-        f"fixed point not reached in {max_iter} iterations at z={z:g}"
+        f"fixed point not reached in {DEFAULT_MAX_ITER} iterations at z={z:g}"
     )
 
 
@@ -385,7 +382,8 @@ def h_from_expansion(
     density); derivative values come from the delay equation itself, with
     the j ~ x**mu model serving delayed arguments below the lowest node.
     Raises ``MonotonicityError`` when c > 0 and h fails to decrease, which
-    signals z beyond the safe neighbourhood (shrink z and rebuild).
+    signals z beyond the safe neighbourhood.  It is not retried at a smaller
+    z: ``build_profile`` reports it, and ``default_z`` is the safe choice.
     """
     if m is None:
         m = grid.nodes_per_octave
@@ -425,5 +423,5 @@ def h_from_expansion(
         z=grid.z,
         normalized=False,
     )
-    check_profile_invariants(seed)  # monotonicity failure here means: shrink z
+    check_profile_invariants(seed)  # monotonicity failure here means: z too large
     return seed

@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, IterationLimitError, MonotonicityError
-from .expansion import contraction_margin, default_z, fixed_point, h_from_expansion
+from .errors import ConvergenceError
+from .expansion import (
+    DEFAULT_NODES_PER_OCTAVE,
+    contraction_margin,
+    default_z,
+    fixed_point,
+    h_from_expansion,
+)
 from .params import SimilarityParams, params_from_rho
 from .profile import Profile, integrate, normalize
 from . import tail
 
-DEFAULT_M = 64
 # Hard cap on the total integration span, as octaves above the hand-off point.
 MAX_OCTAVES = 600
 # Octaves of one extension of the h = 1/2 search.
@@ -65,7 +70,7 @@ def build_profile(
     params: SimilarityParams,
     c: float = 1.0,
     z: float | None = None,
-    m: int = DEFAULT_M,
+    m: int = DEFAULT_NODES_PER_OCTAVE,
     x_max: float | None = None,
     tol: float = 1e-12,
 ) -> Profile:
@@ -74,14 +79,14 @@ def build_profile(
     ``c`` is the bifurcation amplitude (0 selects the constant branch, which
     is not normalized), ``z`` the hand-off point (``default_z`` when None),
     ``m`` the nodes per octave, ``x_max`` the end of the march (when None the
-    tail is extended until d converges) and ``tol`` the fixed-point
-    tolerance.  A hand-off point whose expansion diverges, leaves its
-    invariant ball or fails to decrease is halved, at most 5 times; an
-    expansion that runs out of iterations raises ``IterationLimitError`` at
-    once, since its contraction rate does not improve with a smaller z.  The
-    march runs once: an invariant violation raises its typed
-    error (``MonotonicityError``, ``PositivityError``) and is not retried;
-    pass a larger ``m``.
+    tail is extended once, to ``_tail_x_target`` of the estimated d) and
+    ``tol`` the fixed-point tolerance.  Each stage runs once.  The seed is
+    built at ``z`` as given; an expansion that fails there raises its typed
+    error (``ConvergenceError`` or its subclass ``IterationLimitError`` from
+    ``fixed_point``, ``MonotonicityError`` from ``h_from_expansion``) and is
+    not retried at a smaller z.  An invariant violation of the march raises
+    its typed error (``MonotonicityError``, ``PositivityError``); pass a
+    larger ``m``.
 
     When the tail is extended (``x_max`` None, ``c`` != 0, beta > beta_star),
     a tail target that provably exceeds the ``MAX_OCTAVES`` budget raises
@@ -94,21 +99,8 @@ def build_profile(
         _check_tail_budget(params, 0.0)
     if z is None:
         z = default_z(params, c)
-
-    for _ in range(6):
-        try:
-            grid = fixed_point(params, c, z, nodes_per_octave=m, tol=tol)
-            seed = h_from_expansion(grid, params, m=m)
-            break
-        except IterationLimitError:
-            raise
-        except (ConvergenceError, MonotonicityError):
-            z *= 0.5  # hand-off point beyond the safe neighbourhood
-    else:
-        raise ConvergenceError(
-            f"no converged expansion found down to z = {z:g} for "
-            f"gamma={params.gamma}, beta={params.beta}"
-        )
+    grid = fixed_point(params, c, z, nodes_per_octave=m, tol=tol)
+    seed = h_from_expansion(grid, params, m=m)
 
     target = x_max if x_max is not None else 2.0**40 * z
     profile = integrate(seed, params, target)
@@ -137,17 +129,13 @@ def build_profile(
     profile = normalize(profile)
 
     if x_max is None and not params.degenerate:
-        beta = params.beta
-        for _ in range(5):
-            d, err = tail.estimate_d(profile)
-            need = _tail_x_target(beta, d)
-            if profile.x_max >= need:
-                break
-            octaves_total = math.log2(need / profile.x_min)
-            if octaves_total > MAX_OCTAVES:
+        d, _ = tail.estimate_d(profile)
+        need = _tail_x_target(params.beta, d)
+        if profile.x_max < need:
+            if math.log2(need / profile.x_min) > MAX_OCTAVES:
                 raise ConvergenceError(
                     f"tail extension would exceed {MAX_OCTAVES} octaves "
-                    f"(beta={beta}, d~{d:g})"
+                    f"(beta={params.beta}, d~{d:g})"
                 )
             profile = integrate(profile, params, need * 2.0)
     return profile

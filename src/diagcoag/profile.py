@@ -363,7 +363,8 @@ def read_profile_csv(path: str | Path) -> Profile:
 
     Raises ``DomainError`` when either file is missing or malformed: a
     sidecar that is not JSON, lacks a key or has m < 1, a header that
-    differs, a non-numeric cell, or a row without exactly four fields.
+    differs, a table with no data rows, a non-numeric cell, or a row
+    without exactly four fields.
     """
     source = sidecar_path(path)  # the file being parsed, for the error message
     try:
@@ -377,8 +378,11 @@ def read_profile_csv(path: str | Path) -> Profile:
         source = Path(path)
         with open(path) as fh:
             header = fh.readline().strip()
+            has_rows = any(line.strip() for line in fh)  # stops at the first row
         if header != _CSV_HEADER:
             raise DomainError(f"unexpected profile CSV header: {header!r}")
+        if not has_rows:
+            raise DomainError(f"malformed profile file {source}: the table has no data rows")
         # By name, not through the open handle: numpy parses a named file in
         # blocks, but iterates an open handle line by line, which is slower.
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

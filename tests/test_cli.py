@@ -177,6 +177,15 @@ def test_profile_beyond_the_octave_budget_exits_3_up_front(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_profile_oversize_explicit_z_exits_3(tmp_path, capsys):
+    # default_z is 0.25 here; an explicit --z is used as given, not halved
+    out = tmp_path / "big_z.csv"
+    argv = ["profile", "--gamma", "-1", "--beta", "2", "--z", "0.5", "--out", str(out)]
+    assert run(argv) == 3
+    assert "z=0.5 too large" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def subnormal_tail_profile(tmp_path_factory):
     # h ~ x^-2 reaches the subnormals, where successive nodes tie, before 1e200
@@ -306,6 +315,7 @@ def _non_numeric_cell(text: str) -> str:
 _MALFORMED = {
     "non-numeric cell": ("csv", _non_numeric_cell),
     "truncated row": ("csv", _break_row),
+    "header only": ("csv", lambda text: text.splitlines(keepends=True)[0]),
     "sidecar not json": ("meta", lambda text: text[: len(text) // 2]),
     "sidecar missing key": ("meta", lambda text: text.replace('"m":', '"n":')),
     "sidecar m zero": ("meta", lambda text: text.replace('"m": 64', '"m": 0')),
@@ -320,7 +330,7 @@ _MALFORMED = {
 
 
 @pytest.mark.parametrize("case", _MALFORMED)
-def test_verify_malformed_profile_exits_2(case, saved_profile, tmp_path, capsys):
+def test_verify_malformed_profile_exits_2(case, saved_profile, tmp_path, capsys, recwarn):
     which, edit = _MALFORMED[case]
     csv_text = saved_profile.read_text()
     meta_text = saved_profile.with_name(saved_profile.stem + ".meta.json").read_text()
@@ -332,7 +342,11 @@ def test_verify_malformed_profile_exits_2(case, saved_profile, tmp_path, capsys)
     path.write_text(csv_text)
     (tmp_path / "bad.meta.json").write_text(meta_text)
     assert run(["verify", str(path)]) == 2
-    assert "malformed profile" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed profile" in err
+    if case == "header only":
+        assert "the table has no data rows" in err
+    assert not recwarn.list
 
 
 def test_simulate_window_off_grid_exits_2(saved_profile, tmp_path, capsys):

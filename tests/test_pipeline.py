@@ -1,73 +1,79 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 
-from diagcoag import pipeline
+from diagcoag import pipeline, tail
 from diagcoag.errors import ConvergenceError, IterationLimitError, MonotonicityError
 from diagcoag.params import beta_star_of, make_params, params_from_rho
 
+
+def _record_calls(monkeypatch, *names):
+    """List, in order, the calls build_profile makes to the named pipeline functions."""
+    order = []
+    for name in names:
+        real = getattr(pipeline, name)
+
+        def recording(*args, _name=name, _real=real, **kwargs):
+            order.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recording)
+    return order
+
+
 def test_invariant_violation_is_reported_without_reseeding(monkeypatch):
     params = make_params(0.0, 2.0)
-    seeds = []
-    real_fixed_point = pipeline.fixed_point
-
-    def counting_fixed_point(*args, **kwargs):
-        seeds.append(args)
-        return real_fixed_point(*args, **kwargs)
+    calls = _record_calls(monkeypatch, "fixed_point")
 
     def failing_integrate(seed, params, x_max):
         raise MonotonicityError("h failed to decrease at x = 1", x=1.0)
 
-    monkeypatch.setattr(pipeline, "fixed_point", counting_fixed_point)
     monkeypatch.setattr(pipeline, "integrate", failing_integrate)
     with pytest.raises(MonotonicityError):
         pipeline.build_profile(params)
-    assert len(seeds) == 1
+    assert calls == ["fixed_point"]
 
 
-def test_oversize_explicit_z_is_halved_until_the_expansion_converges():
+def test_oversize_explicit_z_fails_once_without_halving(monkeypatch):
+    # an explicit z is used as given: at 0.5 the iterate leaves its ball
     params = make_params(-1.0, 2.0)
-    rescued = pipeline.build_profile(params, z=0.5)
-    direct = pipeline.build_profile(params, z=0.25)
-    assert rescued.z == direct.z
-    assert rescued.c == direct.c
-    assert rescued.tau0 == direct.tau0
-    assert np.array_equal(rescued.h_values, direct.h_values)
-    assert np.array_equal(rescued.dh_values, direct.dh_values)
+    calls = _record_calls(monkeypatch, "fixed_point")
+    with pytest.raises(ConvergenceError, match=r"z=0\.5 too large"):
+        pipeline.build_profile(params, z=0.5)
+    assert calls == ["fixed_point"]
+    assert pipeline.build_profile(params, z=0.25).normalized
 
 
 def test_exhausted_expansion_is_not_retried_at_a_smaller_z(monkeypatch):
     # kappa = 0.9959 does not depend on z: tol 1e-12 needs ~6,700 iterations
     params = make_params(-1.0, 60.0)
-    calls = _count_calls(monkeypatch, "fixed_point")
+    calls = _record_calls(monkeypatch, "fixed_point")
     with pytest.raises(IterationLimitError, match="not reached in 2000 iterations"):
         pipeline.build_profile(params)
-    assert calls == {"fixed_point": 1}
+    assert calls == ["fixed_point"]
 
 
-def _count_calls(monkeypatch, *names):
-    """Count the calls build_profile makes to the named pipeline functions."""
-    calls = {name: 0 for name in names}
-    for name in names:
-        real = getattr(pipeline, name)
-
-        def counting(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, name, counting)
-    return calls
+@pytest.mark.parametrize(
+    "gamma, frac", [(0.0, 0.3), (0.9, 0.3)], ids=["sweep15 cell", "deep_tail cell"]
+)
+def test_one_tail_extension_reaches_the_target_of_the_final_d(monkeypatch, gamma, frac):
+    # the target is set from d before the extension; it must still hold after it
+    params = params_from_rho(gamma, gamma + frac * (1.0 - gamma))
+    calls = _record_calls(monkeypatch, "integrate", "normalize")
+    profile = pipeline.build_profile(params)
+    assert calls[calls.index("normalize") + 1 :] == ["integrate"]
+    d, _ = tail.estimate_d(profile)
+    assert profile.x_max >= pipeline._tail_x_target(params.beta, d)
 
 
 def test_tail_beyond_the_octave_budget_fails_before_the_seed(monkeypatch):
     params = make_params(0.9, 100.0)
     assert pipeline.tail_octaves_floor(params.beta) > pipeline.MAX_SEARCH_OCTAVES
-    calls = _count_calls(monkeypatch, "default_z", "fixed_point", "integrate")
+    calls = _record_calls(monkeypatch, "default_z", "fixed_point", "integrate")
     with pytest.raises(ConvergenceError, match="tail extension would exceed 600 octaves"):
         pipeline.build_profile(params)
-    assert calls == {"default_z": 0, "fixed_point": 0, "integrate": 0}
+    assert calls == []
 
 
 def test_tail_beyond_the_octave_budget_fails_during_the_half_search(monkeypatch):
@@ -75,10 +81,10 @@ def test_tail_beyond_the_octave_budget_fails_during_the_half_search(monkeypatch)
     # 2**40 z march puts x_min of the normalized gauge that far below 1
     params = params_from_rho(0.95, 0.95 + 0.3 * 0.05)
     assert pipeline.tail_octaves_floor(params.beta) <= pipeline.MAX_SEARCH_OCTAVES
-    calls = _count_calls(monkeypatch, "fixed_point", "integrate", "normalize")
+    calls = _record_calls(monkeypatch, "fixed_point", "integrate", "normalize")
     with pytest.raises(ConvergenceError, match="tail extension would exceed 600 octaves"):
         pipeline.build_profile(params)
-    assert calls == {"fixed_point": 1, "integrate": 1, "normalize": 0}
+    assert calls == ["fixed_point", "integrate"]
 
 
 class _Seeded(Exception):
@@ -116,12 +122,12 @@ def test_octave_floor_is_below_what_a_successful_build_stores(gamma, frac):
 @pytest.mark.parametrize("beta", [40.0, 70.0])
 def test_underflowing_expansion_node_fails_once_without_nan(monkeypatch, beta):
     # default_z picks z ~ 1e-48 .. 1e-84 here; x**(1-gamma+mu) is 0 at the
-    # lowest node, and every smaller z of the halving ladder underflows more
-    calls = _count_calls(monkeypatch, "fixed_point")
+    # lowest node, so T cannot be evaluated and the seed fails on its one call
+    calls = _record_calls(monkeypatch, "fixed_point")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         row = pipeline.sweep_row(-5.0, -5.0 + 1.0 / beta)
     assert row["status"] == "error"
     assert row["error"].startswith("x**(1-gamma+mu) underflows to 0 at the lowest")
-    assert calls == {"fixed_point": 1}
+    assert calls == ["fixed_point"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

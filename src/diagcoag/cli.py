@@ -4,16 +4,19 @@ Subcommands: ``mu`` (bifurcation exponent), ``profile`` (full pipeline),
 ``verify`` (tail bound suite on saved profiles), ``simulate`` (direct
 time-dependent runs), ``sweep`` (family coverage table).
 
-Exit codes: 0 success; 2 invalid input (``DomainError`` or ``WindowError``:
-a parameter out of range, a missing or malformed profile CSV or sidecar, a
-malformed or out-of-range ``--init``, a collapse window off the grid or narrower than
-one octave); 3 solver failure (every other package error); 4 failed
-verification bounds; 5 time-step collapse (``StepCollapseError``).
+Exit codes, mapped by ``main``: 0 success; 2 invalid input (``DomainError``
+or ``WindowError``: a parameter out of range at any stage, an unreadable
+``--config`` or sweep list, a missing or malformed profile CSV or sidecar, a
+malformed or out-of-range ``--init`` or simulation grid, a collapse window off
+the grid or narrower than one octave); 3 solver failure (every other package
+error); 4 failed verification bounds (``tail.bounds_hold``); 5 time-step
+collapse (``StepCollapseError``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +52,13 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     """Start from config-file values, let explicit flags win."""
     merged: dict = {}
     if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text()))
+        try:
+            config = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read config file {args.config!r}: {exc}") from None
+        if not isinstance(config, dict):
+            raise DomainError(f"config file {args.config!r} does not hold a JSON object")
+        merged.update(config)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -81,13 +90,13 @@ def cmd_mu(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, ["gamma", "beta", "rho", "out"])
     gamma, beta = _resolve_beta(cfg)
     report = solve_mu(gamma, beta)
-    _print_json(report.to_dict(), cfg.get("out"))
-    return EXIT_OK if report.residual <= 1e-13 else EXIT_SOLVER
+    _print_json(dataclasses.asdict(report), cfg.get("out"))
+    return EXIT_OK
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     cfg = _merge_config(
-        args, ["gamma", "beta", "rho", "c", "z", "m", "xmax", "tol", "out", "format"]
+        args, ["gamma", "beta", "rho", "c", "z", "m", "xmax", "out", "format"]
     )
     gamma, beta = _resolve_beta(cfg)
     params = make_params(gamma, beta)
@@ -97,18 +106,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "beta equals beta_star (degenerate, mass-conserving case); "
             "pass --allow-degenerate to proceed"
         )
-    try:
-        profile = pipeline.build_profile(
-            params,
-            c=c,
-            z=cfg.get("z"),
-            m=int(cfg.get("m", expansion.DEFAULT_NODES_PER_OCTAVE)),
-            x_max=cfg.get("xmax"),
-            tol=float(cfg.get("tol", 1e-12)),
-        )
-    except DiagcoagError as exc:
-        print(f"profile pipeline failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    profile = pipeline.build_profile(
+        params,
+        c=c,
+        z=cfg.get("z"),
+        m=int(cfg.get("m", expansion.DEFAULT_NODES_PER_OCTAVE)),
+        x_max=cfg.get("xmax"),
+    )
     out = cfg.get("out", "profile.csv")
     if cfg.get("format", "csv") == "json":
         payload = {
@@ -136,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (DomainError, RangeError) as exc:
             print(f"{path}: precondition failed: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        entry = report.to_dict()
+        entry = dataclasses.asdict(report)
         entry["details"] = {
             k: v for k, v in details.items() if isinstance(v, (bool, int, float, str))
         }
@@ -197,10 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             field, profile, params.beta, args.t_end,
             n_outputs=args.snapshots, collect_fields=True,
         )
-        Path(f"{out_prefix}.collapse.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n"
-        )
-        print(json.dumps(report.to_dict(), indent=2))
+        _print_json(dataclasses.asdict(report), f"{out_prefix}.collapse.json")
     else:
         fields = dynamics.evolve(field, args.t_end, args.snapshots)
 
@@ -217,11 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SWEEP_COLUMNS = [
-    "gamma", "rho", "beta", "mu", "kappa", "d_estimate", "d_error_bound", "c0",
-    "slope_fit", "slope_err_rel", "upper_margin", "lower_margin", "lower_margin_chain", "hineq_margin",
-    "cauchy_max_violation", "max_residual_sss4b", "status",
-]
+_SWEEP_COLUMNS = ["gamma", "rho", "beta", "mu", "kappa", *pipeline.TAIL_COLUMNS, "status"]
 
 
 def _sweep_cell(row: dict, key: str) -> str:
@@ -232,17 +229,19 @@ def _sweep_cell(row: dict, key: str) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    gammas = [float(v) for v in args.gammas.split(",") if v.strip() != ""]
-    rhos = [float(v) for v in args.rhos.split(",") if v.strip() != ""]
+    try:
+        gammas = [float(v) for v in args.gammas.split(",") if v.strip() != ""]
+        rhos = [float(v) for v in args.rhos.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise DomainError(f"sweep lists must hold numbers: {exc}") from None
     if not gammas or not rhos:
-        print("sweep needs nonempty gamma and rho lists", file=sys.stderr)
-        return EXIT_INVALID
-    jobs = [(g, r) for g in gammas for r in rhos]
+        raise DomainError("sweep needs nonempty gamma and rho lists")
+    cell_gammas, cell_rhos = zip(*[(g, r) for g in gammas for r in rhos])
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_star, jobs))
+            rows = list(pool.map(pipeline.sweep_row, cell_gammas, cell_rhos))
     else:
-        rows = [pipeline.sweep_row(g, r) for g, r in jobs]
+        rows = list(map(pipeline.sweep_row, cell_gammas, cell_rhos))
     lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(_sweep_cell(row, k) for k in _SWEEP_COLUMNS))
@@ -252,10 +251,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(text, end="")
     bad = [r for r in rows if r["status"] not in ("ok", "invalid")]
     return EXIT_BOUNDS if bad else EXIT_OK
-
-
-def _sweep_star(job):
-    return pipeline.sweep_row(*job)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -283,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float)
     p.add_argument("--m", type=int)
     p.add_argument("--xmax", type=float)
-    p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--allow-degenerate", action="store_true")
     p.set_defaults(func=cmd_profile)

@@ -98,6 +98,12 @@ class _KernelWeights:
 
 
 def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray:
+    if not xi_min > 0.0:
+        raise DomainError(f"smallest size xi_min must be positive; got {xi_min:g}")
+    if nodes_per_octave < 1:
+        raise DomainError(f"nodes per octave must be at least 1; got {nodes_per_octave}")
+    if n_nodes < 1:
+        raise DomainError(f"negative size grid span: {(n_nodes - 1) / nodes_per_octave:g} octaves")
     # exp2 keeps xi_{k-m_d} == xi_k / 2 exact in floating point
     return xi_min * np.exp2(np.arange(n_nodes) / nodes_per_octave)
 
@@ -153,7 +159,7 @@ def pulse_field(
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
     """Single occupied node (monomer-like pulse); ``node`` counts from xi_min."""
-    f = np.zeros(octaves * nodes_per_octave + 1)
+    f = np.zeros_like(_size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave))
     if not 0 <= node < len(f):
         raise DomainError(f"pulse node {node} is outside the grid's nodes 0..{len(f) - 1}")
     f[node] = amplitude
@@ -260,6 +266,8 @@ def evolve(
     field: NumberDensityField, t_end: float, n_outputs: int
 ) -> list[NumberDensityField]:
     """The field at the times np.geomspace(field.t, t_end, n_outputs)."""
+    if not (t_end > 0.0 and n_outputs >= 0):
+        raise DomainError(f"evolve needs t_end > 0, n_outputs >= 0; got {t_end:g} and {n_outputs}")
     fields = [field]
     for t_out in np.geomspace(field.t, t_end, n_outputs):
         fields.append(advance_to(fields[-1], float(t_out)))
@@ -307,13 +315,6 @@ class CollapseReport:
     times: tuple
     distances: tuple
     window: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "distances": list(self.distances),
-            "window": list(self.window),
-        }
 
 
 def default_window(

@@ -164,9 +164,9 @@ def empty_grid(
 ) -> ExpansionGrid:
     """Grid with j = 0 spanning [z*2**-DEFAULT_OCTAVES, z]."""
     if not z > 0.0:
-        raise DomainError("z must be positive")
+        raise DomainError(f"z must be positive; got {z:g}")
     if nodes_per_octave < 1:
-        raise DomainError("grid must have at least one node per octave")
+        raise DomainError(f"grid must have at least one node per octave; got {nodes_per_octave}")
     n = nodes_per_octave * DEFAULT_OCTAVES + 1
     tau = math.log(z) + _LN2 * (np.arange(n) - (n - 1)) / nodes_per_octave
     nodes = np.exp(tau)
@@ -340,7 +340,7 @@ def fixed_point(
     """
     mu = params.mu
     if c < 0.0:
-        raise DomainError("amplitude c must be nonnegative")
+        raise DomainError(f"amplitude c must be nonnegative; got {c:g}")
     if epsilon is None:
         epsilon = 0.5 * mu
     if not (0.0 < epsilon < mu):

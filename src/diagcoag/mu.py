@@ -57,15 +57,6 @@ class MuSolveReport:
     bracket: tuple[float, float]
     convexity_margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "bracket": list(self.bracket),
-            "convexity_margin": self.convexity_margin,
-        }
-
 
 def solve_mu(gamma: float, beta: float) -> MuSolveReport:
     """Find the unique positive root of the bifurcation equation.

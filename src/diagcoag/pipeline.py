@@ -6,6 +6,7 @@ for one (gamma, rho) pair and summarizes the tail report.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .errors import ConvergenceError
@@ -27,6 +28,13 @@ SEARCH_STEP_OCTAVES = 20
 # Largest extent the h = 1/2 search can store: MAX_OCTAVES plus one
 # extension, plus an octave for the step rounding of ``integrate``.
 MAX_SEARCH_OCTAVES = MAX_OCTAVES + SEARCH_STEP_OCTAVES + 1
+
+# A sweep row's tail summary, from the tail report and its details, in column order.
+TAIL_COLUMNS = (
+    "d_estimate", "d_error_bound", "c0", "slope_fit", "slope_err_rel", "upper_margin",
+    "lower_margin", "lower_margin_chain", "hineq_margin", "cauchy_max_violation",
+    "max_residual_sss4b",
+)
 
 
 def _tail_x_target(beta: float, d_estimate: float) -> float:
@@ -72,21 +80,19 @@ def build_profile(
     z: float | None = None,
     m: int = DEFAULT_NODES_PER_OCTAVE,
     x_max: float | None = None,
-    tol: float = 1e-12,
 ) -> Profile:
     """Construct a full profile: seed from the local expansion, march, normalize.
 
     ``c`` is the bifurcation amplitude (0 selects the constant branch, which
     is not normalized), ``z`` the hand-off point (``default_z`` when None),
-    ``m`` the nodes per octave, ``x_max`` the end of the march (when None the
-    tail is extended once, to ``_tail_x_target`` of the estimated d) and
-    ``tol`` the fixed-point tolerance.  Each stage runs once.  The seed is
-    built at ``z`` as given; an expansion that fails there raises its typed
-    error (``ConvergenceError`` or its subclass ``IterationLimitError`` from
-    ``fixed_point``, ``MonotonicityError`` from ``h_from_expansion``) and is
-    not retried at a smaller z.  An invariant violation of the march raises
-    its typed error (``MonotonicityError``, ``PositivityError``); pass a
-    larger ``m``.
+    ``m`` the nodes per octave and ``x_max`` the end of the march (when None
+    the tail is extended once, to ``_tail_x_target`` of the estimated d).
+    Each stage runs once.  The seed is built at ``z`` as given; an expansion
+    that fails there raises its typed error (``ConvergenceError`` or its
+    subclass ``IterationLimitError`` from ``fixed_point``,
+    ``MonotonicityError`` from ``h_from_expansion``) and is not retried at a
+    smaller z.  An invariant violation of the march raises its typed error
+    (``MonotonicityError``, ``PositivityError``); pass a larger ``m``.
 
     When the tail is extended (``x_max`` None, ``c`` != 0, beta > beta_star),
     a tail target that provably exceeds the ``MAX_OCTAVES`` budget raises
@@ -99,7 +105,7 @@ def build_profile(
         _check_tail_budget(params, 0.0)
     if z is None:
         z = default_z(params, c)
-    grid = fixed_point(params, c, z, nodes_per_octave=m, tol=tol)
+    grid = fixed_point(params, c, z, nodes_per_octave=m)
     seed = h_from_expansion(grid, params, m=m)
 
     target = x_max if x_max is not None else 2.0**40 * z
@@ -142,7 +148,8 @@ def build_profile(
 
 
 def sweep_row(gamma: float, rho: float) -> dict:
-    """One sweep entry: parameters, contraction margin and tail summary."""
+    """One sweep entry: parameters, contraction margin and ``TAIL_COLUMNS`` (NaN
+    for a margin the details lack); ``status`` is ``ok`` when ``tail.bounds_hold`` passes."""
     row: dict = {"gamma": gamma, "rho": rho}
     try:
         params = params_from_rho(gamma, rho)
@@ -156,19 +163,9 @@ def sweep_row(gamma: float, rho: float) -> dict:
         row["kappa"] = contraction_margin(params, 0.5 * params.mu)
         profile = build_profile(params)
         report, details = tail.build_tail_report(profile)
-        row["d_estimate"] = report.d_estimate
-        row["d_error_bound"] = report.d_error_bound
-        row["c0"] = report.c0
-        row["slope_fit"] = report.slope_fit
-        row["slope_err_rel"] = abs(report.slope_fit + 1.0 / params.beta) * params.beta
-        row["upper_margin"] = details["upper_margin"]
-        row["lower_margin"] = details.get("lower_margin", float("nan"))
-        row["lower_margin_chain"] = details.get("lower_margin_chain", float("nan"))
-        row["hineq_margin"] = details.get("hineq_margin", float("nan"))
-        row["cauchy_max_violation"] = report.cauchy_max_violation
-        row["max_residual_sss4b"] = report.max_residual_sss4b
-        ok = tail.bounds_hold(report, details) and row["slope_err_rel"] <= 0.01
-        row["status"] = "ok" if ok else "bound_failure"
+        values = {**dataclasses.asdict(report), **details}
+        row.update((key, values.get(key, math.nan)) for key in TAIL_COLUMNS)
+        row["status"] = "ok" if tail.bounds_hold(report, details) else "bound_failure"
     except Exception as exc:
         row["status"] = "error"
         row["error"] = str(exc)

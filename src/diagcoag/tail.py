@@ -40,19 +40,6 @@ class TailReport:
     lower_bound_ok: bool
     max_residual_sss4b: float
 
-    def to_dict(self) -> dict:
-        return {
-            "d_estimate": self.d_estimate,
-            "d_error_bound": self.d_error_bound,
-            "c0": self.c0,
-            "slope_fit": self.slope_fit,
-            "rho_check": self.rho_check,
-            "cauchy_max_violation": self.cauchy_max_violation,
-            "upper_bound_ok": self.upper_bound_ok,
-            "lower_bound_ok": self.lower_bound_ok,
-            "max_residual_sss4b": self.max_residual_sss4b,
-        }
-
 
 def p_of(profile: Profile) -> np.ndarray:
     """Compensated tail function p = x**(1/beta) h on the profile grid."""
@@ -92,17 +79,18 @@ def _phi_integrand(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     return phi, dphi
 
 
-def _phi_head(profile: Profile) -> float:
-    """int_0^{x_min} s**(-gamma) h ds using the limit h -> 1/(1-theta)."""
+def _head_integral(profile: Profile, y: float, weight: float = 1.0) -> float:
+    """int_0^y s**(-gamma) weight h ds below the grid, where h sits at 1/(1-theta)."""
     gamma = profile.params.gamma
     limit = 1.0 / (1.0 - profile.params.theta)
-    return limit * profile.x_min ** (1.0 - gamma) / (1.0 - gamma)
+    return weight * limit * y ** (1.0 - gamma) / (1.0 - gamma)
 
 
 def phi_nodes(profile: Profile) -> np.ndarray:
     """Phi(x) = int_0^x s**(-gamma) h ds at every grid node."""
     phi, dphi = _phi_integrand(profile)
-    return _phi_head(profile) + cumtrapz_corrected(phi, dphi, profile.dtau)
+    head = _head_integral(profile, profile.x_min)
+    return head + cumtrapz_corrected(phi, dphi, profile.dtau)
 
 
 def phi_of(profile: Profile, x: float) -> float:
@@ -200,7 +188,6 @@ def residual_sss4b(profile: Profile, samples) -> float:
     """
     params = profile.params
     gamma, beta = params.gamma, params.beta
-    theta = params.theta
     m = profile.m
     x = profile.x_values
     h = profile.h_values
@@ -218,14 +205,11 @@ def residual_sss4b(profile: Profile, samples) -> float:
     w = x ** (1.0 - gamma)
     phi_sq = w * h * h
     dphi_sq = w * h * ((1.0 - gamma) * h + 2.0 * x * profile.dh_values)
-    limit = 1.0 / (1.0 - theta)
-    head_sq = limit * limit * profile.x_min ** (1.0 - gamma) / (1.0 - gamma)
+    limit = 1.0 / (1.0 - params.theta)
+    head_sq = _head_integral(profile, profile.x_min, weight=limit)
     cum_sq = head_sq + cumtrapz_corrected(phi_sq, dphi_sq, profile.dtau)
 
     cum_phi = phi_nodes(profile)
-
-    def head_sq_at(y: float) -> float:
-        return limit * limit * y ** (1.0 - gamma) / (1.0 - gamma)
 
     worst = 0.0
     lam = (1.0 - gamma) * (beta - params.beta_star)
@@ -235,7 +219,7 @@ def residual_sss4b(profile: Profile, samples) -> float:
         if i >= m:
             delayed = cum_sq[i] - cum_sq[i - m]
         else:
-            delayed = cum_sq[i] - head_sq_at(xi / 2.0)
+            delayed = cum_sq[i] - _head_integral(profile, xi / 2.0, weight=limit)
         rhs_val = delayed + lam * cum_phi[i]
         worst = max(worst, abs(lhs - rhs_val) / abs(lhs))
     return worst
@@ -284,19 +268,9 @@ def cauchy_violation(profile: Profile) -> float:
     return float(np.max(spread - 2.0 * xs ** (-1.0 / beta)))
 
 
-def derivative_bound_violation(profile: Profile) -> float:
-    """Worst violation of beta |p'(x)| <= 2 x**-(1+1/beta) for x >= 2."""
-    params = profile.params
-    beta = params.beta
-    x = profile.x_values
-    h = profile.h_values
-    dp = x ** (1.0 / beta) * (profile.dh_values + h / (beta * x))
-    sel = x >= 2.0
-    return float(np.max(beta * np.abs(dp[sel]) - 2.0 * x[sel] ** (-(1.0 + 1.0 / beta))))
-
-
 def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
-    """Assemble the full tail report plus a details dict with margins."""
+    """The tail report plus a details dict: the margins of ``check_bounds``,
+    ``d_converged``, the slope window and ``slope_err_rel = |slope_fit + 1/beta| beta``."""
     d, d_err = estimate_d(profile)
     c0 = c0_of(profile)
     lo, hi = default_slope_window(profile)
@@ -319,16 +293,18 @@ def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
     )
     details["d_converged"] = d_err <= 0.1 * d
     details["slope_window"] = (lo, hi)
+    details["slope_err_rel"] = abs(slope + 1.0 / profile.params.beta) * profile.params.beta
     return report, details
 
 
 def bounds_hold(report: TailReport, details: dict) -> bool:
-    """Verdict: upper, lower and h-inequality bounds hold, the Cauchy bound
-    within ``BOUND_SLACK``, and the integral-form residual is at most 1e-6."""
+    """The one verdict of ``verify`` and ``sweep``: the upper, lower, h-inequality and
+    Cauchy bounds hold (Cauchy within ``BOUND_SLACK``), residual <= 1e-6, slope within 1%."""
     return (
         report.upper_bound_ok
         and report.lower_bound_ok
         and details.get("hineq_ok", True)
         and report.cauchy_max_violation <= BOUND_SLACK
         and report.max_residual_sss4b <= 1e-6
+        and details["slope_err_rel"] <= 0.01
     )

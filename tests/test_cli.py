@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 from io import StringIO
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diagcoag import cli, dynamics, errors, pipeline
+from diagcoag import cli, dynamics, errors, pipeline, tail
 from diagcoag.params import make_params
 from diagcoag.profile import read_profile_csv
 
@@ -23,6 +24,7 @@ def run(argv):
 def test_mu_canonical(capsys):
     assert run(["mu", "--gamma", "0", "--beta", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["mu", "residual", "iterations", "bracket", "convexity_margin"]
     assert abs(out["mu"] - 1.0) <= 1e-12
     assert out["residual"] <= 1e-13
 
@@ -137,6 +139,13 @@ def test_verify_fresh_profile(saved_profile, capsys):
     assert report["slope_fit"] == pytest.approx(-0.5, abs=0.005)
     assert report["upper_bound_ok"] and report["lower_bound_ok"]
     assert report["max_residual_sss4b"] <= 1e-6
+    assert list(report) == [f.name for f in dataclasses.fields(tail.TailReport)] + ["details"]
+    assert list(report["details"]) == [
+        "degenerate", "upper_margin", "n_nodes_checked", "c0", "lower_margin",
+        "lower_margin_chain", "lower_chain_ok", "hineq_margin", "hineq_ok", "d_converged",
+        "slope_err_rel",
+    ]
+    assert report["details"]["slope_err_rel"] <= 0.01
 
 
 def test_verify_corrupted_profile(saved_profile, tmp_path, capsys):
@@ -231,6 +240,7 @@ def test_simulate_profile_collapse(saved_profile, tmp_path, capsys, monkeypatch)
     )
     assert code == 0
     report = json.loads((tmp_path / "sim.collapse.json").read_text())
+    assert list(report) == ["times", "distances", "window"]
     assert max(report["distances"]) < 0.05
     snaps = list(tmp_path.glob("sim.t*.csv"))
     assert len(snaps) == 3
@@ -407,6 +417,47 @@ def test_simulate_malformed_init_exits_2(init, tmp_path, capsys):
                 "--out", str(tmp_path / "pl")])
     assert code == 2
     assert "malformed initial data spec" in capsys.readouterr().err
+
+
+# Invalid inputs, each with the text by which its message names it.
+_CANON = ["--gamma", "0", "--beta", "2"]
+_INVALID_INPUTS = {
+    "profile --m 16": (["profile", *_CANON, "--m", "16"], "got 16"),
+    "profile --m 0": (["profile", *_CANON, "--m", "0"], "per octave; got 0"),
+    "profile --z -1": (["profile", *_CANON, "--z", "-1"], "z must be positive; got -1"),
+    "profile --c -1": (["profile", *_CANON, "--c", "-1"], "c must be nonnegative; got -1"),
+    "sweep --gammas abc": (["sweep", "--gammas", "abc", "--rhos", "0.5"], "'abc'"),
+    "config missing": (["profile", "--config", "nofile.json"], "'nofile.json'"),
+    "config not JSON": (["profile", "--config", "text.json"], "'text.json': Expecting value"),
+    "config array": (["profile", "--config", "array.json"], "'array.json' does not hold"),
+    "simulate --md 0": (["simulate", *_CANON, "--md", "0"], "at least 1; got 0"),
+    "simulate --md -4": (["simulate", *_CANON, "--md", "-4"], "at least 1; got -4"),
+    "simulate --octaves -1": (["simulate", *_CANON, "--octaves", "-1"], "span: -1 octaves"),
+    "simulate pulse --octaves -1": (
+        ["simulate", *_CANON, "--init", "pulse", "--octaves", "-1"], "span: -1 octaves"
+    ),
+    "simulate --xi-min 0": (["simulate", *_CANON, "--xi-min", "0"], "xi_min must be positive"),
+    "simulate --snapshots -1": (["simulate", *_CANON, "--snapshots", "-1"], "got 4 and -1"),
+    "simulate --t-end 0": (["simulate", *_CANON, "--t-end", "0"], "got 0 and 5"),
+}
+
+
+@pytest.mark.parametrize("case", _INVALID_INPUTS)
+def test_invalid_input_exits_2_naming_it(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "text.json").write_text("not json\n")
+    (tmp_path / "array.json").write_text("[1, 2]\n")
+    argv, named = _INVALID_INPUTS[case]
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "text.json"]
+
+
+def test_profile_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--gamma", "0", "--beta", "2", "--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 # Every package error and the exit code the cli docstring documents for it.

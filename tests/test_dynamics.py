@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -329,8 +329,8 @@ def test_collapse_report_roundtrip(canonical_field, canonical_profile, canon):
     report, _ = dy.simulate_collapse(
         canonical_field, canonical_profile, canon.beta, 2.0, n_outputs=3
     )
-    d = report.to_dict()
-    assert set(d) == {"times", "distances", "window"}
+    d = asdict(report)
+    assert list(d) == ["times", "distances", "window"]
     assert len(d["times"]) == len(d["distances"]) == 3
     assert d["times"][0] == 1.0 and d["times"][-1] == pytest.approx(2.0)
 

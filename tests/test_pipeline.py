@@ -131,3 +131,15 @@ def test_underflowing_expansion_node_fails_once_without_nan(monkeypatch, beta):
     assert row["error"].startswith("x**(1-gamma+mu) underflows to 0 at the lowest")
     assert calls == ["fixed_point"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sweep_status_is_the_tail_verdict(sweep_profiles):
+    statuses = set()
+    for entry in sweep_profiles["rows"]:
+        row = pipeline.sweep_row(entry["gamma"], entry["rho"])
+        holds = tail.bounds_hold(entry["report"], entry["details"])
+        assert row["status"] == ("ok" if holds else "bound_failure")
+        assert row["slope_err_rel"] == entry["details"]["slope_err_rel"]
+        statuses.add(row["status"])
+    # criterion 05's rows fail the stated lower bound, the others pass
+    assert statuses == {"ok", "bound_failure"}

@@ -219,9 +219,12 @@ def test_fit_slope_window_validation(canonical_profile):
 # -- module-level properties -------------------------------------------------------
 
 
-def test_derivative_bound(sweep_profiles):
-    for row in sweep_profiles["rows"]:
-        assert tail.derivative_bound_violation(row["profile"]) <= tail.BOUND_SLACK
+@pytest.mark.parametrize("slope_err_rel, holds", [(0.005, True), (0.02, False)])
+def test_bounds_hold_gates_the_tail_slope(canonical_profile, slope_err_rel, holds):
+    report, details = tail.build_tail_report(canonical_profile)
+    assert tail.bounds_hold(report, details)
+    details["slope_err_rel"] = slope_err_rel
+    assert tail.bounds_hold(report, details) is holds
 
 
 def test_sandwich_where_provable(sweep_profiles):

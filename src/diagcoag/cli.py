@@ -6,11 +6,13 @@ time-dependent runs), ``sweep`` (family coverage table).
 
 Exit codes, mapped by ``main``: 0 success; 2 invalid input (``DomainError``
 or ``WindowError``: a parameter out of range at any stage, an unreadable
-``--config`` or sweep list, a missing or malformed profile CSV or sidecar, a
-malformed or out-of-range ``--init`` or simulation grid, a collapse window off
-the grid or narrower than one octave); 3 solver failure (every other package
-error); 4 failed verification bounds (``tail.bounds_hold``); 5 time-step
-collapse (``StepCollapseError``).
+``--config`` or sweep list, a config value its flag would refuse, a missing or
+malformed profile CSV or sidecar, a malformed or out-of-range ``--init`` or
+simulation grid, a ``--t-end`` below the start time 1, a gamma or beta that
+differs from the initial kernel's or the reference profile's, a collapse
+window off the grid or narrower than one octave); 3 solver failure (every
+other package error); 4 failed verification bounds (``tail.bounds_hold``); 5
+time-step collapse (``StepCollapseError``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     WindowError,
 )
 from .mu import solve_mu
-from .params import beta_from_rho, make_params
+from .params import beta_from_rho, make_params, same_value
 from .profile import (
     profile_metadata,
     read_profile_csv,
@@ -48,9 +50,29 @@ EXIT_BOUNDS = 4
 EXIT_STEP = 5
 
 
+_FORMATS = ("csv", "json")
+
+
+def _format_name(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(text)
+    return text
+
+
+# The options a --config file may set, each with the conversion of its flag.
+_OPTION_TYPES = {
+    "gamma": float, "beta": float, "rho": float, "c": float, "z": float,
+    "m": int, "xmax": float, "out": str, "format": _format_name,
+}
+
+
 def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Start from config-file values, let explicit flags win."""
-    merged: dict = {}
+    """The values of ``keys``: explicit flags, else config-file values.
+
+    A config value is converted as its flag converts the value's text; one
+    that its flag would refuse raises ``DomainError``.  JSON null is unset.
+    """
+    config: dict = {}
     if getattr(args, "config", None):
         try:
             config = json.loads(Path(args.config).read_text())
@@ -58,9 +80,16 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
             raise DomainError(f"cannot read config file {args.config!r}: {exc}") from None
         if not isinstance(config, dict):
             raise DomainError(f"config file {args.config!r} does not hold a JSON object")
-        merged.update(config)
+    merged: dict = {}
     for key in keys:
         val = getattr(args, key, None)
+        if val is None and config.get(key) is not None:
+            try:
+                val = _OPTION_TYPES[key](str(config[key]))
+            except ValueError:
+                raise DomainError(
+                    f"config value {key} = {config[key]!r} is not valid for --{key}"
+                ) from None
         if val is not None:
             merged[key] = val
     return merged
@@ -76,7 +105,7 @@ def _resolve_beta(cfg: dict) -> tuple[float, float]:
         raise DomainError("exactly one of --beta/--rho must be supplied")
     if beta is None:
         beta = beta_from_rho(gamma, rho)
-    return float(gamma), float(beta)
+    return gamma, beta
 
 
 def _print_json(obj, out: str | None) -> None:
@@ -100,7 +129,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     gamma, beta = _resolve_beta(cfg)
     params = make_params(gamma, beta)
-    c = float(cfg.get("c", 1.0))
+    c = cfg.get("c", 1.0)
     if params.degenerate and c > 0.0 and not args.allow_degenerate:
         raise DomainError(
             "beta equals beta_star (degenerate, mass-conserving case); "
@@ -110,7 +139,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         params,
         c=c,
         z=cfg.get("z"),
-        m=int(cfg.get("m", expansion.DEFAULT_NODES_PER_OCTAVE)),
+        m=cfg.get("m", expansion.DEFAULT_NODES_PER_OCTAVE),
         x_max=cfg.get("xmax"),
     )
     out = cfg.get("out", "profile.csv")
@@ -192,7 +221,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         nodes_per_octave=args.md,
     )
     field, profile = _parse_init(args.init, params, field_kwargs)
-    if profile is None and args.profile:
+    if not same_value(field.kernel.gamma, params.gamma):
+        raise DomainError(
+            f"gamma = {params.gamma:g} differs from the initial data's kernel "
+            f"gamma = {field.kernel.gamma:g}"
+        )
+    if args.profile:
         profile = read_profile_csv(args.profile)
 
     out_prefix = cfg.get("out", "sim")
@@ -208,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for fld in fields:
         xi = fld.xi_grid
         scale = fld.t**params.beta
-        resc = fld.t ** (1.0 + (1.0 + gamma) * params.beta) * fld.f_values
+        resc = fld.t ** (1.0 + (1.0 + params.gamma) * params.beta) * fld.f_values
         write_table(
             f"{out_prefix}.t{fld.t:.6g}.csv",
             "xi,f,x_rescaled,density_rescaled",
@@ -253,12 +287,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_BOUNDS if bad else EXIT_OK
 
 
+def _add_options(p: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        p.add_argument(f"--{key}", type=_OPTION_TYPES[key])
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--rho", type=float)
+    _add_options(p, "gamma", "beta", "rho")
     p.add_argument("--config", type=str, help="JSON config merged under explicit flags")
-    p.add_argument("--out", type=str)
+    _add_options(p, "out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,11 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="construct a profile (CSV + metadata)")
     _add_common(p)
-    p.add_argument("--c", type=float)
-    p.add_argument("--z", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--format", choices=("csv", "json"))
+    _add_options(p, "c", "z", "m", "xmax")
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--allow-degenerate", action="store_true")
     p.set_defaults(func=cmd_profile)
 

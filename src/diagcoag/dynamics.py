@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, StepCollapseError, WindowError
-from .params import KernelParams
+from .params import KernelParams, same_value
 from .profile import Profile
 
 _LN2 = math.log(2.0)
@@ -265,9 +265,11 @@ def advance_to(field: NumberDensityField, t_target: float) -> NumberDensityField
 def evolve(
     field: NumberDensityField, t_end: float, n_outputs: int
 ) -> list[NumberDensityField]:
-    """The field at the times np.geomspace(field.t, t_end, n_outputs)."""
+    """The field at the times np.geomspace(field.t, t_end, n_outputs); t_end >= field.t."""
     if not (t_end > 0.0 and n_outputs >= 0):
         raise DomainError(f"evolve needs t_end > 0, n_outputs >= 0; got {t_end:g} and {n_outputs}")
+    if t_end < field.t:
+        raise DomainError(f"t_end = {t_end:g} is before the field's time t = {field.t:g}")
     fields = [field]
     for t_out in np.geomspace(field.t, t_end, n_outputs):
         fields.append(advance_to(fields[-1], float(t_out)))
@@ -275,15 +277,12 @@ def evolve(
 
 
 def self_similar_distance(
-    field: NumberDensityField,
-    profile: Profile,
-    beta: float,
-    window: tuple[float, float],
+    field: NumberDensityField, profile: Profile, window: tuple[float, float]
 ) -> float:
     """Sup of |t**(1+(1+gamma)beta) f(xi, t) - g(x)| / g(x), x = xi / t**beta.
 
-    The sup runs over the grid nodes whose x lies in the window; g comes from
-    the profile's dense evaluation.
+    The sup runs over the grid nodes whose x lies in the window; beta and g
+    come from the profile (g by its dense evaluation).
     """
     if field.t < 1.0:
         raise DomainError("distance defined for t >= 1")
@@ -291,6 +290,7 @@ def self_similar_distance(
     if not 0.0 < x_lo < x_hi:
         raise WindowError("window must satisfy 0 < x_lo < x_hi")
     t = field.t
+    beta = profile.params.beta
     scale = t**beta
     xi = field.xi_grid
     if scale * x_lo < xi[0] or scale * x_hi > xi[-1]:
@@ -349,12 +349,22 @@ def simulate_collapse(
     n_outputs: int = 5,
     collect_fields: bool = False,
 ):
-    """Evolve the field to t_end, recording D(t) at geometric output times."""
+    """Evolve the field to t_end, recording D(t) at geometric output times.
+
+    Raises ``DomainError`` before evolving when ``beta`` or the field's
+    kernel gamma differs from the profile's.
+    """
     window = default_window(field, beta, t_end)
+    ref = profile.params
+    if not (same_value(beta, ref.beta) and same_value(field.kernel.gamma, ref.gamma)):
+        raise DomainError(
+            f"gamma = {field.kernel.gamma:g}, beta = {beta:g} do not match the "
+            f"reference profile's gamma = {ref.gamma:g}, beta = {ref.beta:g}"
+        )
     fields = evolve(field, t_end, n_outputs)
     report = CollapseReport(
         times=tuple(float(t) for t in np.geomspace(field.t, t_end, n_outputs)),
-        distances=tuple(self_similar_distance(f, profile, beta, window) for f in fields),
+        distances=tuple(self_similar_distance(f, profile, window) for f in fields),
         window=window,
     )
     return report, (fields if collect_fields else fields[-1:])

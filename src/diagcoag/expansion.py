@@ -13,7 +13,9 @@ where the correction j solves j = T[j] with
 
 T contracts on a ball of the weighted space ||f|| = sup x**(-eps) |f(x)|
 over [0, z] for eps in (0, mu) and z small; iteration from j = 0 converges
-geometrically.  Integrals are evaluated on a geometric grid (uniform in
+geometrically.  The code takes eps = mu/2 (``epsilon_of``): the grid carries
+its parameter set, so the weight, the ball radius and the hand-off point all
+read that one value.  Integrals are evaluated on a geometric grid (uniform in
 tau = log s) by the corrected trapezoid rule; the part of the cumulative
 integral below the lowest node uses the extrapolation j(s) ~ j(x1)*(s/x1)**mu,
 which is the exact leading behavior of the fixed point.
@@ -53,16 +55,21 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 2000
 
 
+def epsilon_of(params: SimilarityParams) -> float:
+    """Exponent eps = mu/2 of the weighted norm, inside (0, mu)."""
+    return 0.5 * params.mu
+
+
 @dataclass(frozen=True)
 class ExpansionGrid:
-    """Correction j sampled on a geometric grid over (0, z].
+    """Correction j for one parameter set, sampled on a geometric grid over (0, z].
 
-    ``weighted_norm`` records max x**(-epsilon)*|j(x)| over the nodes.
+    ``weighted_norm`` records max x**(-epsilon)*|j(x)| over the nodes (epsilon = mu/2).
     """
 
+    params: SimilarityParams
     z: float
     c: float
-    epsilon: float
     nodes: np.ndarray
     j_values: np.ndarray
     weighted_norm: float
@@ -71,8 +78,8 @@ class ExpansionGrid:
     _plan: _TPlan | None = field(default=None, compare=False, repr=False)
 
     @property
-    def x_min(self) -> float:
-        return float(self.nodes[0])
+    def epsilon(self) -> float:
+        return epsilon_of(self.params)
 
 
 class _Head:
@@ -88,14 +95,15 @@ class _Head:
 
 
 class _TPlan:
-    """The j-independent factors of T on one grid, for one parameter set.
+    """The j-independent factors of T on one grid and its parameter set.
 
     Each entry is the expression that T would otherwise evaluate on every
     call, with the same operands in the same order.
     """
 
-    def __init__(self, grid: ExpansionGrid, params: SimilarityParams):
+    def __init__(self, grid: ExpansionGrid):
         x = grid.nodes
+        params = grid.params
         n_oct = grid.nodes_per_octave
         # Three nodes at least: the second-order edge derivative needs them.
         if len(x) < 3 or np.any(np.diff(np.log(x)) <= 0):
@@ -103,7 +111,6 @@ class _TPlan:
         self.nodes = x
         self.params = params
         self.c = grid.c
-        self.epsilon = grid.epsilon
         self.n_oct = n_oct
         self.dtau = _LN2 / n_oct
 
@@ -142,13 +149,12 @@ class _TPlan:
         self.head_x1 = _Head(x1, grid.c, e1, e2, mu)
         self.head_half = _Head((x / 2.0)[:n_oct], grid.c, e1, e2, mu)
 
-    def fits(self, grid: ExpansionGrid, params: SimilarityParams) -> bool:
+    def fits(self, grid: ExpansionGrid) -> bool:
         return (
             grid.nodes is self.nodes
             and grid.c == self.c
-            and grid.epsilon == self.epsilon
             and grid.nodes_per_octave == self.n_oct
-            and params == self.params
+            and grid.params == self.params
         )
 
     def norm(self, j: np.ndarray) -> float:
@@ -157,12 +163,12 @@ class _TPlan:
 
 
 def empty_grid(
+    params: SimilarityParams,
     z: float,
     c: float,
-    epsilon: float,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> ExpansionGrid:
-    """Grid with j = 0 spanning [z*2**-DEFAULT_OCTAVES, z]."""
+    """Grid for ``params`` with j = 0 spanning [z*2**-DEFAULT_OCTAVES, z]."""
     if not z > 0.0:
         raise DomainError(f"z must be positive; got {z:g}")
     if nodes_per_octave < 1:
@@ -172,9 +178,9 @@ def empty_grid(
     nodes = np.exp(tau)
     nodes[-1] = z  # pin the right endpoint exactly
     return ExpansionGrid(
+        params=params,
         z=float(z),
         c=float(c),
-        epsilon=float(epsilon),
         nodes=nodes,
         j_values=np.zeros(n),
         weighted_norm=0.0,
@@ -197,13 +203,14 @@ def contraction_margin(params: SimilarityParams, epsilon: float) -> float:
     return num / den
 
 
-def _quadratic_coefficients(params: SimilarityParams, c: float, epsilon: float):
-    """Coefficients of the z**mu terms in the self-map bound.
+def _quadratic_coefficients(params: SimilarityParams, c: float):
+    """Coefficients of the z**mu terms in the self-map bound at eps = mu/2.
 
     With ||j|| <= R the nonlinear part of ||T[j]|| is bounded by
     B2 * z**(mu+eps) * R**2 + Bc * z**(mu-eps), from (a+b)^2 <= 2a^2 + 2b^2.
     """
     gamma, beta, mu = params.gamma, params.beta, params.mu
+    epsilon = epsilon_of(params)
     a2 = 1.0 - gamma + 2.0 * mu + 2.0 * epsilon
     b2 = 2.0 * (1.0 - 2.0 ** (-a2)) / (beta * a2)
     ac = 1.0 - gamma + 2.0 * mu
@@ -211,16 +218,17 @@ def _quadratic_coefficients(params: SimilarityParams, c: float, epsilon: float):
     return b2, bc
 
 
-def ball_radius(params: SimilarityParams, c: float, z: float, epsilon: float) -> float:
+def ball_radius(params: SimilarityParams, c: float, z: float) -> float:
     """Radius R of the invariant ball for the self-map of T at this z.
 
-    Smallest root of kappa*R + B2*z**(mu+eps)*R**2 + Bc*z**(mu-eps) = R when
-    real; otherwise the vertex radius (beyond which the self-map bound can
-    never close), so that runaway iterates are detected.
+    Smallest root of kappa*R + B2*z**(mu+eps)*R**2 + Bc*z**(mu-eps) = R at
+    eps = mu/2 when real; otherwise the vertex radius (beyond which the self-map
+    bound can never close), so that runaway iterates are detected.
     """
     mu = params.mu
+    epsilon = epsilon_of(params)
     kappa = contraction_margin(params, epsilon)
-    b2, bc = _quadratic_coefficients(params, c, epsilon)
+    b2, bc = _quadratic_coefficients(params, c)
     if bc == 0.0:
         return math.inf
     gap = 1.0 - kappa
@@ -242,11 +250,10 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
     stays a perturbation of the constant at the hand-off point.
     """
     mu = params.mu
-    epsilon = 0.5 * mu
     if c <= 0.0:
         return 0.25
-    kappa = contraction_margin(params, epsilon)
-    b2, bc = _quadratic_coefficients(params, c, epsilon)
+    kappa = contraction_margin(params, epsilon_of(params))
+    b2, bc = _quadratic_coefficients(params, c)
     c_est = 2.0 * math.sqrt(b2 * bc)
     threshold = max(0.95, 0.5 * (1.0 + kappa))
     limit = 0.25 / ((1.0 - params.theta) * c)
@@ -260,16 +267,16 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
     )
 
 
-def apply_T(grid: ExpansionGrid, params: SimilarityParams) -> ExpansionGrid:
+def apply_T(grid: ExpansionGrid) -> ExpansionGrid:
     """One application of the operator T; the input grid is not mutated."""
     plan = grid._plan
-    if plan is None or not plan.fits(grid, params):
-        plan = _TPlan(grid, params)
+    if plan is None or not plan.fits(grid):
+        plan = _TPlan(grid)
     j = grid.j_values
     c = grid.c
     n_oct = plan.n_oct
     dtau = plan.dtau
-    mu = params.mu
+    mu = grid.params.mu
     two_a = plan.two_a
     x_e1, x_e2, x_e1_two_a = plan.x_e1, plan.x_e2, plan.x_e1_two_a
 
@@ -326,11 +333,10 @@ def fixed_point(
     params: SimilarityParams,
     c: float,
     z: float,
-    epsilon: float | None = None,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
     tol: float = DEFAULT_TOL,
 ) -> ExpansionGrid:
-    """Iterate T from j = 0 until the weighted norm of the change is <= tol.
+    """Iterate T from j = 0 until the weighted norm (eps = mu/2) of the change is <= tol.
 
     Raises ``ConvergenceError`` when an iterate diverges or leaves the
     invariant ball (z too large for the parameters), and its subclass
@@ -338,23 +344,18 @@ def fixed_point(
     of convergence is the contraction margin, which does not depend on z, so
     a smaller z cannot make up for too few iterations.
     """
-    mu = params.mu
     if c < 0.0:
         raise DomainError(f"amplitude c must be nonnegative; got {c:g}")
-    if epsilon is None:
-        epsilon = 0.5 * mu
-    if not (0.0 < epsilon < mu):
-        raise DomainError(f"epsilon must lie in (0, mu) = (0, {mu}); got {epsilon}")
 
-    grid = empty_grid(z, c, epsilon, nodes_per_octave)
+    grid = empty_grid(params, z, c, nodes_per_octave)
     if c == 0.0:
         return grid  # T[0] = 0 identically: the constant branch
 
-    plan = _TPlan(grid, params)
+    plan = _TPlan(grid)
     grid = replace(grid, _plan=plan)
-    radius = ball_radius(params, c, z, epsilon)
+    radius = ball_radius(params, c, z)
     for _ in range(DEFAULT_MAX_ITER):
-        new = apply_T(grid, params)
+        new = apply_T(grid)
         if not np.isfinite(new.j_values).all():
             raise ConvergenceError(
                 f"fixed-point iteration diverged at z={z:g} (non-finite iterate)"
@@ -373,13 +374,11 @@ def fixed_point(
     )
 
 
-def h_from_expansion(
-    grid: ExpansionGrid, params: SimilarityParams, m: int | None = None
-) -> Profile:
+def h_from_expansion(grid: ExpansionGrid, m: int | None = None) -> Profile:
     """Assemble the profile segment h = 1/(1-theta) + x**mu (-c + j) on (0, z].
 
-    ``m`` selects the octave density of the output (must divide the grid's
-    density); derivative values come from the delay equation itself, with
+    ``m`` (must divide the grid's density) selects the output's octave density;
+    derivative values come from the delay equation with the grid's parameters,
     the j ~ x**mu model serving delayed arguments below the lowest node.
     Raises ``MonotonicityError`` when c > 0 and h fails to decrease, which
     signals z beyond the safe neighbourhood.  It is not retried at a smaller
@@ -398,6 +397,7 @@ def h_from_expansion(
     x = grid.nodes[idx]
     j = grid.j_values[idx]
 
+    params = grid.params
     mu = params.mu
     limit = 1.0 / (1.0 - params.theta)
     c = grid.c

@@ -23,6 +23,11 @@ from .errors import DomainError
 _DEGENERATE_RTOL = 1e-12
 
 
+def same_value(a: float, b: float) -> bool:
+    """a == b to the relative slack that classifies beta == beta_star."""
+    return abs(a - b) <= _DEGENERATE_RTOL * max(abs(a), abs(b))
+
+
 def theta_of(gamma: float) -> float:
     """Return theta = 2**(gamma-1) for a kernel exponent gamma < 1."""
     if not gamma < 1.0:

@@ -14,6 +14,7 @@ from .expansion import (
     DEFAULT_NODES_PER_OCTAVE,
     contraction_margin,
     default_z,
+    epsilon_of,
     fixed_point,
     h_from_expansion,
 )
@@ -106,10 +107,10 @@ def build_profile(
     if z is None:
         z = default_z(params, c)
     grid = fixed_point(params, c, z, nodes_per_octave=m)
-    seed = h_from_expansion(grid, params, m=m)
+    seed = h_from_expansion(grid, m=m)
 
     target = x_max if x_max is not None else 2.0**40 * z
-    profile = integrate(seed, params, target)
+    profile = integrate(seed, target)
 
     if c == 0.0:
         return profile
@@ -128,9 +129,7 @@ def build_profile(
         # gauge lies beyond x_max, so x_min lies that many octaves below it.
         if budgeted and profile.h_values[-1] > 0.5:
             _check_tail_budget(params, octaves)
-        profile = integrate(
-            profile, params, profile.x_max * 2.0**SEARCH_STEP_OCTAVES
-        )
+        profile = integrate(profile, profile.x_max * 2.0**SEARCH_STEP_OCTAVES)
 
     profile = normalize(profile)
 
@@ -143,7 +142,7 @@ def build_profile(
                     f"tail extension would exceed {MAX_OCTAVES} octaves "
                     f"(beta={params.beta}, d~{d:g})"
                 )
-            profile = integrate(profile, params, need * 2.0)
+            profile = integrate(profile, need * 2.0)
     return profile
 
 
@@ -160,7 +159,7 @@ def sweep_row(gamma: float, rho: float) -> dict:
     try:
         row["beta"] = params.beta
         row["mu"] = params.mu
-        row["kappa"] = contraction_margin(params, 0.5 * params.mu)
+        row["kappa"] = contraction_margin(params, epsilon_of(params))
         profile = build_profile(params)
         report, details = tail.build_tail_report(profile)
         values = {**dataclasses.asdict(report), **details}

@@ -147,8 +147,8 @@ def check_invariants(profile: Profile) -> None:
             raise DomainError("constant-branch profile drifted from 1/(1-theta)")
 
 
-def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
-    """Continue a profile out to x_max by the method of steps.
+def integrate(seed: Profile, x_max: float) -> Profile:
+    """Continue a profile out to x_max by the method of steps, with its parameters.
 
     The seed must carry at least one delay interval (m+1 nodes) of history.
     Only that last interval feeds the march, as h and dh/dtau = x dh/dx, so
@@ -171,8 +171,8 @@ def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
         raise DomainError("x_max must exceed the seed's right endpoint")
 
     dtau = seed.dtau
-    theta = params.theta
-    beta = params.beta
+    theta = seed.params.theta
+    beta = seed.params.beta
     strict = seed.c > _C_ZERO
 
     tau_last = seed.tau0 + dtau * (n_have - 1)
@@ -225,7 +225,7 @@ def integrate(seed: Profile, params: SimilarityParams, x_max: float) -> Profile:
     h = np.concatenate((seed.h_values, hl[m + 1:]))
     hd = np.concatenate((hd_seed, hdl[m + 1:]))
     out = Profile(
-        params=params,
+        params=seed.params,
         m=m,
         tau0=seed.tau0,
         h_values=h,

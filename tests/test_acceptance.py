@@ -65,7 +65,7 @@ def test_criterion_03_bifurcation_order():
     t0 = time.perf_counter()
     params = make_params(0.0, 2.0)
     grid = fixed_point(params, c=1.0, z=0.125)
-    seed = h_from_expansion(grid, params)
+    seed = h_from_expansion(grid)
     x = seed.x_values
     sel = x <= x[0] * 10.0
     ratio = (2.0 - seed.h_values[sel]) / x[sel] ** params.mu
@@ -217,8 +217,8 @@ def test_criterion_09_order_of_accuracy():
     x_max = z * 2.0**20
     end = {}
     for m in (32, 64, 128):
-        seed = h_from_expansion(grid, params, m=m)
-        end[m] = integrate(seed, params, x_max).h_values[-1]
+        seed = h_from_expansion(grid, m=m)
+        end[m] = integrate(seed, x_max).h_values[-1]
     ratio = (end[32] - end[64]) / (end[64] - end[128])
     ok = 12.0 < ratio < 20.0
     report_line(9, ok, f"error-reduction factor per halving of dtau: {ratio:.2f} (~16)")

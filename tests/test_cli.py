@@ -47,6 +47,15 @@ def test_mu_needs_exactly_one_of_beta_rho(capsys):
     assert run(["mu", "--gamma", "0", "--beta", "2", "--rho", "0.5"]) == 2
 
 
+def test_config_values_convert_as_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": "0", "rho": 0.5, "beta": None}))
+    assert run(["mu", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert run(["mu", "--gamma", "0", "--rho", "0.5"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
 # -- profile ---------------------------------------------------------------------
 
 
@@ -390,6 +399,44 @@ def test_simulate_window_under_one_octave_exits_2(saved_profile, tmp_path, capsy
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        # gamma 0.5 against an initial field sampled from the gamma = 0 profile
+        (["--gamma", "0.5", "--beta", "3", "--init", "profile:{canon}"], "kernel gamma = 0"),
+        # beta 3 against the beta = 2 reference profile
+        (["--gamma", "0", "--beta", "3", "--init", "pulse", "--profile", "{canon}"],
+         "reference profile's gamma = 0, beta = 2"),
+        (["--gamma", "0", "--beta", "3", "--init", "profile:{canon}"],
+         "reference profile's gamma = 0, beta = 2"),
+    ],
+    ids=["init gamma", "reference beta", "init reference beta"],
+)
+def test_simulate_model_mismatch_exits_2(flags, named, saved_profile, tmp_path, capsys):
+    argv = [f.format(canon=saved_profile) for f in flags]
+    code = run(["simulate", *argv, "--t-end", "2", "--snapshots", "2",
+                "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_measures_against_the_profile_flag(saved_profile, tmp_path, capsys):
+    # initial data from the rho = 0.5 profile, measured against a rho = 0.7 one
+    other = tmp_path / "other.csv"
+    assert run(["profile", "--gamma", "0", "--rho", "0.7", "--out", str(other)]) == 0
+    code = run(["simulate", "--gamma", "0", "--rho", "0.7",
+                "--init", f"profile:{saved_profile}", "--profile", str(other),
+                "--t-end", "2", "--snapshots", "2", "--octaves", "30",
+                "--out", str(tmp_path / "sim")])
+    assert code == 0
+    reference = read_profile_csv(other)
+    field = dynamics.field_from_profile(read_profile_csv(saved_profile), octaves=30)
+    report, _ = dynamics.simulate_collapse(field, reference, reference.params.beta, 2.0, 2)
+    written = json.loads((tmp_path / "sim.collapse.json").read_text())
+    assert written == json.loads(json.dumps(dataclasses.asdict(report)))
+
+
 @pytest.mark.parametrize("missing", ["csv", "sidecar"])
 def test_verify_missing_profile_file_exits_2(saved_profile, tmp_path, capsys, missing):
     path = tmp_path / "copy.csv"
@@ -439,18 +486,41 @@ _INVALID_INPUTS = {
     "simulate --xi-min 0": (["simulate", *_CANON, "--xi-min", "0"], "xi_min must be positive"),
     "simulate --snapshots -1": (["simulate", *_CANON, "--snapshots", "-1"], "got 4 and -1"),
     "simulate --t-end 0": (["simulate", *_CANON, "--t-end", "0"], "got 0 and 5"),
+    "simulate --t-end 0.5": (
+        ["simulate", *_CANON, "--t-end", "0.5", "--snapshots", "2"],
+        "t_end = 0.5 is before the field's time t = 1",
+    ),
+    "config gamma abc": (["mu", "--config", "gamma_abc.json"], "gamma = 'abc'"),
+    "config rho text": (["profile", "--config", "rho_text.json"], "rho = 'half'"),
+    "config c text": (["profile", *_CANON, "--config", "c_text.json"], "c = 'one'"),
+    "config m float": (["profile", *_CANON, "--config", "m_float.json"], "m = 64.5"),
+    "config z text": (["profile", *_CANON, "--config", "z_text.json"], "z = 'small'"),
+    "config xmax list": (["profile", *_CANON, "--config", "xmax_list.json"], "xmax = [1]"),
+    "config format xml": (["profile", *_CANON, "--config", "format_xml.json"], "format = 'xml'"),
+}
+# The config files the cases above read.
+_CONFIG_FILES = {
+    "text.json": "not json\n",
+    "array.json": "[1, 2]\n",
+    "gamma_abc.json": '{"gamma": "abc", "beta": 2}',
+    "rho_text.json": '{"gamma": 0, "rho": "half"}',
+    "c_text.json": '{"c": "one"}',
+    "m_float.json": '{"m": 64.5}',
+    "z_text.json": '{"z": "small"}',
+    "xmax_list.json": '{"xmax": [1]}',
+    "format_xml.json": '{"format": "xml"}',
 }
 
 
 @pytest.mark.parametrize("case", _INVALID_INPUTS)
 def test_invalid_input_exits_2_naming_it(case, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "text.json").write_text("not json\n")
-    (tmp_path / "array.json").write_text("[1, 2]\n")
+    for name, text in _CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
     argv, named = _INVALID_INPUTS[case]
     assert run(argv) == 2
     assert named in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "text.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CONFIG_FILES)
 
 
 def test_profile_has_no_tol_option(capsys):
@@ -539,6 +609,15 @@ def test_readme_command_parses_as_written(line):
     argv = shlex.split(line)[1:]
     args = cli.parse_args(argv)
     assert args.func is getattr(cli, f"cmd_{argv[0]}")
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    section = README.read_text().split("## Library use", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    d_estimate, d_error_bound, lower_margin_chain = map(float, capsys.readouterr().out.split())
+    assert 0.0 < d_error_bound < d_estimate < 1.0
+    assert lower_margin_chain >= 0.0
 
 
 @pytest.mark.parametrize("gammas", ["-1", "-1e0", "-1,"])

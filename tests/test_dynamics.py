@@ -6,8 +6,8 @@ import pytest
 
 from diagcoag import dynamics as dy
 from diagcoag import pipeline, tail
-from diagcoag.errors import StepCollapseError, WindowError
-from diagcoag.params import make_params
+from diagcoag.errors import DomainError, StepCollapseError, WindowError
+from diagcoag.params import KernelParams, make_params
 
 @pytest.fixture(scope="module")
 def canon():
@@ -146,6 +146,12 @@ def test_evolve_outputs_at_geometric_times(canon):
     targets = np.geomspace(1.0, 2.0, 4)
     assert [f.t for f in fields] == pytest.approx(targets, rel=1e-14)
     assert np.array_equal(fields[-1].f_values, dy.advance_to(fields[-2], 2.0).f_values)
+
+
+def test_evolve_refuses_an_end_before_the_start(canon):
+    field = dy.pulse_field(canon.kernel, 320)
+    with pytest.raises(DomainError, match="t_end = 0.5 is before the field's time t = 1"):
+        dy.evolve(field, 0.5, 2)
 
 
 # The step as it was written before the kernel weights were built once per
@@ -295,7 +301,7 @@ def canonical_field(canonical_profile):
 
 def test_distance_at_initial_time(canonical_field, canonical_profile, canon):
     window = dy.default_window(canonical_field, canon.beta, 4.0)
-    d0 = dy.self_similar_distance(canonical_field, canonical_profile, canon.beta, window)
+    d0 = dy.self_similar_distance(canonical_field, canonical_profile, window)
     # D reads f at its nodes, so the sampled profile is at distance exactly 0
     assert d0 == 0.0
 
@@ -303,7 +309,7 @@ def test_distance_at_initial_time(canonical_field, canonical_profile, canon):
 def test_distance_after_evolution(canonical_field, canonical_profile, canon):
     window = dy.default_window(canonical_field, canon.beta, 2.0)
     fld = dy.advance_to(canonical_field, 2.0)
-    d2 = dy.self_similar_distance(fld, canonical_profile, canon.beta, window)
+    d2 = dy.self_similar_distance(fld, canonical_profile, window)
     assert d2 < 0.05
 
 
@@ -317,12 +323,10 @@ def test_distance_constant_solution_any_beta(canon):
 
 def test_distance_window_validation(canonical_field, canonical_profile, canon):
     with pytest.raises(WindowError):
-        dy.self_similar_distance(
-            canonical_field, canonical_profile, canon.beta, (1e30, 1e40)
-        )
+        dy.self_similar_distance(canonical_field, canonical_profile, (1e30, 1e40))
     # a field that is zero on the window is at relative distance one
     zero = dy.make_field(canon.kernel, np.zeros(641))
-    assert dy.self_similar_distance(zero, canonical_profile, canon.beta, (1e-2, 1e2)) == 1.0
+    assert dy.self_similar_distance(zero, canonical_profile, (1e-2, 1e2)) == 1.0
 
 
 def test_collapse_report_roundtrip(canonical_field, canonical_profile, canon):
@@ -350,6 +354,16 @@ def test_window_under_one_octave_raises_before_evolving(canonical_field, canon, 
     monkeypatch.setattr(dy, "step", no_step)
     with pytest.raises(WindowError, match="less than one"):
         dy.simulate_collapse(canonical_field, None, canon.beta, 1e6)
+
+
+@pytest.mark.parametrize("gamma, beta", [(0.0, 3.0), (0.5, 2.0)])
+def test_collapse_model_mismatch_raises_before_evolving(
+    gamma, beta, canonical_profile, monkeypatch
+):
+    field = dy.power_law_field(KernelParams.from_gamma(gamma), 1.0, stationary_exponent(gamma))
+    monkeypatch.setattr(dy, "evolve", None)  # reached only past the check
+    with pytest.raises(DomainError, match="reference profile's gamma = 0, beta = 2"):
+        dy.simulate_collapse(field, canonical_profile, beta, 2.0)
 
 
 def test_smooth_data_approaches_the_profile(canonical_profile, canon):

@@ -35,14 +35,14 @@ def weighted_norm(nodes, j, eps):
 
 def test_apply_T_on_zero_with_unit_amplitude(canon):
     # only the square term survives: analytically (1/beta) x^-2 int s^2 = (7/48) x
-    grid = empty_grid(1e-2, c=1.0, epsilon=0.5)
-    out = apply_T(grid, canon)
+    grid = empty_grid(canon, 1e-2, c=1.0)
+    out = apply_T(grid)
     assert np.allclose(out.j_values, (7.0 / 48.0) * grid.nodes, rtol=1e-7)
 
 
 def test_apply_T_on_zero_without_amplitude(canon):
-    grid = empty_grid(1e-2, c=0.0, epsilon=0.5)
-    out = apply_T(grid, canon)
+    grid = empty_grid(canon, 1e-2, c=0.0)
+    out = apply_T(grid)
     assert np.all(out.j_values == 0.0)
     assert out.weighted_norm == 0.0
 
@@ -58,9 +58,9 @@ def test_apply_T_power_input_matches_analytic_reduction(canon):
     assert q2 == pytest.approx(31.0 / 320.0, abs=1e-15)
 
     for density in (64, 512):  # refined grid cross-check
-        grid = empty_grid(1e-2, c=0.0, epsilon=0.5, nodes_per_octave=density)
+        grid = empty_grid(canon, 1e-2, c=0.0, nodes_per_octave=density)
         grid = replace(grid, j_values=grid.nodes**mu)
-        out = apply_T(grid, canon)
+        out = apply_T(grid)
         predicted = kappa2 * grid.nodes + q2 * grid.nodes**3
         assert np.allclose(out.j_values, predicted, rtol=1e-6)
 
@@ -98,11 +98,12 @@ def test_contraction_margin_below_one(gamma, frac, eps_frac):
 def test_fixed_point_converges_with_contraction_rate(canon):
     eps = 0.5
     kappa = contraction_margin(canon, eps)
-    grid = empty_grid(1e-2, c=1.0, epsilon=eps)
+    grid = empty_grid(canon, 1e-2, c=1.0)
+    assert grid.epsilon == eps
     prev = None
     ratios = []
     for _ in range(200):
-        new = apply_T(grid, canon)
+        new = apply_T(grid)
         change = weighted_norm(grid.nodes, new.j_values - grid.j_values, eps)
         if prev is not None and prev > 0:
             ratios.append(change / prev)
@@ -116,13 +117,13 @@ def test_fixed_point_converges_with_contraction_rate(canon):
 
 def test_fixed_point_rejects_huge_z(canon):
     with pytest.raises(ConvergenceError):
-        fixed_point(canon, c=1.0, z=1e3, epsilon=0.5)
+        fixed_point(canon, c=1.0, z=1e3)
 
 
 def test_fixed_point_stays_inside_ball(canon):
     z, eps = 1e-2, 0.5
-    grid = fixed_point(canon, c=1.0, z=z, epsilon=eps)
-    assert grid.weighted_norm <= ball_radius(canon, 1.0, z, eps)
+    grid = fixed_point(canon, c=1.0, z=z)
+    assert grid.weighted_norm <= ball_radius(canon, 1.0, z)
     # weighted norm is what it claims to be
     assert grid.weighted_norm == pytest.approx(
         weighted_norm(grid.nodes, grid.j_values, eps), rel=1e-12
@@ -130,15 +131,13 @@ def test_fixed_point_stays_inside_ball(canon):
 
 
 def test_fixed_point_residual(canon):
-    grid = fixed_point(canon, c=1.0, z=1e-2, epsilon=0.5, tol=1e-13)
-    again = apply_T(grid, canon)
+    grid = fixed_point(canon, c=1.0, z=1e-2, tol=1e-13)
+    again = apply_T(grid)
     resid = weighted_norm(grid.nodes, again.j_values - grid.j_values, 0.5)
     assert resid <= 1e-12
 
 
 def test_fixed_point_epsilon_validation(canon):
-    with pytest.raises(DomainError):
-        fixed_point(canon, c=1.0, z=1e-2, epsilon=canon.mu * 1.5)
     with pytest.raises(DomainError):
         fixed_point(canon, c=-1.0, z=1e-2)
 
@@ -147,8 +146,8 @@ def test_fixed_point_epsilon_validation(canon):
 
 
 def test_h_limit_at_origin(canon):
-    grid = fixed_point(canon, c=1.0, z=1e-2, epsilon=0.5)
-    seed = h_from_expansion(grid, canon)
+    grid = fixed_point(canon, c=1.0, z=1e-2)
+    seed = h_from_expansion(grid)
     # h(x) -> 1/(1-theta) = 2 as x -> 0; with mu = 1, h(x) = 2 - x + x j(x)
     assert float(seed.h_at(1e-6)) == pytest.approx(2.0 - 1e-6, abs=1e-9)
     assert seed.h_values[0] == pytest.approx(2.0, abs=1e-7)
@@ -157,14 +156,14 @@ def test_h_limit_at_origin(canon):
 
 
 def test_constant_branch_is_constant(canon):
-    grid = fixed_point(canon, c=0.0, z=1e-2, epsilon=0.5)
-    seed = h_from_expansion(grid, canon)
+    grid = fixed_point(canon, c=0.0, z=1e-2)
+    seed = h_from_expansion(grid)
     assert np.all(seed.h_values == 2.0)
     assert np.all(seed.dh_values == 0.0)
 
 
 def test_weighted_norm_bounds_j(canon):
-    grid = fixed_point(canon, c=1.0, z=1e-2, epsilon=0.5)
+    grid = fixed_point(canon, c=1.0, z=1e-2)
     assert np.all(
         np.abs(grid.j_values) <= grid.weighted_norm * grid.nodes**grid.epsilon * (1 + 1e-12)
     )
@@ -172,8 +171,8 @@ def test_weighted_norm_bounds_j(canon):
 
 def test_bifurcation_order(canon):
     # (1/(1-theta) - h(x)) / x^mu has intercept c as x -> 0
-    grid = fixed_point(canon, c=1.0, z=1e-2, epsilon=0.5)
-    seed = h_from_expansion(grid, canon)
+    grid = fixed_point(canon, c=1.0, z=1e-2)
+    seed = h_from_expansion(grid)
     x = seed.x_values
     sel = x <= x[0] * 10.0
     ratio = (2.0 - seed.h_values[sel]) / x[sel] ** canon.mu
@@ -185,10 +184,10 @@ def test_scaling_covariance(canon):
     # amplitude c at x equals amplitude c*a^mu at x/a; with a = 2 the grids align
     a = 2.0
     z = 1e-2
-    g1 = fixed_point(canon, c=1.0, z=z, epsilon=0.5, tol=1e-14)
-    g2 = fixed_point(canon, c=a**canon.mu, z=z / a, epsilon=0.5, tol=1e-14)
-    h1 = h_from_expansion(g1, canon)
-    h2 = h_from_expansion(g2, canon)
+    g1 = fixed_point(canon, c=1.0, z=z, tol=1e-14)
+    g2 = fixed_point(canon, c=a**canon.mu, z=z / a, tol=1e-14)
+    h1 = h_from_expansion(g1)
+    h2 = h_from_expansion(g2)
     # node i of the rescaled run sits at x1_i / a and must reproduce h1 there
     assert np.allclose(h2.h_values, h1.h_values, rtol=0, atol=5e-9)
 
@@ -209,9 +208,10 @@ def cell_params(gamma, frac):
     return params_from_rho(gamma, gamma + frac * (1.0 - gamma))
 
 
-def apply_T_from_scratch(grid, params):
+def apply_T_from_scratch(grid):
     """T evaluated with no hoisted factors: the reference for bit-identity."""
     x, j, c, n_oct = grid.nodes, grid.j_values, grid.c, grid.nodes_per_octave
+    params = grid.params
     dtau = math.log(2.0) / n_oct
     gamma, beta, mu = params.gamma, params.beta, params.mu
     two_a = 2.0 / (1.0 - params.theta)
@@ -251,32 +251,30 @@ def apply_T_from_scratch(grid, params):
     d1 = np.concatenate((i1[:n_oct] - two_a * head_lin(half), i1[n_oct:] - i1[:-n_oct]))
     d2 = np.concatenate((i2[:n_oct] - head_sq(half), i2[n_oct:] - i2[:-n_oct]))
     new_j = (d1 + d2 + lam * i3) / (beta * x**e1)
-    return new_j, float(np.max(np.abs(new_j) * x ** (-grid.epsilon)))
+    return new_j, float(np.max(np.abs(new_j) * x ** (-0.5 * mu)))
 
 
 @pytest.mark.parametrize("gamma,frac", BIT_IDENTITY_CELLS)
 def test_apply_T_bit_identical_to_unplanned_evaluation(gamma, frac):
     params = cell_params(gamma, frac)
-    grid = empty_grid(default_z(params), c=1.0, epsilon=0.5 * params.mu)
+    grid = empty_grid(params, default_z(params), c=1.0)
     for _ in range(5):  # the first iterates, then a nonzero j far from a power
-        new = apply_T(grid, params)
-        ref_j, ref_norm = apply_T_from_scratch(grid, params)
+        new = apply_T(grid)
+        ref_j, ref_norm = apply_T_from_scratch(grid)
         assert np.array_equal(new.j_values, ref_j)
         assert new.weighted_norm == ref_norm
         grid = new
 
 
 def test_apply_T_rebuilds_a_plan_that_no_longer_fits(canon):
-    grid = fixed_point(canon, c=1.0, z=1e-2, epsilon=0.5)
-    other = make_params(0.0, 3.0)
-    for moved, params in (
-        (replace(grid, c=2.0), canon),
-        (replace(grid, epsilon=0.25), canon),
-        (replace(grid, nodes=grid.nodes * 0.5), canon),
-        (grid, other),
+    grid = fixed_point(canon, c=1.0, z=1e-2)
+    for moved in (
+        replace(grid, c=2.0),
+        replace(grid, nodes=grid.nodes * 0.5),
+        replace(grid, params=make_params(0.0, 3.0)),
     ):
-        ref_j, ref_norm = apply_T_from_scratch(moved, params)
-        out = apply_T(moved, params)
+        ref_j, ref_norm = apply_T_from_scratch(moved)
+        out = apply_T(moved)
         assert np.array_equal(out.j_values, ref_j)
         assert out.weighted_norm == ref_norm
 
@@ -285,10 +283,10 @@ def test_apply_T_rebuilds_a_plan_that_no_longer_fits(canon):
 def test_fixed_point_bit_identical_to_public_apply_T_loop(gamma, frac):
     params = cell_params(gamma, frac)
     z, eps, tol = default_z(params), 0.5 * params.mu, 1e-12
-    result = fixed_point(params, c=1.0, z=z, epsilon=eps, tol=tol)
-    grid = empty_grid(z, c=1.0, epsilon=eps)
+    result = fixed_point(params, c=1.0, z=z, tol=tol)
+    grid = empty_grid(params, z, c=1.0)
     while True:
-        new = apply_T(grid, params)
+        new = apply_T(grid)
         change = weighted_norm(grid.nodes, new.j_values - grid.j_values, eps)
         grid = new
         if change <= tol:
@@ -301,7 +299,7 @@ def test_fixed_point_bit_identical_to_public_apply_T_loop(gamma, frac):
 def test_h_from_expansion_dh_matches_rhs_per_node(gamma, frac):
     params = cell_params(gamma, frac)
     grid = fixed_point(params, c=1.0, z=default_z(params))
-    seed = h_from_expansion(grid, params)
+    seed = h_from_expansion(grid)
     m = seed.m
     x = grid.nodes  # output density equals the grid's: no subsampling
     h = seed.h_values

@@ -26,7 +26,7 @@ def test_invariant_violation_is_reported_without_reseeding(monkeypatch):
     params = make_params(0.0, 2.0)
     calls = _record_calls(monkeypatch, "fixed_point")
 
-    def failing_integrate(seed, params, x_max):
+    def failing_integrate(seed, x_max):
         raise MonotonicityError("h failed to decrease at x = 1", x=1.0)
 
     monkeypatch.setattr(pipeline, "integrate", failing_integrate)

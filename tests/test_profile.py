@@ -44,16 +44,16 @@ def test_rhs_arithmetic(canon):
 
 def test_integrate_constant_branch(canon):
     grid = fixed_point(canon, c=0.0, z=0.25)
-    seed = h_from_expansion(grid, canon)
-    prof = integrate(seed, canon, x_max=0.25 * 2.0**40)
+    seed = h_from_expansion(grid)
+    prof = integrate(seed, x_max=0.25 * 2.0**40)
     assert prof.x_max / prof.x_min > 1e12
     assert np.max(np.abs(prof.h_values - 2.0) / 2.0) <= 1e-10
 
 
 def test_integrate_fat_tail_structure(canon):
     grid = fixed_point(canon, c=1.0, z=0.125)
-    seed = h_from_expansion(grid, canon)
-    prof = integrate(seed, canon, x_max=0.125 * 2.0**30)
+    seed = h_from_expansion(grid)
+    prof = integrate(seed, x_max=0.125 * 2.0**30)
     assert np.all(np.diff(prof.h_values) < 0.0)
     assert prof.h_values[-1] < 1e-3
     # x^(1/beta) h approaches a positive constant
@@ -69,19 +69,19 @@ def test_integrate_fourth_order(canon):
     x_max = z * 2.0**20
     end = {}
     for m in (32, 64, 128):
-        seed = h_from_expansion(grid, canon, m=m)
-        end[m] = integrate(seed, canon, x_max).h_values[-1]
+        seed = h_from_expansion(grid, m=m)
+        end[m] = integrate(seed, x_max).h_values[-1]
     ratio = (end[32] - end[64]) / (end[64] - end[128])
     assert 12.0 < ratio < 20.0
 
 
 def test_integrate_requires_history(canon):
     grid = fixed_point(canon, c=1.0, z=0.125)
-    seed = h_from_expansion(grid, canon)
+    seed = h_from_expansion(grid)
     short = replace(seed, h_values=seed.h_values[-32:], dh_values=seed.dh_values[-32:],
                     tau0=seed.tau0 + (len(seed.h_values) - 32) * seed.dtau)
     with pytest.raises(DomainError):
-        integrate(short, canon, 1.0)
+        integrate(short, 1.0)
 
 
 def test_finite_difference_residual(canon, canonical_profile):
@@ -172,19 +172,19 @@ def _hand_seed(params, h_values, c=1.0):
 
 def test_integrate_matches_whole_history_march(canon):
     grid = fixed_point(canon, c=1.0, z=0.125)
-    seed = h_from_expansion(grid, canon)
-    first = integrate(seed, canon, 0.125 * 2.0**30)
+    seed = h_from_expansion(grid)
+    first = integrate(seed, 0.125 * 2.0**30)
     ref_first = _whole_history_integrate(seed, canon, 0.125 * 2.0**30)
     _assert_same_profile(first, ref_first)
     # re-entry: continue the returned profile
     _assert_same_profile(
-        integrate(first, canon, first.x_max * 2.0**12),
+        integrate(first, first.x_max * 2.0**12),
         _whole_history_integrate(ref_first, canon, first.x_max * 2.0**12),
     )
     # tail extension: continue a normalized profile
     norm = normalize(first)
     _assert_same_profile(
-        integrate(norm, canon, norm.x_max * 2.0**20),
+        integrate(norm, norm.x_max * 2.0**20),
         _whole_history_integrate(norm, canon, norm.x_max * 2.0**20),
     )
 
@@ -195,7 +195,7 @@ def test_integrate_underflow_truncation_matches_whole_history_march():
     # march stops there with the history it has
     params = make_params(0.0, 1.0)
     seed = _hand_seed(params, np.logspace(0.0, -256.0, 65))
-    out = integrate(seed, params, seed.x_max * 2.0**4)
+    out = integrate(seed, seed.x_max * 2.0**4)
     assert len(out.h_values) == len(seed.h_values)
     _assert_same_profile(out, _whole_history_integrate(seed, params, seed.x_max * 2.0**4))
 
@@ -204,7 +204,7 @@ def test_integrate_truncates_at_a_subnormal_tie(canon):
     # a power-law tail deep in the subnormals: once the per-step decrement
     # rounds to zero the next node ties, and the march stops at the floor
     seed = _hand_seed(canon, np.logspace(-300.0, -321.0, 65))
-    out = integrate(seed, canon, seed.x_max * 2.0**16)
+    out = integrate(seed, seed.x_max * 2.0**16)
     assert seed.x_max < out.x_max < seed.x_max * 2.0**16
     assert np.all(np.diff(out.h_values) < 0.0)
     assert out.h_values[-1] <= 1e-250
@@ -214,7 +214,7 @@ def test_integrate_truncates_at_a_subnormal_tie(canon):
         _whole_history_integrate(seed, canon, seed.x_max * 2.0**16)
     assert tie.value.x == pytest.approx(out.x_max * 2.0 ** (1 / 64))
     # a continuation stops at once
-    _assert_same_profile(integrate(out, canon, out.x_max * 2.0), out)
+    _assert_same_profile(integrate(out, out.x_max * 2.0), out)
 
 
 @pytest.mark.parametrize(
@@ -227,7 +227,7 @@ def test_integrate_truncates_at_a_subnormal_tie(canon):
 def test_integrate_errors_match_whole_history_march(canon, values, error):
     seed = _hand_seed(canon, values)
     with pytest.raises(error) as got:
-        integrate(seed, canon, seed.x_max * 2.0)
+        integrate(seed, seed.x_max * 2.0)
     with pytest.raises(error) as want:
         _whole_history_integrate(seed, canon, seed.x_max * 2.0)
     assert type(got.value) is type(want.value)

@@ -268,7 +268,7 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
 
 
 def apply_T(grid: ExpansionGrid) -> ExpansionGrid:
-    """One application of the operator T; the input grid is not mutated."""
+    """One application of T for the grid's parameters; the input grid is not mutated."""
     plan = grid._plan
     if plan is None or not plan.fits(grid):
         plan = _TPlan(grid)

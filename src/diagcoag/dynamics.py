@@ -105,7 +105,11 @@ def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray
     if n_nodes < 1:
         raise DomainError(f"negative size grid span: {(n_nodes - 1) / nodes_per_octave:g} octaves")
     # exp2 keeps xi_{k-m_d} == xi_k / 2 exact in floating point
-    return xi_min * np.exp2(np.arange(n_nodes) / nodes_per_octave)
+    with np.errstate(over="ignore"):
+        xi = xi_min * np.exp2(np.arange(n_nodes) / nodes_per_octave)
+    if not np.isfinite(xi[-1]):
+        raise DomainError(f"size grid overflows: xi_min * 2**{(n_nodes - 1) / nodes_per_octave:g}")
+    return xi
 
 
 def make_field(
@@ -116,8 +120,8 @@ def make_field(
 ) -> NumberDensityField:
     """Field at t = 1 with the given nodal densities from xi_min upward."""
     f = np.asarray(f_values, dtype=float)
-    if np.any(f < 0.0):
-        raise DomainError("number density must be nonnegative")
+    if not (np.isfinite(f).all() and (f >= 0.0).all()):
+        raise DomainError("number density must be finite and nonnegative")
     xi = _size_grid(len(f), xi_min, nodes_per_octave)
     return NumberDensityField(
         kernel=kernel, nodes_per_octave=nodes_per_octave, xi_grid=xi, f_values=f, t=1.0
@@ -147,7 +151,9 @@ def power_law_field(
 ) -> NumberDensityField:
     """f = amplitude * xi**(-exponent); exponent (3+gamma)/2 is stationary."""
     xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
-    return make_field(kernel, amplitude * xi ** (-exponent), xi_min, nodes_per_octave)
+    with np.errstate(over="ignore"):  # make_field rejects a density that overflows
+        f = amplitude * xi ** (-exponent)
+    return make_field(kernel, f, xi_min, nodes_per_octave)
 
 
 def pulse_field(
@@ -262,16 +268,21 @@ def advance_to(field: NumberDensityField, t_target: float) -> NumberDensityField
     return field
 
 
+def _output_times(field: NumberDensityField, t_end: float, n_outputs: int) -> np.ndarray:
+    """np.geomspace(field.t, t_end, n_outputs) for a finite t_end >= field.t."""
+    if not (0.0 < t_end < math.inf and n_outputs >= 0):
+        raise DomainError(f"need finite t_end > 0, n_outputs >= 0; got {t_end:g} and {n_outputs}")
+    if t_end < field.t:
+        raise DomainError(f"t_end = {t_end:g} is before the field's time t = {field.t:g}")
+    return np.geomspace(field.t, t_end, n_outputs)
+
+
 def evolve(
     field: NumberDensityField, t_end: float, n_outputs: int
 ) -> list[NumberDensityField]:
     """The field at the times np.geomspace(field.t, t_end, n_outputs); t_end >= field.t."""
-    if not (t_end > 0.0 and n_outputs >= 0):
-        raise DomainError(f"evolve needs t_end > 0, n_outputs >= 0; got {t_end:g} and {n_outputs}")
-    if t_end < field.t:
-        raise DomainError(f"t_end = {t_end:g} is before the field's time t = {field.t:g}")
     fields = [field]
-    for t_out in np.geomspace(field.t, t_end, n_outputs):
+    for t_out in _output_times(field, t_end, n_outputs):
         fields.append(advance_to(fields[-1], float(t_out)))
     return fields[1:]
 
@@ -351,9 +362,10 @@ def simulate_collapse(
 ):
     """Evolve the field to t_end, recording D(t) at geometric output times.
 
-    Raises ``DomainError`` before evolving when ``beta`` or the field's
-    kernel gamma differs from the profile's.
+    Raises ``DomainError`` before any work on a bad ``t_end`` (as ``evolve``),
+    and before evolving when ``beta`` or the kernel gamma differs from the profile's.
     """
+    times = _output_times(field, t_end, n_outputs)
     window = default_window(field, beta, t_end)
     ref = profile.params
     if not (same_value(beta, ref.beta) and same_value(field.kernel.gamma, ref.gamma)):
@@ -363,7 +375,7 @@ def simulate_collapse(
         )
     fields = evolve(field, t_end, n_outputs)
     report = CollapseReport(
-        times=tuple(float(t) for t in np.geomspace(field.t, t_end, n_outputs)),
+        times=tuple(float(t) for t in times),
         distances=tuple(self_similar_distance(f, profile, window) for f in fields),
         window=window,
     )

@@ -171,6 +171,8 @@ def empty_grid(
     """Grid for ``params`` with j = 0 spanning [z*2**-DEFAULT_OCTAVES, z]."""
     if not z > 0.0:
         raise DomainError(f"z must be positive; got {z:g}")
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite; got {z:g}")
     if nodes_per_octave < 1:
         raise DomainError(f"grid must have at least one node per octave; got {nodes_per_octave}")
     n = nodes_per_octave * DEFAULT_OCTAVES + 1

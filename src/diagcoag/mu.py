@@ -65,6 +65,8 @@ def solve_mu(gamma: float, beta: float) -> MuSolveReport:
     width 1e-6, then polish with safeguarded Newton steps.  The residual of
     the returned root is at most ``RESIDUAL_TOL``.
     """
+    if not (math.isfinite(gamma) and math.isfinite(beta)):
+        raise DomainError(f"gamma and beta must be finite; got gamma = {gamma:g}, beta = {beta:g}")
     if not gamma < 1.0:
         raise DomainError("gamma must be < 1")
     bstar = beta_star_of(gamma)

@@ -167,8 +167,8 @@ def integrate(seed: Profile, x_max: float) -> Profile:
     n_have = len(seed.h_values)
     if n_have < m + 1:
         raise DomainError("seed history shorter than one delay interval")
-    if not x_max > seed.x_max:
-        raise DomainError("x_max must exceed the seed's right endpoint")
+    if not seed.x_max < x_max < math.inf:
+        raise DomainError(f"x_max must be finite and past the seed's x_max; got {x_max:g}")
 
     dtau = seed.dtau
     theta = seed.params.theta

@@ -2,7 +2,9 @@
 
 On a normalized profile (h(1) = 1/2) the compensated function
 p(x) = x**(1/beta) h(x) has a positive limit d, with the a-priori rate
-|p(x) - p(x0)| <= 2 x0**(-1/beta) for x >= x0 >= 2.  The module evaluates d
+|p(x) - p(x0)| <= 2 x0**(-1/beta) for x >= x0 >= 2.  The module sets how
+far a profile must reach for its tail to be resolved (``target_octaves``:
+where that rate is small against d over the slope window), and evaluates d
 with that rigorous error bound, the supersolution bound
 h <= 1/(1+x**(1/beta)), the lower-bound chain through
 Phi(x) = int_0^x s**(-gamma) h ds, and the residual of the integral form of
@@ -24,6 +26,14 @@ from .errors import DomainError, RangeError
 from .profile import Profile
 
 BOUND_SLACK = 1e-9
+# An estimate of d is converged when its error bound is at most this share of d.
+D_CONVERGED_SHARE = 0.1
+# The slope window's lower edge as a fraction of x_max: four decades down.
+SLOPE_WINDOW_FRACTION = 1e-4
+# Share of d the error bound may reach at the slope window's lower edge.
+SLOPE_EDGE_SHARE = 0.005
+# Smallest d the tail target plans for.
+TARGET_D_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,8 @@ def p_of(profile: Profile) -> np.ndarray:
 def estimate_d(profile: Profile) -> tuple[float, float]:
     """Tail constant estimate p(x_max) with its rigorous error bound.
 
-    The bound 2*x_max**(-1/beta) is theorem-backed for normalized profiles;
-    an estimate is called converged when the bound is below 10% of it.
+    The bound 2*x_max**(-1/beta) is theorem-backed for normalized profiles; an
+    estimate is converged when the bound is at most ``D_CONVERGED_SHARE`` of it.
     Raises ``RangeError`` when x_max**(1/beta) overflows.
     """
     if not profile.normalized:
@@ -66,6 +76,16 @@ def estimate_d(profile: Profile) -> tuple[float, float]:
             f"x_max**(1/beta) overflows (beta = {beta:g})"
         ) from exc
     return d, 2.0 * profile.x_max ** (-1.0 / beta)
+
+
+def target_octaves(beta: float, d: float) -> float:
+    """log2 of the x_max (normalized gauge) where ``estimate_d``'s bound is at most
+    ``D_CONVERGED_SHARE * d``, and at most ``SLOPE_EDGE_SHARE * d`` at the slope
+    window's lower edge (d floored at ``TARGET_D_FLOOR``); falls as d grows."""
+    d = max(d, TARGET_D_FLOOR)
+    at_top = beta * math.log2(2.0 / (D_CONVERGED_SHARE * d))
+    at_edge = beta * math.log2(2.0 / (SLOPE_EDGE_SHARE * d)) - math.log2(SLOPE_WINDOW_FRACTION)
+    return max(at_top, at_edge)
 
 
 def _phi_integrand(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +262,9 @@ def fit_slope(profile: Profile, x_lo: float, x_hi: float) -> float:
 
 
 def default_slope_window(profile: Profile) -> tuple[float, float]:
-    """Top four decades below x_max (clipped to [1, x_max])."""
+    """[x_max * SLOPE_WINDOW_FRACTION, x_max], clipped to [1, x_max]."""
     hi = profile.x_max
-    lo = max(1.0, hi * 1e-4)
+    lo = max(1.0, hi * SLOPE_WINDOW_FRACTION)
     return lo, hi
 
 
@@ -291,7 +311,7 @@ def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
         lower_bound_ok=lower_ok,
         max_residual_sss4b=resid,
     )
-    details["d_converged"] = d_err <= 0.1 * d
+    details["d_converged"] = d_err <= D_CONVERGED_SHARE * d
     details["slope_window"] = (lo, hi)
     details["slope_err_rel"] = abs(slope + 1.0 / profile.params.beta) * profile.params.beta
     return report, details

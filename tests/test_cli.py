@@ -191,7 +191,7 @@ def test_profile_beyond_the_octave_budget_exits_3_up_front(tmp_path, capsys):
     # beta = 100: the tail target needs more than 600 octaves for any d < 1
     out = tmp_path / "deep.csv"
     assert run(["profile", "--gamma", "0.9", "--beta", "100", "--out", str(out)]) == 3
-    assert "tail extension would exceed 600 octaves" in capsys.readouterr().err
+    assert "octaves, more than the budget of 600 (gamma=0.9, beta=100.0)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -486,6 +486,17 @@ _INVALID_INPUTS = {
     "simulate --xi-min 0": (["simulate", *_CANON, "--xi-min", "0"], "xi_min must be positive"),
     "simulate --snapshots -1": (["simulate", *_CANON, "--snapshots", "-1"], "got 4 and -1"),
     "simulate --t-end 0": (["simulate", *_CANON, "--t-end", "0"], "got 0 and 5"),
+    "simulate --t-end inf": (
+        ["simulate", *_CANON, "--t-end", "inf", "--snapshots", "2"], "got inf and 2"
+    ),
+    "simulate --octaves 2000": (["simulate", *_CANON, "--octaves", "2000"], "xi_min * 2**2000"),
+    "simulate --xi-min 1e-320": (
+        ["simulate", *_CANON, "--xi-min", "1e-320"], "number density must be finite"
+    ),
+    "profile --xmax inf": (["profile", *_CANON, "--xmax", "inf"], "x_max must be finite"),
+    "profile --z inf": (["profile", *_CANON, "--z", "inf"], "z must be finite; got inf"),
+    "profile --beta inf": (["profile", "--gamma", "0", "--beta", "inf"], "beta = inf"),
+    "mu --beta nan": (["mu", "--gamma", "0", "--beta", "nan"], "beta = nan"),
     "simulate --t-end 0.5": (
         ["simulate", *_CANON, "--t-end", "0.5", "--snapshots", "2"],
         "t_end = 0.5 is before the field's time t = 1",

@@ -154,6 +154,32 @@ def test_evolve_refuses_an_end_before_the_start(canon):
         dy.evolve(field, 0.5, 2)
 
 
+def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
+    field = dy.pulse_field(canon.kernel, 320)
+    monkeypatch.setattr(dy, "advance_to", None)  # an infinite end never returns
+    with pytest.raises(DomainError, match="finite t_end > 0"):
+        dy.evolve(field, math.inf, 2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"octaves": 2000}, r"overflows: xi_min \* 2\*\*2000"),
+        ({"xi_min": math.inf}, r"overflows: xi_min \* 2\*\*40"),
+    ],
+    ids=["octaves 2000", "xi_min inf"],
+)
+def test_size_grid_with_an_infinite_top_node_is_refused(canon, kwargs, named):
+    with pytest.raises(DomainError, match=named):
+        dy.pulse_field(canon.kernel, 0, **kwargs)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_make_field_refuses_a_non_finite_density(canon, value):
+    with pytest.raises(DomainError, match="number density must be finite"):
+        dy.make_field(canon.kernel, [1.0, value, 1.0])
+
+
 # The step as it was written before the kernel weights were built once per
 # grid: every stage is a field of its own, and every call rebuilds its weights.
 # It is the reference the array-stage step must match bit for bit.
@@ -354,6 +380,20 @@ def test_window_under_one_octave_raises_before_evolving(canonical_field, canon, 
     monkeypatch.setattr(dy, "step", no_step)
     with pytest.raises(WindowError, match="less than one"):
         dy.simulate_collapse(canonical_field, None, canon.beta, 1e6)
+
+
+@pytest.mark.parametrize(
+    "beta, t_end", [(2.0, 0.0), (2.5, -1.0), (2.0, math.inf), (2.0, math.nan)]
+)
+def test_collapse_checks_t_end_before_the_window(
+    beta, t_end, canonical_field, canonical_profile, monkeypatch
+):
+    # the window divides by t_end**beta: zero at t_end = 0, complex at
+    # t_end = -1 and beta = 2.5
+    monkeypatch.setattr(dy, "default_window", None)  # reached only past the check
+    named = f"finite t_end > 0, n_outputs >= 0; got {t_end:g} and 5"
+    with pytest.raises(DomainError, match=named):
+        dy.simulate_collapse(canonical_field, canonical_profile, beta, t_end)
 
 
 @pytest.mark.parametrize("gamma, beta", [(0.0, 3.0), (0.5, 2.0)])

@@ -64,14 +64,18 @@ def test_one_tail_extension_reaches_the_target_of_the_final_d(monkeypatch, gamma
     profile = pipeline.build_profile(params)
     assert calls[calls.index("normalize") + 1 :] == ["integrate"]
     d, _ = tail.estimate_d(profile)
-    assert profile.x_max >= pipeline._tail_x_target(params.beta, d)
+    assert math.log2(profile.x_max) >= tail.target_octaves(params.beta, d)
+
+
+# The one message of the octave budget: the octaves needed, gamma and beta.
+_OVER_BUDGET = r"profile needs [0-9.]+ octaves, more than the budget of 600 \(gamma=.*, beta=.*\)"
 
 
 def test_tail_beyond_the_octave_budget_fails_before_the_seed(monkeypatch):
     params = make_params(0.9, 100.0)
-    assert pipeline.tail_octaves_floor(params.beta) > pipeline.MAX_SEARCH_OCTAVES
+    assert tail.target_octaves(params.beta, 1.0) > pipeline.MAX_OCTAVES
     calls = _record_calls(monkeypatch, "default_z", "fixed_point", "integrate")
-    with pytest.raises(ConvergenceError, match="tail extension would exceed 600 octaves"):
+    with pytest.raises(ConvergenceError, match=_OVER_BUDGET):
         pipeline.build_profile(params)
     assert calls == []
 
@@ -80,9 +84,9 @@ def test_tail_beyond_the_octave_budget_fails_during_the_half_search(monkeypatch)
     # beta = 66.7 passes the up-front bound, but h > 1/2 on the first
     # 2**40 z march puts x_min of the normalized gauge that far below 1
     params = params_from_rho(0.95, 0.95 + 0.3 * 0.05)
-    assert pipeline.tail_octaves_floor(params.beta) <= pipeline.MAX_SEARCH_OCTAVES
+    assert tail.target_octaves(params.beta, 1.0) <= pipeline.MAX_OCTAVES
     calls = _record_calls(monkeypatch, "fixed_point", "integrate", "normalize")
-    with pytest.raises(ConvergenceError, match="tail extension would exceed 600 octaves"):
+    with pytest.raises(ConvergenceError, match=_OVER_BUDGET):
         pipeline.build_profile(params)
     assert calls == ["fixed_point", "integrate"]
 
@@ -101,7 +105,7 @@ class _Seeded(Exception):
     ids=["explicit x_max", "constant branch", "degenerate"],
 )
 def test_octave_budget_applies_only_to_tail_extension(monkeypatch, params, kwargs):
-    assert pipeline.tail_octaves_floor(params.beta) > pipeline.MAX_SEARCH_OCTAVES
+    assert tail.target_octaves(params.beta, 1.0) > pipeline.MAX_OCTAVES
 
     def seeded(*args, **kw):
         raise _Seeded
@@ -116,10 +120,10 @@ def test_octave_floor_is_below_what_a_successful_build_stores(gamma, frac):
     params = params_from_rho(gamma, gamma + frac * (1.0 - gamma))
     profile = pipeline.build_profile(params)
     stored = math.log2(profile.x_max / profile.x_min)
-    assert stored >= pipeline.tail_octaves_floor(params.beta)
+    assert stored >= tail.target_octaves(params.beta, 1.0)
 
 
-@pytest.mark.parametrize("beta", [40.0, 70.0])
+@pytest.mark.parametrize("beta", [40.0, 66.0])
 def test_underflowing_expansion_node_fails_once_without_nan(monkeypatch, beta):
     # default_z picks z ~ 1e-48 .. 1e-84 here; x**(1-gamma+mu) is 0 at the
     # lowest node, so T cannot be evaluated and the seed fails on its one call

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -57,6 +58,31 @@ def test_estimate_d_canonical(canonical_profile):
 def test_estimate_d_requires_normalized(constant_profile):
     with pytest.raises(DomainError):
         tail.estimate_d(constant_profile)
+
+
+_TARGET_BETAS = (0.5, 1.0, 2.0, 5.0, 20.0, 40.0, 67.0)
+_TARGET_DS = (1e-3, 0.01, 0.1, 0.5, 0.99)
+
+
+@pytest.mark.parametrize("beta", _TARGET_BETAS)
+def test_target_octaves_is_least_at_d_one(beta):
+    # d < 1 on every normalized profile, so the target at d = 1 bounds it below
+    least = tail.target_octaves(beta, 1.0)
+    for d in (1e-6, *_TARGET_DS, 1.0):
+        assert tail.target_octaves(beta, d) >= least
+
+
+@pytest.mark.parametrize("d", _TARGET_DS)
+@pytest.mark.parametrize("beta", _TARGET_BETAS)
+def test_target_octaves_is_log2_of_the_x_max_target(beta, d):
+    # the x_max form max((20/d)**beta, 1e4 (400/d)**beta, 4), in decimal
+    # arithmetic, where it cannot overflow (it passes 1e308 at beta = 67)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b, dd = Decimal(beta), Decimal(d)
+        x_max = max((20 / dd) ** b, 10**4 * (400 / dd) ** b, Decimal(4))
+        ratio = Decimal(2) ** Decimal(tail.target_octaves(beta, d)) / x_max
+    assert abs(ratio - 1) <= Decimal("1e-12")
 
 
 def test_cauchy_pair_at_top(canonical_profile):

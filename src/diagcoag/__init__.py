@@ -1,7 +1,6 @@
 """Self-similar profiles with fat tails for the diagonal-kernel coagulation equation."""
 
 from .params import (
-    KernelParams,
     SimilarityParams,
     beta_from_rho,
     make_params,
@@ -42,7 +41,6 @@ from .dynamics import (
 from .pipeline import build_profile, sweep_row
 
 __all__ = [
-    "KernelParams",
     "SimilarityParams",
     "beta_from_rho",
     "make_params",

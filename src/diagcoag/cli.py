@@ -204,10 +204,10 @@ def _parse_init(spec: str, params, field_kwargs: dict):
             amp, exp = _spec_number(float, amp_s, spec), _spec_number(float, exp_s, spec)
         else:
             amp, exp = 1.0, (3.0 + params.gamma) / 2.0
-        return dynamics.power_law_field(params.kernel, amp, exp, **field_kwargs), None
+        return dynamics.power_law_field(params.gamma, amp, exp, **field_kwargs), None
     if kind == "pulse":
         node = _spec_number(int, rest, spec) if rest else 320
-        return dynamics.pulse_field(params.kernel, node, **field_kwargs), None
+        return dynamics.pulse_field(params.gamma, node, **field_kwargs), None
     raise DomainError(f"unknown initial data spec: {spec!r}")
 
 
@@ -221,10 +221,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         nodes_per_octave=args.md,
     )
     field, profile = _parse_init(args.init, params, field_kwargs)
-    if not same_value(field.kernel.gamma, params.gamma):
+    if not same_value(field.gamma, params.gamma):
         raise DomainError(
             f"gamma = {params.gamma:g} differs from the initial data's kernel "
-            f"gamma = {field.kernel.gamma:g}"
+            f"gamma = {field.gamma:g}"
         )
     if args.profile:
         profile = read_profile_csv(args.profile)

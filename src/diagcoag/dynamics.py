@@ -1,12 +1,14 @@
 """Direct simulation of the time-dependent coagulation equation.
 
 The diagonal kernel moves mass strictly upward in size (two xi-clusters
-merge into one 2*xi-cluster), so on a geometric grid whose ratio is an exact
-power of two the gain term at node k reads the state exactly m_d nodes back:
+merge into one 2*xi-cluster), so on a geometric grid of m_d nodes per octave
+the gain term at node k reads the state exactly m_d nodes back:
 
     df_k/dt = (1/4) xi_{k-m_d}**(1+gamma) f_{k-m_d}**2 - xi_k**(1+gamma) f_k**2,
 
-with f = 0 below the grid (no influx from under the domain).  Explicit
+with f = 0 below the grid (no influx from under the domain).  The grid is
+xi_k = xi_min 2**q 2**(r/m_d) for k = q m_d + r, so xi_{k-m_d} == xi_k / 2
+holds exactly in floating point for any m_d and a normal xi_min.  Explicit
 4-stage Runge-Kutta advances the system; steps that would produce negative
 densities are rejected and retried at half the step.  The escaped-mass
 budget is accumulated with the same Runge-Kutta stages, which makes the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, StepCollapseError, WindowError
-from .params import KernelParams, same_value
+from .params import check_gamma, same_value
 from .profile import Profile
 
 _LN2 = math.log(2.0)
@@ -50,7 +52,7 @@ class NumberDensityField:
     truncated upper boundary since the field was created.
     """
 
-    kernel: KernelParams
+    gamma: float
     nodes_per_octave: int
     xi_grid: np.ndarray
     f_values: np.ndarray
@@ -83,7 +85,7 @@ class _KernelWeights:
         xi = fld.xi_grid
         m = fld.nodes_per_octave
         self.xi_grid = xi
-        self.gamma = fld.kernel.gamma
+        self.gamma = fld.gamma
         self.m = m
         self.loss = xi ** (1.0 + self.gamma)
         top = xi[-m:]
@@ -92,39 +94,41 @@ class _KernelWeights:
     def fits(self, fld: NumberDensityField) -> bool:
         return (
             self.xi_grid is fld.xi_grid
-            and self.gamma == fld.kernel.gamma
+            and self.gamma == fld.gamma
             and self.m == fld.nodes_per_octave
         )
 
 
 def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray:
-    if not xi_min > 0.0:
-        raise DomainError(f"smallest size xi_min must be positive; got {xi_min:g}")
+    if not xi_min >= np.finfo(float).tiny:
+        raise DomainError(f"smallest size xi_min must be positive and normal; got {xi_min:g}")
     if nodes_per_octave < 1:
         raise DomainError(f"nodes per octave must be at least 1; got {nodes_per_octave}")
     if n_nodes < 1:
         raise DomainError(f"negative size grid span: {(n_nodes - 1) / nodes_per_octave:g} octaves")
-    # exp2 keeps xi_{k-m_d} == xi_k / 2 exact in floating point
+    # an exact power of two per whole octave keeps xi_{k-m_d} == xi_k / 2 exact for any m_d
+    octave, node = np.divmod(np.arange(n_nodes), nodes_per_octave)
     with np.errstate(over="ignore"):
-        xi = xi_min * np.exp2(np.arange(n_nodes) / nodes_per_octave)
+        xi = xi_min * np.exp2(octave) * np.exp2(node / nodes_per_octave)
     if not np.isfinite(xi[-1]):
         raise DomainError(f"size grid overflows: xi_min * 2**{(n_nodes - 1) / nodes_per_octave:g}")
     return xi
 
 
 def make_field(
-    kernel: KernelParams,
+    gamma: float,
     f_values: np.ndarray,
     xi_min: float = 2.0**-20,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
-    """Field at t = 1 with the given nodal densities from xi_min upward."""
+    """Field at t = 1 for kernel exponent gamma, nodal densities from xi_min upward."""
+    check_gamma(gamma)
     f = np.asarray(f_values, dtype=float)
     if not (np.isfinite(f).all() and (f >= 0.0).all()):
         raise DomainError("number density must be finite and nonnegative")
     xi = _size_grid(len(f), xi_min, nodes_per_octave)
     return NumberDensityField(
-        kernel=kernel, nodes_per_octave=nodes_per_octave, xi_grid=xi, f_values=f, t=1.0
+        gamma=float(gamma), nodes_per_octave=nodes_per_octave, xi_grid=xi, f_values=f, t=1.0
     )
 
 
@@ -138,11 +142,11 @@ def field_from_profile(
     xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
     if xi[0] < profile.x_min or xi[-1] > profile.x_max:
         raise DomainError("profile does not cover the requested size grid")
-    return make_field(profile.params.kernel, profile.g_at(xi), xi_min, nodes_per_octave)
+    return make_field(profile.params.gamma, profile.g_at(xi), xi_min, nodes_per_octave)
 
 
 def power_law_field(
-    kernel: KernelParams,
+    gamma: float,
     amplitude: float,
     exponent: float,
     xi_min: float = 2.0**-20,
@@ -153,11 +157,11 @@ def power_law_field(
     xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
     with np.errstate(over="ignore"):  # make_field rejects a density that overflows
         f = amplitude * xi ** (-exponent)
-    return make_field(kernel, f, xi_min, nodes_per_octave)
+    return make_field(gamma, f, xi_min, nodes_per_octave)
 
 
 def pulse_field(
-    kernel: KernelParams,
+    gamma: float,
     node: int,
     amplitude: float = 1.0,
     xi_min: float = 2.0**-20,
@@ -169,7 +173,7 @@ def pulse_field(
     if not 0 <= node < len(f):
         raise DomainError(f"pulse node {node} is outside the grid's nodes 0..{len(f) - 1}")
     f[node] = amplitude
-    return make_field(kernel, f, xi_min, nodes_per_octave)
+    return make_field(gamma, f, xi_min, nodes_per_octave)
 
 
 def coag_rhs(field: NumberDensityField, f: np.ndarray | None = None) -> np.ndarray:
@@ -314,7 +318,7 @@ def self_similar_distance(
     inside = (x >= x_lo) & (x <= x_hi)
     if not np.any(inside):
         raise WindowError("window holds no grid node")
-    rescaled = t ** (1.0 + (1.0 + field.kernel.gamma) * beta) * field.f_values[inside]
+    rescaled = t ** (1.0 + (1.0 + field.gamma) * beta) * field.f_values[inside]
     g_ref = np.asarray(profile.g_at(x[inside]), dtype=float)
     return float(np.max(np.abs(rescaled - g_ref) / g_ref))
 
@@ -368,9 +372,9 @@ def simulate_collapse(
     times = _output_times(field, t_end, n_outputs)
     window = default_window(field, beta, t_end)
     ref = profile.params
-    if not (same_value(beta, ref.beta) and same_value(field.kernel.gamma, ref.gamma)):
+    if not (same_value(beta, ref.beta) and same_value(field.gamma, ref.gamma)):
         raise DomainError(
-            f"gamma = {field.kernel.gamma:g}, beta = {beta:g} do not match the "
+            f"gamma = {field.gamma:g}, beta = {beta:g} do not match the "
             f"reference profile's gamma = {ref.gamma:g}, beta = {ref.beta:g}"
         )
     fields = evolve(field, t_end, n_outputs)

@@ -162,6 +162,14 @@ class _TPlan:
         return float((np.abs(j) * self.weight).max())
 
 
+def check_amplitude(c: float) -> None:
+    """Raise ``DomainError`` unless the bifurcation amplitude c is finite and >= 0."""
+    if not math.isfinite(c):
+        raise DomainError(f"amplitude c must be finite; got {c:g}")
+    if c < 0.0:
+        raise DomainError(f"amplitude c must be nonnegative; got {c:g}")
+
+
 def empty_grid(
     params: SimilarityParams,
     z: float,
@@ -173,6 +181,8 @@ def empty_grid(
         raise DomainError(f"z must be positive; got {z:g}")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite; got {z:g}")
+    if z * 2.0**-DEFAULT_OCTAVES < np.finfo(float).tiny:
+        raise DomainError(f"lowest node z * 2**-{DEFAULT_OCTAVES} is subnormal; got z = {z:g}")
     if nodes_per_octave < 1:
         raise DomainError(f"grid must have at least one node per octave; got {nodes_per_octave}")
     n = nodes_per_octave * DEFAULT_OCTAVES + 1
@@ -251,8 +261,9 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
     locality condition c*z**mu <= (1/4)/(1-theta) so the bifurcation term
     stays a perturbation of the constant at the hand-off point.
     """
+    check_amplitude(c)
     mu = params.mu
-    if c <= 0.0:
+    if c == 0.0:
         return 0.25
     kappa = contraction_margin(params, epsilon_of(params))
     b2, bc = _quadratic_coefficients(params, c)
@@ -346,9 +357,7 @@ def fixed_point(
     of convergence is the contraction margin, which does not depend on z, so
     a smaller z cannot make up for too few iterations.
     """
-    if c < 0.0:
-        raise DomainError(f"amplitude c must be nonnegative; got {c:g}")
-
+    check_amplitude(c)
     grid = empty_grid(params, z, c, nodes_per_octave)
     if c == 0.0:
         return grid  # T[0] = 0 identically: the constant branch

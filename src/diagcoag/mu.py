@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BracketError, DomainError
-from .params import SimilarityParams, beta_star_of, theta_of
+from .params import SimilarityParams, check_beta, theta_of
 
 _LN2 = math.log(2.0)
 
@@ -67,11 +67,7 @@ def solve_mu(gamma: float, beta: float) -> MuSolveReport:
     """
     if not (math.isfinite(gamma) and math.isfinite(beta)):
         raise DomainError(f"gamma and beta must be finite; got gamma = {gamma:g}, beta = {beta:g}")
-    if not gamma < 1.0:
-        raise DomainError("gamma must be < 1")
-    bstar = beta_star_of(gamma)
-    if beta < bstar * (1.0 - 1e-12):
-        raise DomainError(f"beta must be >= beta_star = {bstar}; got {beta}")
+    check_beta(gamma, beta)
 
     lo, hi = 0.0, 1.0
     g_lo = _G(gamma, beta, lo)  # == -1/2 exactly

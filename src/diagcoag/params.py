@@ -1,8 +1,8 @@
 """Parameter algebra for the diagonal-kernel coagulation problem.
 
 The kernel merges equal-size clusters only, at rate ``xi**(1+gamma)`` with
-homogeneity ``gamma < 1``.  Everything downstream is controlled by a handful
-of derived constants collected here:
+homogeneity ``gamma < 1``.  A family member is fixed by gamma and beta, and
+everything downstream is controlled by constants derived from them here:
 
 * ``theta = 2**(gamma-1)``, in (0, 1); the constant profile is ``1/(1-theta)``.
 * ``beta_star = 1/(1-gamma)``, the unique similarity exponent compatible with
@@ -11,6 +11,8 @@ of derived constants collected here:
   for ``beta > beta_star``, equivalently ``rho`` in ``(gamma, 1)``.
 * ``mu``, the positive bifurcation exponent governing the leading correction
   to the constant profile near zero (solved in :mod:`diagcoag.mu`).
+
+The domain rules gamma < 1 and beta >= beta_star live in ``check_gamma`` and ``check_beta``.
 """
 
 from __future__ import annotations
@@ -28,50 +30,77 @@ def same_value(a: float, b: float) -> bool:
     return abs(a - b) <= _DEGENERATE_RTOL * max(abs(a), abs(b))
 
 
-def theta_of(gamma: float) -> float:
-    """Return theta = 2**(gamma-1) for a kernel exponent gamma < 1."""
+def check_gamma(gamma: float) -> None:
+    """Raise ``DomainError`` unless the kernel exponent gamma is < 1."""
     if not gamma < 1.0:
         raise DomainError("gamma must be < 1")
+
+
+def theta_of(gamma: float) -> float:
+    """Return theta = 2**(gamma-1) for a kernel exponent gamma < 1."""
+    check_gamma(gamma)
     return 2.0 ** (gamma - 1.0)
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Kernel exponent and its derived constant theta = 2**(gamma-1)."""
+def beta_star_of(gamma: float) -> float:
+    """Mass-conserving exponent 1/(1-gamma)."""
+    check_gamma(gamma)
+    return 1.0 / (1.0 - gamma)
 
-    gamma: float
-    theta: float
 
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "KernelParams":
-        return cls(gamma=float(gamma), theta=theta_of(gamma))
+def check_beta(gamma: float, beta: float) -> float:
+    """Return beta_star; raise ``DomainError`` when beta is below it by more than the slack."""
+    bstar = beta_star_of(gamma)
+    if beta < bstar * (1.0 - _DEGENERATE_RTOL):
+        raise DomainError(f"beta must be >= beta_star = 1/(1-gamma) = {bstar}; got {beta}")
+    return bstar
+
+
+def rho_from_beta(gamma: float, beta: float) -> float:
+    """Tail index rho = gamma + 1/beta."""
+    check_gamma(gamma)
+    if not beta > 0.0:
+        raise DomainError("beta must be positive")
+    return gamma + 1.0 / beta
+
+
+def beta_from_rho(gamma: float, rho: float) -> float:
+    """Invert rho = gamma + 1/beta; requires rho in the open interval (gamma, 1)."""
+    check_gamma(gamma)
+    if not (gamma < rho < 1.0):
+        raise DomainError(
+            f"rho must lie in (gamma, 1) = ({gamma}, 1); got {rho}"
+        )
+    return 1.0 / (rho - gamma)
 
 
 @dataclass(frozen=True)
 class SimilarityParams:
-    """Full parameter set of one self-similar solution family member.
+    """One self-similar solution family member: gamma, beta and its mu.
 
-    Immutable after construction; safe to share freely across tasks.
+    theta, beta_star and rho derive from gamma and beta.  Immutable; share freely.
     """
 
-    kernel: KernelParams
+    gamma: float
     beta: float
-    beta_star: float
-    rho: float
     mu: float
 
     @property
-    def gamma(self) -> float:
-        return self.kernel.gamma
+    def theta(self) -> float:
+        return theta_of(self.gamma)
 
     @property
-    def theta(self) -> float:
-        return self.kernel.theta
+    def beta_star(self) -> float:
+        return beta_star_of(self.gamma)
+
+    @property
+    def rho(self) -> float:
+        return rho_from_beta(self.gamma, self.beta)
 
     @property
     def degenerate(self) -> bool:
-        """True when beta == beta_star (mass-conserving boundary case)."""
-        return abs(self.beta - self.beta_star) <= _DEGENERATE_RTOL * self.beta_star
+        """True when beta == beta_star (mass-conserving boundary case, snapped by make_params)."""
+        return self.beta == self.beta_star
 
     def to_dict(self) -> dict:
         return {
@@ -84,61 +113,21 @@ class SimilarityParams:
         }
 
 
-def beta_star_of(gamma: float) -> float:
-    """Mass-conserving exponent 1/(1-gamma)."""
-    if not gamma < 1.0:
-        raise DomainError("gamma must be < 1")
-    return 1.0 / (1.0 - gamma)
-
-
-def rho_from_beta(gamma: float, beta: float) -> float:
-    """Tail index rho = gamma + 1/beta."""
-    if not gamma < 1.0:
-        raise DomainError("gamma must be < 1")
-    if not beta > 0.0:
-        raise DomainError("beta must be positive")
-    return gamma + 1.0 / beta
-
-def beta_from_rho(gamma: float, rho: float) -> float:
-    """Invert rho = gamma + 1/beta; requires rho in the open interval (gamma, 1)."""
-    if not gamma < 1.0:
-        raise DomainError("gamma must be < 1")
-    if not (gamma < rho < 1.0):
-        raise DomainError(
-            f"rho must lie in (gamma, 1) = ({gamma}, 1); got {rho}"
-        )
-    return 1.0 / (rho - gamma)
-
-
 def make_params(gamma: float, beta: float) -> SimilarityParams:
     """Build the validated parameter set, solving for the bifurcation exponent.
 
     Accepts beta == beta_star (flagged degenerate via the ``degenerate``
     property, not an error); beta < beta_star is rejected.
     """
-    gamma = float(gamma)
-    beta = float(beta)
-    if not gamma < 1.0:
-        raise DomainError("gamma must be < 1")
-    bstar = beta_star_of(gamma)
-    if beta < bstar * (1.0 - _DEGENERATE_RTOL):
-        raise DomainError(
-            f"beta must be >= beta_star = 1/(1-gamma) = {bstar}; got {beta}"
-        )
+    gamma, beta = float(gamma), float(beta)
+    bstar = check_beta(gamma, beta)
     # Snap values within rounding of the degenerate boundary onto it.
     if abs(beta - bstar) <= _DEGENERATE_RTOL * bstar:
         beta = bstar
 
     from .mu import solve_mu  # deferred: mu solver reuses this module
 
-    report = solve_mu(gamma, beta)
-    return SimilarityParams(
-        kernel=KernelParams.from_gamma(gamma),
-        beta=beta,
-        beta_star=bstar,
-        rho=rho_from_beta(gamma, beta),
-        mu=report.mu,
-    )
+    return SimilarityParams(gamma=gamma, beta=beta, mu=solve_mu(gamma, beta).mu)
 
 
 def params_from_rho(gamma: float, rho: float) -> SimilarityParams:

@@ -23,6 +23,7 @@ import numpy as np
 
 from ._quad import cumtrapz_corrected, hermite_eval
 from .errors import DomainError, RangeError
+from .params import check_beta
 from .profile import Profile
 
 BOUND_SLACK = 1e-9
@@ -145,8 +146,7 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     beta = params.beta
     gamma = params.gamma
     degenerate = params.degenerate
-    if not degenerate and beta < params.beta_star:
-        raise DomainError("check_bounds requires beta >= beta_star")
+    check_beta(gamma, beta)
 
     x = profile.x_values
     h = profile.h_values

@@ -230,7 +230,7 @@ def test_criterion_10_dynamics_oracles(canonical_profile):
     params = canonical_profile.params
 
     # stationary power law: interior rhs
-    field = dy.power_law_field(params.kernel, 1.0, 1.5)
+    field = dy.power_law_field(params.gamma, 1.0, 1.5)
     m = field.nodes_per_octave
     rate = dy.coag_rhs(field)
     xi = field.xi_grid
@@ -238,7 +238,7 @@ def test_criterion_10_dynamics_oracles(canonical_profile):
     stationary = float(np.max(rel))
 
     # mass balance and monotone cluster count on a cascading pulse
-    pulse = dy.pulse_field(params.kernel, 320, amplitude=1e3)
+    pulse = dy.pulse_field(params.gamma, 320, amplitude=1e3)
     _, m0, _ = dy.moments(pulse)
     ns = [dy.moments(pulse)[0]]
     fld = pulse

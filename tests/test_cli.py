@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shlex
+import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -292,14 +293,14 @@ def test_simulate_stationary_power_law(tmp_path, capsys):
 @pytest.mark.parametrize("init", ["pulse", "powerlaw"])
 def test_simulate_snapshots_are_savetxt_bytes(init, tmp_path, capsys):
     # 40 octaves at md 16: 641 rows, one full chunk of the writer and a partial one
-    kernel = make_params(0.0, 2.0).kernel
+    gamma = make_params(0.0, 2.0).gamma
     code = run(["simulate", "--gamma", "0", "--beta", "2", "--init", init,
                 "--t-end", "1.5", "--snapshots", "3", "--out", str(tmp_path / "s")])
     assert code == 0
     if init == "pulse":
-        start = dynamics.pulse_field(kernel, 320, xi_min=2.0**-20)
+        start = dynamics.pulse_field(gamma, 320, xi_min=2.0**-20)
     else:
-        start = dynamics.power_law_field(kernel, 1.0, 1.5, xi_min=2.0**-20)
+        start = dynamics.power_law_field(gamma, 1.0, 1.5, xi_min=2.0**-20)
     fields = dynamics.evolve(start, 1.5, 3)
     if init == "pulse":
         assert np.any(fields[-1].f_values == 0.0)
@@ -491,8 +492,18 @@ _INVALID_INPUTS = {
     ),
     "simulate --octaves 2000": (["simulate", *_CANON, "--octaves", "2000"], "xi_min * 2**2000"),
     "simulate --xi-min 1e-320": (
-        ["simulate", *_CANON, "--xi-min", "1e-320"], "number density must be finite"
+        ["simulate", *_CANON, "--xi-min", "1e-320"], "xi_min must be positive and normal"
     ),
+    "simulate pulse --xi-min 1e-320": (
+        ["simulate", *_CANON, "--init", "pulse", "--xi-min", "1e-320", "--t-end", "2",
+         "--snapshots", "2"],
+        "xi_min must be positive and normal; got 9.99989e-321",
+    ),
+    "profile --z 1e-320": (
+        ["profile", *_CANON, "--z", "1e-320"], "lowest node z * 2**-20 is subnormal"
+    ),
+    "profile --c inf": (["profile", *_CANON, "--c", "inf"], "c must be finite; got inf"),
+    "profile --c nan": (["profile", *_CANON, "--c", "nan"], "c must be finite; got nan"),
     "profile --xmax inf": (["profile", *_CANON, "--xmax", "inf"], "x_max must be finite"),
     "profile --z inf": (["profile", *_CANON, "--z", "inf"], "z must be finite; got inf"),
     "profile --beta inf": (["profile", "--gamma", "0", "--beta", "inf"], "beta = inf"),
@@ -620,6 +631,21 @@ def test_readme_command_parses_as_written(line):
     argv = shlex.split(line)[1:]
     args = cli.parse_args(argv)
     assert args.func is getattr(cli, f"cmd_{argv[0]}")
+
+
+def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
+    # Each line runs in order in one directory, so verify and simulate read the
+    # profile written before them.  The sweep exits 4: its rows (-1, 0.3/0.5/0.7)
+    # and (0, 0.7) fail the stated c0/beta lower bound by design (beta < 2
+    # beta_star) and the gamma = -1 rows fail Cauchy pairs below float drift.
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for line in _readme_commands():
+            argv = shlex.split(line)[1:]
+            codes.append((argv[0], run(argv)))
+    assert codes == [("mu", 0), ("profile", 0), ("verify", 0), ("simulate", 0), ("sweep", 4)]
 
 
 def test_readme_library_example_runs_as_written(capsys):

@@ -7,7 +7,7 @@ import pytest
 from diagcoag import dynamics as dy
 from diagcoag import pipeline, tail
 from diagcoag.errors import DomainError, StepCollapseError, WindowError
-from diagcoag.params import KernelParams, make_params
+from diagcoag.params import make_params
 
 @pytest.fixture(scope="module")
 def canon():
@@ -21,14 +21,14 @@ def stationary_exponent(gamma: float) -> float:
 # -- size grid ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("md", [16, 64])
+@pytest.mark.parametrize("md", [10, 12, 16, 64, 100])
 def test_grid_doubles_exactly_per_octave(canon, md):
-    xi = dy.make_field(canon.kernel, np.zeros(10 * md + 1), nodes_per_octave=md).xi_grid
+    xi = dy.make_field(canon.gamma, np.zeros(10 * md + 1), nodes_per_octave=md).xi_grid
     assert np.array_equal(xi[md:], 2.0 * xi[:-md])
 
 
 def test_replace_keeps_grid(canon):
-    field = dy.pulse_field(canon.kernel, 100)
+    field = dy.pulse_field(canon.gamma, 100)
     moved = replace(field, f_values=2.0 * field.f_values)
     assert moved.xi_grid is field.xi_grid
     assert moved._weights is field._weights
@@ -37,7 +37,7 @@ def test_replace_keeps_grid(canon):
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_kernel_weights_are_built_bit_for_bit(gamma):
     params = make_params(gamma, 2.0 / (1.0 - gamma))
-    field = dy.power_law_field(params.kernel, 1.0, stationary_exponent(gamma))
+    field = dy.power_law_field(params.gamma, 1.0, stationary_exponent(gamma))
     xi = field.xi_grid
     m = field.nodes_per_octave
     assert np.array_equal(field._weights.loss, xi ** (1.0 + gamma))
@@ -46,19 +46,18 @@ def test_kernel_weights_are_built_bit_for_bit(gamma):
 
 
 def test_replace_with_another_kernel_rebuilds_weights(canon):
-    field = dy.pulse_field(canon.kernel, 100)
-    other = make_params(0.5, 4.0).kernel
-    moved = replace(field, kernel=other)
+    field = dy.pulse_field(canon.gamma, 100)
+    moved = replace(field, gamma=0.5)
     assert np.array_equal(moved._weights.loss, field.xi_grid ** 1.5)
 
 
 def test_constructors_share_make_field_grid(canonical_profile, canon):
     kw = dict(xi_min=2.0**-12, octaves=20, nodes_per_octave=32)
-    ref = dy.make_field(canon.kernel, np.zeros(20 * 32 + 1), 2.0**-12, 32).xi_grid
+    ref = dy.make_field(canon.gamma, np.zeros(20 * 32 + 1), 2.0**-12, 32).xi_grid
     fields = [
         dy.field_from_profile(canonical_profile, **kw),
-        dy.power_law_field(canon.kernel, 1.0, 1.5, **kw),
-        dy.pulse_field(canon.kernel, 5, **kw),
+        dy.power_law_field(canon.gamma, 1.0, 1.5, **kw),
+        dy.pulse_field(canon.gamma, 5, **kw),
     ]
     for field in fields:
         assert field.t == 1.0
@@ -69,14 +68,14 @@ def test_constructors_share_make_field_grid(canonical_profile, canon):
 
 
 def test_rhs_zero_field(canon):
-    field = dy.make_field(canon.kernel, np.zeros(321))
+    field = dy.make_field(canon.gamma, np.zeros(321))
     assert np.all(dy.coag_rhs(field) == 0.0)
 
 
 @pytest.mark.parametrize("gamma", [-1.0, 0.0, 0.5])
 def test_rhs_stationary_power_law(gamma):
     params = make_params(gamma, 2.0 / (1.0 - gamma))
-    field = dy.power_law_field(params.kernel, 1.0, stationary_exponent(gamma))
+    field = dy.power_law_field(params.gamma, 1.0, stationary_exponent(gamma))
     rate = dy.coag_rhs(field)
     m = field.nodes_per_octave
     xi = field.xi_grid
@@ -87,7 +86,7 @@ def test_rhs_stationary_power_law(gamma):
 
 def test_rhs_single_pulse(canon):
     k0 = 100
-    field = dy.pulse_field(canon.kernel, k0, amplitude=3.0)
+    field = dy.pulse_field(canon.gamma, k0, amplitude=3.0)
     rate = dy.coag_rhs(field)
     m = field.nodes_per_octave
     xi = field.xi_grid
@@ -103,7 +102,7 @@ def test_rhs_single_pulse(canon):
 
 
 def test_step_keeps_stationary_interior(canon):
-    field = dy.power_law_field(canon.kernel, 1.0, 1.5)
+    field = dy.power_law_field(canon.gamma, 1.0, 1.5)
     dt = dy.stable_dt(field)
     out = dy.step(field, dt)
     m = field.nodes_per_octave
@@ -116,20 +115,20 @@ def test_step_keeps_stationary_interior(canon):
 
 
 def test_step_zero_field(canon):
-    field = dy.make_field(canon.kernel, np.zeros(161))
+    field = dy.make_field(canon.gamma, np.zeros(161))
     out = dy.step(field, 0.5)
     assert np.all(out.f_values == 0.0)
 
 
 def test_step_collapse_error(canon):
-    field = dy.pulse_field(canon.kernel, 200, amplitude=1e6)
+    field = dy.pulse_field(canon.gamma, 200, amplitude=1e6)
     with pytest.raises(StepCollapseError):
         dy.step(field, 1e12)
 
 
 def test_pulse_cascade(canon):
     k0 = 320
-    field = dy.pulse_field(canon.kernel, k0, amplitude=1e3)
+    field = dy.pulse_field(canon.gamma, k0, amplitude=1e3)
     m = field.nodes_per_octave
     fld = dy.advance_to(field, field.t + 1.0)
     occupied = np.nonzero(fld.f_values > 1e-12)[0]
@@ -140,7 +139,7 @@ def test_pulse_cascade(canon):
 
 
 def test_evolve_outputs_at_geometric_times(canon):
-    field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+    field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     fields = dy.evolve(field, 2.0, 4)
     assert fields[0] is field
     targets = np.geomspace(1.0, 2.0, 4)
@@ -149,13 +148,13 @@ def test_evolve_outputs_at_geometric_times(canon):
 
 
 def test_evolve_refuses_an_end_before_the_start(canon):
-    field = dy.pulse_field(canon.kernel, 320)
+    field = dy.pulse_field(canon.gamma, 320)
     with pytest.raises(DomainError, match="t_end = 0.5 is before the field's time t = 1"):
         dy.evolve(field, 0.5, 2)
 
 
 def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
-    field = dy.pulse_field(canon.kernel, 320)
+    field = dy.pulse_field(canon.gamma, 320)
     monkeypatch.setattr(dy, "advance_to", None)  # an infinite end never returns
     with pytest.raises(DomainError, match="finite t_end > 0"):
         dy.evolve(field, math.inf, 2)
@@ -171,13 +170,32 @@ def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
 )
 def test_size_grid_with_an_infinite_top_node_is_refused(canon, kwargs, named):
     with pytest.raises(DomainError, match=named):
-        dy.pulse_field(canon.kernel, 0, **kwargs)
+        dy.pulse_field(canon.gamma, 0, **kwargs)
+
+
+def test_size_grid_with_a_subnormal_bottom_node_is_refused(canon):
+    tiny = np.finfo(float).tiny
+    assert dy.pulse_field(canon.gamma, 0, xi_min=tiny).xi_grid[0] == tiny
+    with pytest.raises(DomainError, match="xi_min must be positive and normal"):
+        dy.pulse_field(canon.gamma, 0, xi_min=tiny / 2.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, math.nan])
+def test_field_constructors_refuse_gamma_at_least_one(gamma):
+    constructors = [
+        lambda: dy.make_field(gamma, np.zeros(161)),
+        lambda: dy.power_law_field(gamma, 1.0, 1.5),
+        lambda: dy.pulse_field(gamma, 0),
+    ]
+    for build in constructors:
+        with pytest.raises(DomainError, match="gamma must be < 1"):
+            build()
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_make_field_refuses_a_non_finite_density(canon, value):
     with pytest.raises(DomainError, match="number density must be finite"):
-        dy.make_field(canon.kernel, [1.0, value, 1.0])
+        dy.make_field(canon.gamma, [1.0, value, 1.0])
 
 
 # The step as it was written before the kernel weights were built once per
@@ -189,7 +207,7 @@ def _reference_rhs(field):
     m = field.nodes_per_octave
     xi = field.xi_grid
     f = field.f_values
-    loss_density = xi ** (1.0 + field.kernel.gamma) * f * f
+    loss_density = xi ** (1.0 + field.gamma) * f * f
     rate = -loss_density
     rate[m:] += 0.25 * loss_density[:-m]
     return rate
@@ -200,12 +218,12 @@ def _reference_flux(field):
     xi = field.xi_grid
     f = field.f_values
     w = xi * field.dlog
-    return float(np.sum(w[-m:] * xi[-m:] ** (2.0 + field.kernel.gamma) * f[-m:] ** 2))
+    return float(np.sum(w[-m:] * xi[-m:] ** (2.0 + field.gamma) * f[-m:] ** 2))
 
 
 def _reference_stable_dt(field):
     xi = field.xi_grid
-    scale = float(np.max(xi ** (1.0 + field.kernel.gamma) * field.f_values))
+    scale = float(np.max(xi ** (1.0 + field.gamma) * field.f_values))
     return math.inf if scale == 0.0 else dy.ETA / scale
 
 
@@ -248,9 +266,9 @@ def test_step_matches_reference_bit_for_bit(canonical_profile, canon, kind):
         field = dy.field_from_profile(canonical_profile)
     elif kind == "power_law":
         params = make_params(0.5, 4.0)
-        field = dy.power_law_field(params.kernel, 2.0, 1.6)
+        field = dy.power_law_field(params.gamma, 2.0, 1.6)
     else:
-        field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+        field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     ref = field
     for _ in range(6):
         dt = _reference_stable_dt(ref)
@@ -262,7 +280,7 @@ def test_step_matches_reference_bit_for_bit(canonical_profile, canon, kind):
 
 
 def test_halved_step_matches_reference_bit_for_bit(canon):
-    field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+    field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     dt = 40.0 * dy.stable_dt(field)
     out = dy.step(field, dt)
     assert out.t - field.t < 0.5 * dt  # rejected at least once
@@ -273,13 +291,13 @@ def test_halved_step_matches_reference_bit_for_bit(canon):
 
 
 def test_moments_zero_field(canon):
-    field = dy.make_field(canon.kernel, np.zeros(161))
+    field = dy.make_field(canon.gamma, np.zeros(161))
     n, mass, flux = dy.moments(field)
     assert n == mass == flux == 0.0
 
 
 def test_mass_conservation_with_boundary_flux(canon):
-    field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+    field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     _, m0, _ = dy.moments(field)
     fld = dy.advance_to(field, field.t + 2.0)
     _, m1, _ = dy.moments(fld)
@@ -289,7 +307,7 @@ def test_mass_conservation_with_boundary_flux(canon):
 def test_number_decreases_at_half_loss_rate(canon):
     # for interior-supported data: dN/dt = -(1/2) int xi^(1+gamma) f^2
     md = 16
-    field = dy.pulse_field(canon.kernel, 320, amplitude=10.0, nodes_per_octave=md)
+    field = dy.pulse_field(canon.gamma, 320, amplitude=10.0, nodes_per_octave=md)
     rate = dy.coag_rhs(field)
     xi = field.xi_grid
     w = xi * field.dlog
@@ -299,7 +317,7 @@ def test_number_decreases_at_half_loss_rate(canon):
 
 
 def test_number_nonincreasing(canon):
-    field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+    field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     ns = [dy.moments(field)[0]]
     for _ in range(20):
         field = dy.step(field, dy.stable_dt(field))
@@ -309,7 +327,7 @@ def test_number_nonincreasing(canon):
 
 def test_interior_flux_is_zero(canon):
     # gains cancel losses exactly while the support stays interior
-    field = dy.pulse_field(canon.kernel, 320, amplitude=1e3)
+    field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     rate = dy.coag_rhs(field)
     xi = field.xi_grid
     w = xi * field.dlog
@@ -351,7 +369,7 @@ def test_distance_window_validation(canonical_field, canonical_profile, canon):
     with pytest.raises(WindowError):
         dy.self_similar_distance(canonical_field, canonical_profile, (1e30, 1e40))
     # a field that is zero on the window is at relative distance one
-    zero = dy.make_field(canon.kernel, np.zeros(641))
+    zero = dy.make_field(canon.gamma, np.zeros(641))
     assert dy.self_similar_distance(zero, canonical_profile, (1e-2, 1e2)) == 1.0
 
 
@@ -400,7 +418,7 @@ def test_collapse_checks_t_end_before_the_window(
 def test_collapse_model_mismatch_raises_before_evolving(
     gamma, beta, canonical_profile, monkeypatch
 ):
-    field = dy.power_law_field(KernelParams.from_gamma(gamma), 1.0, stationary_exponent(gamma))
+    field = dy.power_law_field(gamma, 1.0, stationary_exponent(gamma))
     monkeypatch.setattr(dy, "evolve", None)  # reached only past the check
     with pytest.raises(DomainError, match="reference profile's gamma = 0, beta = 2"):
         dy.simulate_collapse(field, canonical_profile, beta, 2.0)
@@ -411,9 +429,9 @@ def test_smooth_data_approaches_the_profile(canonical_profile, canon):
     # origin and d x^-(1+rho) in the tail, but a different core
     d, _ = tail.estimate_d(canonical_profile)
     gamma, beta = canon.gamma, canon.beta
-    xi = dy.make_field(canon.kernel, np.zeros(40 * 16 + 1)).xi_grid
+    xi = dy.make_field(canon.gamma, np.zeros(40 * 16 + 1)).xi_grid
     f0 = xi ** -(1.0 + gamma) / ((1.0 - canon.theta) + xi ** (1.0 / beta) / d)
-    field = dy.make_field(canon.kernel, f0)
+    field = dy.make_field(canon.gamma, f0)
     report, _ = dy.simulate_collapse(field, canonical_profile, beta, 256.0)
     distances = report.distances
     assert all(later < earlier for earlier, later in zip(distances, distances[1:]))

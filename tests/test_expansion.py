@@ -142,6 +142,24 @@ def test_fixed_point_epsilon_validation(canon):
         fixed_point(canon, c=-1.0, z=1e-2)
 
 
+@pytest.mark.parametrize(
+    "c, named",
+    [(-1.0, "nonnegative; got -1"), (math.inf, "finite; got inf"), (math.nan, "finite; got nan")],
+)
+def test_default_z_and_fixed_point_refuse_a_bad_amplitude(canon, c, named):
+    with pytest.raises(DomainError, match=f"amplitude c must be {named}"):
+        default_z(canon, c)
+    with pytest.raises(DomainError, match=f"amplitude c must be {named}"):
+        fixed_point(canon, c=c, z=1e-2)
+
+
+def test_empty_grid_refuses_a_subnormal_lowest_node(canon):
+    tiny = np.finfo(float).tiny
+    empty_grid(canon, tiny * 2.0**20, c=1.0)
+    with pytest.raises(DomainError, match="is subnormal"):
+        empty_grid(canon, tiny * 2.0**19, c=1.0)
+
+
 # -- h_from_expansion -------------------------------------------------------
 
 

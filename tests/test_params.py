@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagcoag.errors import DomainError
+from diagcoag.mu import solve_mu
 from diagcoag.params import (
+    SimilarityParams,
     beta_from_rho,
     beta_star_of,
     make_params,
@@ -94,3 +97,39 @@ def test_theta_increasing(g1, g2):
 def test_theta_limit_at_one():
     assert theta_of(1.0 - 1e-12) == pytest.approx(1.0, abs=1e-11)
     assert 0.0 < theta_of(-4.0) < 1.0
+
+
+def test_similarity_params_store_only_gamma_beta_and_mu():
+    assert [f.name for f in dataclasses.fields(SimilarityParams)] == ["gamma", "beta", "mu"]
+
+
+@given(gamma=gammas, frac=fractions)
+@settings(max_examples=100, deadline=None)
+def test_derived_constants_are_the_public_functions(gamma, frac):
+    p = make_params(gamma, beta_from_rho(gamma, gamma + frac * (1.0 - gamma)))
+    assert p.theta == theta_of(gamma)
+    assert p.beta_star == beta_star_of(gamma)
+    assert p.rho == rho_from_beta(gamma, p.beta)
+
+
+@given(gamma=gammas)
+@settings(max_examples=50, deadline=None)
+def test_degenerate_exactly_at_the_snapped_beta(gamma):
+    bstar = beta_star_of(gamma)
+    for beta in (bstar, bstar * (1.0 - 5e-13), bstar * (1.0 + 5e-13)):
+        p = make_params(gamma, beta)
+        assert p.beta == bstar
+        assert p.degenerate
+    assert not make_params(gamma, bstar * (1.0 + 1e-11)).degenerate
+
+
+@pytest.mark.parametrize(
+    "gamma, beta",
+    [(1.5, 2.0), (1.0, 2.0), (0.0, 0.5), (-1.0, 0.4), (0.5, 1.9), (0.0, 1.0 - 1e-11)],
+)
+def test_make_params_and_solve_mu_refuse_alike(gamma, beta):
+    with pytest.raises(DomainError) as made:
+        make_params(gamma, beta)
+    with pytest.raises(DomainError) as solved:
+        solve_mu(gamma, beta)
+    assert str(made.value) == str(solved.value)

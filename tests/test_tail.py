@@ -174,6 +174,13 @@ def test_check_bounds_degenerate_skips_chain():
     assert upper_ok and lower_ok
 
 
+def test_check_bounds_refuses_beta_below_beta_star(canonical_profile):
+    # SimilarityParams built by hand bypass make_params; check_bounds keeps the rule
+    params = replace(canonical_profile.params, beta=0.9)
+    with pytest.raises(DomainError, match="beta must be >= beta_star"):
+        tail.check_bounds(replace(canonical_profile, params=params))
+
+
 def test_check_bounds_requires_normalized(constant_profile):
     with pytest.raises(DomainError):
         tail.check_bounds(constant_profile)

@@ -169,11 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (DomainError, RangeError) as exc:
             print(f"{path}: precondition failed: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        entry = dataclasses.asdict(report)
-        entry["details"] = {
-            k: v for k, v in details.items() if isinstance(v, (bool, int, float, str))
-        }
-        reports[str(path)] = entry
+        reports[str(path)] = {**dataclasses.asdict(report), "details": details}
         if not tail.bounds_hold(report, details):
             failures.append(str(path))
     _print_json(reports, args.out)
@@ -263,6 +259,8 @@ def _sweep_cell(row: dict, key: str) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1; got {args.jobs}")
     try:
         gammas = [float(v) for v in args.gammas.split(",") if v.strip() != ""]
         rhos = [float(v) for v in args.rhos.split(",") if v.strip() != ""]
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", type=str, help="reference profile CSV for the collapse metric")
     p.add_argument("--t-end", type=float, default=4.0)
     p.add_argument("--snapshots", type=int, default=5)
-    p.add_argument("--xi-min", type=float, default=2.0**-20)
+    p.add_argument("--xi-min", type=float, default=dynamics.DEFAULT_XI_MIN)
     p.add_argument("--octaves", type=int, default=dynamics.DEFAULT_OCTAVES)
     p.add_argument("--md", type=int, default=dynamics.DEFAULT_NODES_PER_OCTAVE)
     p.set_defaults(func=cmd_simulate)

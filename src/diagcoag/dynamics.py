@@ -40,6 +40,7 @@ _LN2 = math.log(2.0)
 
 DEFAULT_NODES_PER_OCTAVE = 16
 DEFAULT_OCTAVES = 40
+DEFAULT_XI_MIN = 2.0**-20
 ETA = 0.1
 MAX_HALVINGS = 20
 
@@ -118,7 +119,7 @@ def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray
 def make_field(
     gamma: float,
     f_values: np.ndarray,
-    xi_min: float = 2.0**-20,
+    xi_min: float = DEFAULT_XI_MIN,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
     """Field at t = 1 for kernel exponent gamma, nodal densities from xi_min upward."""
@@ -134,7 +135,7 @@ def make_field(
 
 def field_from_profile(
     profile: Profile,
-    xi_min: float = 2.0**-20,
+    xi_min: float = DEFAULT_XI_MIN,
     octaves: int = DEFAULT_OCTAVES,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
@@ -149,7 +150,7 @@ def power_law_field(
     gamma: float,
     amplitude: float,
     exponent: float,
-    xi_min: float = 2.0**-20,
+    xi_min: float = DEFAULT_XI_MIN,
     octaves: int = DEFAULT_OCTAVES,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
@@ -164,7 +165,7 @@ def pulse_field(
     gamma: float,
     node: int,
     amplitude: float = 1.0,
-    xi_min: float = 2.0**-20,
+    xi_min: float = DEFAULT_XI_MIN,
     octaves: int = DEFAULT_OCTAVES,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:

@@ -347,9 +347,9 @@ def fixed_point(
     c: float,
     z: float,
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
-    tol: float = DEFAULT_TOL,
 ) -> ExpansionGrid:
-    """Iterate T from j = 0 until the weighted norm (eps = mu/2) of the change is <= tol.
+    """Iterate T from j = 0 until the weighted norm (eps = mu/2) of the change is
+    <= ``DEFAULT_TOL``.
 
     Raises ``ConvergenceError`` when an iterate diverges or leaves the
     invariant ball (z too large for the parameters), and its subclass
@@ -378,7 +378,7 @@ def fixed_point(
             )
         change = plan.norm(new.j_values - grid.j_values)
         grid = new
-        if change <= tol:
+        if change <= DEFAULT_TOL:
             return grid
     raise IterationLimitError(
         f"fixed point not reached in {DEFAULT_MAX_ITER} iterations at z={z:g}"

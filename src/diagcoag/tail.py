@@ -12,6 +12,10 @@ the profile equation
 
     beta x**(1-gamma) h(x) = int_{x/2}^x s**(-gamma) h^2 ds
                              + (1-gamma)(beta-beta_star) int_0^x s**(-gamma) h ds.
+
+Both cumulative integrals, Phi and int_0^x s**(-gamma) h^2 ds, come from one
+stacked corrected-trapezoid quadrature (``_cumulative``), which
+``check_bounds`` and ``residual_sss4b`` each run once per call.
 """
 
 from __future__ import annotations
@@ -89,39 +93,43 @@ def target_octaves(beta: float, d: float) -> float:
     return max(at_top, at_edge)
 
 
-def _phi_integrand(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
-    """phi = x**(1-gamma) h and its tau derivative (jacobian included)."""
-    gamma = profile.params.gamma
-    x = profile.x_values
-    h = profile.h_values
-    w = x ** (1.0 - gamma)
-    phi = w * h
-    dphi = w * ((1.0 - gamma) * h + x * profile.dh_values)
-    return phi, dphi
-
-
-def _head_integral(profile: Profile, y: float, weight: float = 1.0) -> float:
+def _head_integral(profile: Profile, y: float, weight: float | np.ndarray = 1.0):
     """int_0^y s**(-gamma) weight h ds below the grid, where h sits at 1/(1-theta)."""
     gamma = profile.params.gamma
     limit = 1.0 / (1.0 - profile.params.theta)
     return weight * limit * y ** (1.0 - gamma) / (1.0 - gamma)
 
 
+def _cumulative(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (Phi, int_0^x s**(-gamma) h^2 ds) at every grid node, and their tau
+    derivatives x**(1-gamma) (h, h^2), the integrands of one stacked quadrature."""
+    gamma = profile.params.gamma
+    x = profile.x_values
+    h = profile.h_values
+    w = x ** (1.0 - gamma)
+    wh = w * h
+    phi = np.stack((wh, wh * h))
+    dphi = np.stack((w, wh)) * ((1.0 - gamma) * h + np.stack((x, 2.0 * x)) * profile.dh_values)
+    limit = 1.0 / (1.0 - profile.params.theta)
+    head = _head_integral(profile, profile.x_min, weight=np.array([[1.0], [limit]]))
+    return head + cumtrapz_corrected(phi, dphi, profile.dtau), phi
+
+
 def phi_nodes(profile: Profile) -> np.ndarray:
     """Phi(x) = int_0^x s**(-gamma) h ds at every grid node."""
-    phi, dphi = _phi_integrand(profile)
-    head = _head_integral(profile, profile.x_min)
-    return head + cumtrapz_corrected(phi, dphi, profile.dtau)
+    return _cumulative(profile)[0][0]
+
+
+def _phi_at(profile: Profile, cum: np.ndarray, phi: np.ndarray, x: float) -> float:
+    """Phi(x) from the rows of ``_cumulative``; cubic Hermite between nodes (Phi' is known)."""
+    if not (profile.x_min <= x <= profile.x_max * (1 + 1e-12)):
+        raise DomainError(f"x = {x:g} outside the stored domain")
+    return float(hermite_eval(math.log(x), profile.tau0, profile.dtau, cum[0], phi[0]))
 
 
 def phi_of(profile: Profile, x: float) -> float:
-    """Dense evaluation of Phi; cubic Hermite between nodes (Phi' is known)."""
-    if not (profile.x_min <= x <= profile.x_max * (1 + 1e-12)):
-        raise DomainError(f"x = {x:g} outside the stored domain")
-    cum = phi_nodes(profile)
-    phi, _ = _phi_integrand(profile)
-    tau = math.log(x)
-    return float(hermite_eval(tau, profile.tau0, profile.dtau, cum, phi))
+    """Dense evaluation of Phi."""
+    return _phi_at(profile, *_cumulative(profile), x)
 
 
 def c0_of(profile: Profile) -> float:
@@ -139,6 +147,7 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     All three with slack ``BOUND_SLACK``.  For a degenerate input
     (beta == beta_star) the strict inequality is trivial (right side 0) and
     the lower-bound chain does not apply; both are skipped and flagged.
+    ``details["c0"]`` holds c0 = Phi(1) for every input, degenerate or not.
     """
     if not profile.normalized:
         raise DomainError("check_bounds requires a normalized profile (h(1) = 1/2)")
@@ -155,13 +164,17 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     hs = h[sel]
     xb = xs ** (1.0 / beta)
 
-    upper_margin = float(np.min(1.0 / (1.0 + xb) - hs))
+    upper_gap = 1.0 / (1.0 + xb) - hs
+    upper_margin = float(np.min(upper_gap))
     upper_ok = upper_margin >= -BOUND_SLACK
+    cum, phi = _cumulative(profile)
+    c0 = _phi_at(profile, cum, phi, 1.0)
 
     details: dict = {
         "degenerate": degenerate,
         "upper_margin": upper_margin,
         "n_nodes_checked": int(sel.sum()),
+        "c0": c0,
     }
 
     if degenerate:
@@ -169,32 +182,28 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
         details["lower_skipped"] = True
         return upper_ok, True, details
 
-    cum_phi = phi_nodes(profile)[sel]
-    c0 = c0_of(profile)
-    details["c0"] = c0
-
-    lower_margin = float(np.min(hs - (c0 / beta) / xb))
+    lower_gap = hs - (c0 / beta) / xb
+    lower_margin = float(np.min(lower_gap))
     lower_ok = lower_margin >= -BOUND_SLACK
     details["lower_margin"] = lower_margin
 
     # The chain of inequalities actually yields the constant
     # (1-gamma)(beta-beta_star) * c0/beta; the stated bound drops that factor
     # and can fail for beta < 2*beta_star.  Both margins are reported.
-    chain_const = (1.0 - gamma) * (beta - params.beta_star) * c0 / beta
+    lam = (1.0 - gamma) * (beta - params.beta_star)
+    chain_const = lam * c0 / beta
     chain_margin = float(np.min(hs - chain_const / xb))
     details["lower_margin_chain"] = chain_margin
     details["lower_chain_ok"] = chain_margin >= -BOUND_SLACK
 
-    hineq_margin = float(
-        np.min(beta * xs ** (1.0 - gamma) * hs - (1.0 - gamma) * (beta - params.beta_star) * cum_phi)
-    )
+    hineq_margin = float(np.min(beta * xs ** (1.0 - gamma) * hs - lam * cum[0, sel]))
     details["hineq_margin"] = hineq_margin
     details["hineq_ok"] = hineq_margin > -BOUND_SLACK
 
     if not upper_ok:
-        details["upper_worst_x"] = float(xs[np.argmin(1.0 / (1.0 + xb) - hs)])
+        details["upper_worst_x"] = float(xs[np.argmin(upper_gap)])
     if not lower_ok:
-        details["lower_worst_x"] = float(xs[np.argmin(hs - (c0 / beta) / xb)])
+        details["lower_worst_x"] = float(xs[np.argmin(lower_gap)])
     return upper_ok, lower_ok, details
 
 
@@ -221,16 +230,8 @@ def residual_sss4b(profile: Profile, samples) -> float:
         len(x) - 1,
     )
 
-    # Cumulative of s**(-gamma) h^2 with its analytic below-grid head.
-    w = x ** (1.0 - gamma)
-    phi_sq = w * h * h
-    dphi_sq = w * h * ((1.0 - gamma) * h + 2.0 * x * profile.dh_values)
+    cum_phi, cum_sq = _cumulative(profile)[0]
     limit = 1.0 / (1.0 - params.theta)
-    head_sq = _head_integral(profile, profile.x_min, weight=limit)
-    cum_sq = head_sq + cumtrapz_corrected(phi_sq, dphi_sq, profile.dtau)
-
-    cum_phi = phi_nodes(profile)
-
     worst = 0.0
     lam = (1.0 - gamma) * (beta - params.beta_star)
     for i in np.unique(idx):
@@ -242,7 +243,7 @@ def residual_sss4b(profile: Profile, samples) -> float:
             delayed = cum_sq[i] - _head_integral(profile, xi / 2.0, weight=limit)
         rhs_val = delayed + lam * cum_phi[i]
         worst = max(worst, abs(lhs - rhs_val) / abs(lhs))
-    return worst
+    return float(worst)
 
 
 def fit_slope(profile: Profile, x_lo: float, x_hi: float) -> float:
@@ -289,10 +290,9 @@ def cauchy_violation(profile: Profile) -> float:
 
 
 def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
-    """The tail report plus a details dict: the margins of ``check_bounds``,
-    ``d_converged``, the slope window and ``slope_err_rel = |slope_fit + 1/beta| beta``."""
+    """The tail report plus a details dict of scalars: ``check_bounds``' margins and c0
+    (the report's c0), ``d_converged`` and ``slope_err_rel = |slope_fit + 1/beta| beta``."""
     d, d_err = estimate_d(profile)
-    c0 = c0_of(profile)
     lo, hi = default_slope_window(profile)
     slope = fit_slope(profile, lo, hi)
     upper_ok, lower_ok, details = check_bounds(profile)
@@ -303,7 +303,7 @@ def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
     report = TailReport(
         d_estimate=d,
         d_error_bound=d_err,
-        c0=c0,
+        c0=details["c0"],
         slope_fit=slope,
         rho_check=profile.params.gamma - slope,
         cauchy_max_violation=cauchy_violation(profile),
@@ -312,7 +312,6 @@ def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
         max_residual_sss4b=resid,
     )
     details["d_converged"] = d_err <= D_CONVERGED_SHARE * d
-    details["slope_window"] = (lo, hi)
     details["slope_err_rel"] = abs(slope + 1.0 / profile.params.beta) * profile.params.beta
     return report, details
 

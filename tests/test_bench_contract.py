@@ -2,8 +2,10 @@
 
 ``perfbench/workloads.py`` runs the workloads through the layers' public
 functions and traces them by attribute name; these tests import it as it is
-and run one item per workload, so a change that drops or renames an API the
-benchmark calls fails here rather than in a benchmark run.
+and run every profile cell of ``sweep15`` and ``deep_tail`` and one item of
+each other workload through the benchmark's own check, so a change that drops
+or renames an API the benchmark calls, or moves a ``d`` past the reference's
+bound, fails here rather than in a benchmark run.
 """
 
 import sys
@@ -13,39 +15,46 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-
-@pytest.fixture(scope="module")
-def bench():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import inputs
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return workloads, inputs
+sys.path.insert(0, str(PERFBENCH))
+try:
+    import inputs
+    import workloads
+finally:
+    sys.path.remove(str(PERFBENCH))
 
 
-def test_trace_points_exist(bench):
-    workloads, _ = bench
+def test_trace_points_exist():
     for module, attr, *_ in workloads.TRACE_POINTS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-# One item per workload, two for deep_tail: cell (0.99, 0.9) ends, before its
-# seed, in the error its reference records; cell (0.8, 0.9) marches its tail.
+def _run(workload, item, tmp_path):
+    out = workloads.run_item(workloads.prepare(workload, tmp_path), item)
+    assert out.correct, out.failed
+
+
+# Every profile cell: at (-1, 0.5), (-1, 0.7), (-1, 0.9) and (0, 0.9) the
+# reference's bound on d lies below the discretization error of d, so a move of
+# d in its last bits fails the benchmark; cell (0.99, 0.9) ends, before its
+# seed, in the error its reference records.
+PROFILE_CELLS = {
+    f"{workload}-{cell.key}": (workload, cell)
+    for workload in ("sweep15", "deep_tail")
+    for cell in inputs.grid_cells(workload)
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILE_CELLS))
+def test_profile_cell_is_correct(tmp_path, name):
+    _run(*PROFILE_CELLS[name], tmp_path)
+
+
 ITEMS = {
-    "sweep15": ("sweep15", lambda inputs: inputs.grid_cells("sweep15")[0]),
-    "deep_tail": ("deep_tail", lambda inputs: inputs.Cell(0.99, 0.9)),
-    "deep_tail-marching": ("deep_tail", lambda inputs: inputs.Cell(0.8, 0.9)),
-    "roundtrip": ("roundtrip", lambda inputs: inputs.grid_cells("sweep15")[0]),
-    "collapse": ("collapse", lambda inputs: inputs.Perturbation(0.0, 0.0)),
+    "roundtrip": ("roundtrip", inputs.grid_cells("sweep15")[0]),
+    "collapse": ("collapse", inputs.Perturbation(0.0, 0.0)),
 }
 
 
 @pytest.mark.parametrize("name", list(ITEMS))
-def test_one_item_per_workload_is_correct(bench, tmp_path, name):
-    workloads, inputs = bench
-    workload, item = ITEMS[name]
-    state = workloads.prepare(workload, tmp_path)
-    out = workloads.run_item(state, item(inputs))
-    assert out.correct, out.failed
+def test_one_item_per_workload_is_correct(tmp_path, name):
+    _run(*ITEMS[name], tmp_path)

@@ -475,6 +475,13 @@ _INVALID_INPUTS = {
     "profile --z -1": (["profile", *_CANON, "--z", "-1"], "z must be positive; got -1"),
     "profile --c -1": (["profile", *_CANON, "--c", "-1"], "c must be nonnegative; got -1"),
     "sweep --gammas abc": (["sweep", "--gammas", "abc", "--rhos", "0.5"], "'abc'"),
+    "sweep --jobs 0": (
+        ["sweep", "--gammas", "0", "--rhos", "0.5", "--jobs", "0"], "--jobs must be at least 1; got 0"
+    ),
+    "sweep --jobs -2": (
+        ["sweep", "--gammas", "0", "--rhos", "0.5", "--jobs", "-2"],
+        "--jobs must be at least 1; got -2",
+    ),
     "config missing": (["profile", "--config", "nofile.json"], "'nofile.json'"),
     "config not JSON": (["profile", "--config", "text.json"], "'text.json': Expecting value"),
     "config array": (["profile", "--config", "array.json"], "'array.json' does not hold"),

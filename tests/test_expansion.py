@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diagcoag.errors import ConvergenceError, DomainError
 from diagcoag.expansion import (
+    DEFAULT_TOL,
     apply_T,
     ball_radius,
     contraction_margin,
@@ -131,7 +132,7 @@ def test_fixed_point_stays_inside_ball(canon):
 
 
 def test_fixed_point_residual(canon):
-    grid = fixed_point(canon, c=1.0, z=1e-2, tol=1e-13)
+    grid = fixed_point(canon, c=1.0, z=1e-2)
     again = apply_T(grid)
     resid = weighted_norm(grid.nodes, again.j_values - grid.j_values, 0.5)
     assert resid <= 1e-12
@@ -202,8 +203,8 @@ def test_scaling_covariance(canon):
     # amplitude c at x equals amplitude c*a^mu at x/a; with a = 2 the grids align
     a = 2.0
     z = 1e-2
-    g1 = fixed_point(canon, c=1.0, z=z, tol=1e-14)
-    g2 = fixed_point(canon, c=a**canon.mu, z=z / a, tol=1e-14)
+    g1 = fixed_point(canon, c=1.0, z=z)
+    g2 = fixed_point(canon, c=a**canon.mu, z=z / a)
     h1 = h_from_expansion(g1)
     h2 = h_from_expansion(g2)
     # node i of the rescaled run sits at x1_i / a and must reproduce h1 there
@@ -300,14 +301,14 @@ def test_apply_T_rebuilds_a_plan_that_no_longer_fits(canon):
 @pytest.mark.parametrize("gamma,frac", BIT_IDENTITY_CELLS)
 def test_fixed_point_bit_identical_to_public_apply_T_loop(gamma, frac):
     params = cell_params(gamma, frac)
-    z, eps, tol = default_z(params), 0.5 * params.mu, 1e-12
-    result = fixed_point(params, c=1.0, z=z, tol=tol)
+    z, eps = default_z(params), 0.5 * params.mu
+    result = fixed_point(params, c=1.0, z=z)
     grid = empty_grid(params, z, c=1.0)
     while True:
         new = apply_T(grid)
         change = weighted_norm(grid.nodes, new.j_values - grid.j_values, eps)
         grid = new
-        if change <= tol:
+        if change <= DEFAULT_TOL:
             break
     assert np.array_equal(result.j_values, grid.j_values)
     assert result.weighted_norm == grid.weighted_norm

@@ -165,10 +165,13 @@ def test_literal_lower_bound_splits_at_two_beta_star(sweep_profiles):
             assert not row["report"].lower_bound_ok, (row["gamma"], row["frac"])
 
 
-def test_check_bounds_degenerate_skips_chain():
-    params = make_params(0.0, 1.0)
-    prof = pipeline.build_profile(params)
-    upper_ok, lower_ok, details = tail.check_bounds(prof)
+@pytest.fixture(scope="module")
+def degenerate_profile():
+    return pipeline.build_profile(make_params(0.0, 1.0))
+
+
+def test_check_bounds_degenerate_skips_chain(degenerate_profile):
+    upper_ok, lower_ok, details = tail.check_bounds(degenerate_profile)
     assert details["degenerate"]
     assert details["hineq_skipped"] and details["lower_skipped"]
     assert upper_ok and lower_ok
@@ -247,6 +250,42 @@ def test_fit_slope_window_validation(canonical_profile):
         tail.fit_slope(canonical_profile, 10.0, 100.0)
     with pytest.raises(DomainError):
         tail.fit_slope(canonical_profile, 0.5, 1e4)
+
+
+# -- report ----------------------------------------------------------------------
+
+
+def test_tail_report_integrates_once_per_check(canonical_profile, monkeypatch):
+    # check_bounds and residual_sss4b each run one stacked quadrature of Phi and
+    # int s**(-gamma) h^2 ds; c0 = Phi(1) is the report's one Hermite evaluation
+    calls = {"cumtrapz_corrected": 0, "hermite_eval": 0}
+
+    def counted(name):
+        inner = getattr(tail, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tail, name, counted(name))
+    tail.build_tail_report(canonical_profile)
+    assert calls["cumtrapz_corrected"] <= 2
+    assert calls["hermite_eval"] == 1
+
+
+def test_tail_report_holds_python_scalars(canonical_profile):
+    report, details = tail.build_tail_report(canonical_profile)
+    assert type(report.max_residual_sss4b) is float
+    assert all(type(v) in (bool, int, float) for v in details.values()), details
+    assert details["c0"] == report.c0
+
+
+def test_degenerate_tail_report_carries_its_c0(degenerate_profile):
+    report, details = tail.build_tail_report(degenerate_profile)
+    assert details["c0"] == report.c0 == tail.c0_of(degenerate_profile)
 
 
 # -- module-level properties -------------------------------------------------------

@@ -16,17 +16,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def cumtrapz_corrected(phi: np.ndarray, dphi: np.ndarray, dtau: float) -> np.ndarray:
-    """Cumulative integral of phi over [tau_0, tau_i] for every node i.
+def cumtrapz_corrected(
+    phi: np.ndarray, dphi: np.ndarray, dtau: float, out: np.ndarray
+) -> np.ndarray:
+    """Cumulative integral of phi over [tau_0, tau_i] for every node i, into ``out``.
 
-    ``dphi`` holds d(phi)/dtau at the nodes; entry 0 of the result is 0.
+    ``dphi`` holds d(phi)/dtau at the nodes and is consumed: the end
+    correction is formed in its place.  ``out`` has phi's shape and is
+    returned; its entry 0 is 0.  No full-size temporary is allocated.
     Stacked integrands (nodes along the last axis) are integrated row by row.
     """
-    out = np.empty(phi.shape)
     out[..., 0] = 0.0
-    np.add.accumulate(phi[..., 1:] + phi[..., :-1], axis=-1, out=out[..., 1:])
+    np.add(phi[..., 1:], phi[..., :-1], out=out[..., 1:])
+    np.add.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
     out[..., 1:] *= 0.5 * dtau
-    out -= (dtau * dtau / 12.0) * (dphi - dphi[..., :1])
+    dphi -= dphi[..., :1].copy()  # a copy: an overlapping operand copies all of dphi
+    dphi *= dtau * dtau / 12.0
+    out -= dphi
     return out
 
 

@@ -326,7 +326,7 @@ def apply_T(grid: ExpansionGrid) -> ExpansionGrid:
             + j1 * j1 * plan.x1_2mu * y.sq2 / plan.k_sq2
         )
 
-    i = cumtrapz_corrected(phi, dphi, dtau)
+    i = cumtrapz_corrected(phi, dphi, dtau, np.empty(phi.shape))
     i[0] += two_a * head_lin(plan.head_x1)
     i[1] += head_sq(plan.head_x1)
     i[2] += head_lin(plan.head_x1)

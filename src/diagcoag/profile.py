@@ -12,7 +12,10 @@ tau; half-step delayed values are read from history by cubic Hermite
 interpolation, which keeps the interpolation error below the truncation
 error of the integrator.  A march reads only the last delay interval (m+1
 nodes) of the history it continues, so extending a profile costs the new
-steps plus one vector pass, however long the stored history is.
+steps plus one vector pass, however long the stored history is.  It holds
+a few delay intervals of h and dh/dtau as Python floats and writes the new
+nodes into output arrays preallocated for all its steps, so its memory
+beyond the returned profile is a few node-length arrays.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ _LN2 = math.log(2.0)
 _C_ZERO = 1e-300
 
 NORMALIZE_TOL = 1e-12
+
+# New nodes a march holds as Python floats before it writes them into its
+# output arrays, in delay intervals (m steps).
+_CHUNK_INTERVALS = 4
 
 
 @dataclass(frozen=True)
@@ -153,13 +160,17 @@ def integrate(seed: Profile, x_max: float) -> Profile:
     The seed must carry at least one delay interval (m+1 nodes) of history.
     Only that last interval feeds the march, as h and dh/dtau = x dh/dx, so
     a call costs its new steps plus one vector pass over the history.  The
-    nodes are bit-identical to those of a march that re-reads the whole
-    history (kept as the reference in ``tests/test_profile.py``), on a
-    first call and on every continuation.
+    march holds that interval and the nodes of its current chunk
+    (``_CHUNK_INTERVALS`` delay intervals) as Python floats, and writes each
+    chunk into arrays preallocated for all ``n_new`` steps.  The nodes are
+    bit-identical to those of a march that re-reads the whole history (kept
+    as the reference in ``tests/test_profile.py``), on a first call and on
+    every continuation.
     Monotonicity or positivity violations abort with the offending x; the
     step is too coarse, and nothing retries: pass a seed with a larger m.
     A tail that reaches the double-precision floor (h <= 1e-250 and the next
-    value zero or tied) ends the march there, short of x_max.
+    value zero or tied) ends the march there, short of x_max; the profile
+    then holds the filled prefix of those arrays.
     """
     m = seed.m
     if m < 32:
@@ -177,59 +188,78 @@ def integrate(seed: Profile, x_max: float) -> Profile:
 
     tau_last = seed.tau0 + dtau * (n_have - 1)
     n_new = int(math.ceil((math.log(x_max) - tau_last) / dtau - 1e-12))
-    x = np.exp(seed.tau0 + dtau * np.arange(n_have + n_new))
-    hd_seed = seed.dh_values * x[:n_have]  # dh/dtau
+    n_total = n_have + n_new
+    x = np.exp(seed.tau0 + dtau * np.arange(n_total))
+    h = np.empty(n_total)
+    hd = np.empty(n_total)  # dh/dtau = x dh/dx until the march ends
+    h[:n_have] = seed.h_values
+    np.multiply(seed.dh_values, x[:n_have], out=hd[:n_have])
 
-    # The last delay interval: hl[k] and hl[k + 1] are the delayed nodes of
-    # the k-th new step, hl[-1] is its current node.
-    hl = seed.h_values[-(m + 1):].tolist()
-    hdl = hd_seed[-(m + 1):].tolist()
+    # The sliding history: the last delay interval, then the nodes of the
+    # current chunk, written into h and hd when the chunk ends.  In a chunk,
+    # hl[k] and hl[k + 1] are the delayed nodes of its k-th step and hl[-1]
+    # is that step's current node.
+    hl = h[n_have - m - 1:n_have].tolist()
+    hdl = hd[n_have - m - 1:n_have].tolist()
 
     half = 0.5 * dtau
     eighth = dtau / 8.0
     sixth = dtau / 6.0
-    h_b1 = hl[0]
-    q_b1 = theta * h_b1 * h_b1
-    for k in range(n_new):
-        h_b0 = h_b1
-        q_b0 = q_b1
-        h_b1 = hl[k + 1]
+    chunk = _CHUNK_INTERVALS * m
+    n = n_have
+    while n < n_total:
+        steps = min(chunk, n_total - n)
+        h_b1 = hl[0]
         q_b1 = theta * h_b1 * h_b1
-        # Hermite midpoint of the delayed history interval.
-        h_mid = 0.5 * (h_b0 + h_b1) + eighth * (hdl[k] - hdl[k + 1])
-        q_mid = theta * h_mid * h_mid
-        hn = hl[-1]
-        k1 = (hn * hn - q_b0 - hn) / beta
-        hv = hn + half * k1
-        k2 = (hv * hv - q_mid - hv) / beta
-        hv = hn + half * k2
-        k3 = (hv * hv - q_mid - hv) / beta
-        hv = hn + dtau * k3
-        k4 = (hv * hv - q_b1 - hv) / beta
-        hnext = hn + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        # Double-precision floor: a decaying tail (power law or exponential)
-        # underflows to zero or ties in subnormals; truncate the march there.
-        if not hnext > 0.0:
-            if hn <= 1e-250:
-                break
-            x_bad = math.exp(seed.tau0 + dtau * (n_have + k))
-            raise PositivityError(f"h lost positivity at x = {x_bad:g}", x=x_bad)
-        if strict and not hnext < hn:
-            if hnext == hn and hn <= 1e-250:
-                break
-            x_bad = math.exp(seed.tau0 + dtau * (n_have + k))
-            raise MonotonicityError(f"h failed to decrease at x = {x_bad:g}", x=x_bad)
-        hl.append(hnext)
-        hdl.append((hnext * hnext - q_b1 - hnext) / beta)
+        for k in range(steps):
+            h_b0 = h_b1
+            q_b0 = q_b1
+            h_b1 = hl[k + 1]
+            q_b1 = theta * h_b1 * h_b1
+            # Hermite midpoint of the delayed history interval.
+            h_mid = 0.5 * (h_b0 + h_b1) + eighth * (hdl[k] - hdl[k + 1])
+            q_mid = theta * h_mid * h_mid
+            hn = hl[-1]
+            k1 = (hn * hn - q_b0 - hn) / beta
+            hv = hn + half * k1
+            k2 = (hv * hv - q_mid - hv) / beta
+            hv = hn + half * k2
+            k3 = (hv * hv - q_mid - hv) / beta
+            hv = hn + dtau * k3
+            k4 = (hv * hv - q_b1 - hv) / beta
+            hnext = hn + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            # Double-precision floor: a decaying tail (power law or exponential)
+            # underflows to zero or ties in subnormals; truncate the march there.
+            if not hnext > 0.0:
+                if hn <= 1e-250:
+                    n_total = n + k
+                    break
+                x_bad = math.exp(seed.tau0 + dtau * (n + k))
+                raise PositivityError(f"h lost positivity at x = {x_bad:g}", x=x_bad)
+            if strict and not hnext < hn:
+                if hnext == hn and hn <= 1e-250:
+                    n_total = n + k
+                    break
+                x_bad = math.exp(seed.tau0 + dtau * (n + k))
+                raise MonotonicityError(f"h failed to decrease at x = {x_bad:g}", x=x_bad)
+            hl.append(hnext)
+            hdl.append((hnext * hnext - q_b1 - hnext) / beta)
+        done = len(hl) - (m + 1)
+        h[n:n + done] = hl[m + 1:]
+        hd[n:n + done] = hdl[m + 1:]
+        n += done
+        del hl[:done], hdl[:done]
 
-    h = np.concatenate((seed.h_values, hl[m + 1:]))
-    hd = np.concatenate((hd_seed, hdl[m + 1:]))
+    h = h[:n_total]
+    hd = hd[:n_total]
+    hd /= x[:n_total]  # dh/dx
+    del x
     out = Profile(
         params=seed.params,
         m=m,
         tau0=seed.tau0,
         h_values=h,
-        dh_values=hd / x[: len(h)],
+        dh_values=hd,
         c=seed.c,
         z=seed.z,
         normalized=seed.normalized,
@@ -273,6 +303,8 @@ def normalize(profile: Profile) -> Profile:
 
     Uses monotone bisection on the dense evaluation; raises ``RangeError``
     when 1/2 is not attained inside the stored domain (extend x_max first).
+    The bisection reads h and dh/dtau on the two nodes that bracket 1/2 only,
+    and evaluates ``hermite_eval``'s cubic there in scalar arithmetic.
     """
     h = profile.h_values
     if not (h[0] > 0.5 > h[-1]):
@@ -281,14 +313,25 @@ def normalize(profile: Profile) -> Profile:
             f"[{profile.x_min:g}, {profile.x_max:g}]; range "
             f"({h[-1]:g}, {h[0]:g})"
         )
-    idx = int(np.argmax(h < 0.5))
+    k = int(np.argmax(h < 0.5)) - 1  # h[k] >= 1/2 > h[k + 1]
     dtau = profile.dtau
-    lo = profile.tau0 + dtau * (idx - 1)
-    hi = profile.tau0 + dtau * idx
-    hd = profile._dh_dtau()
+    tau0 = profile.tau0
+    lo = tau0 + dtau * k
+    hi = tau0 + dtau * (k + 1)
+    h0, h1 = h[k:k + 2].tolist()
+    # dh/dtau = x dh/dx, with x from the grid's own np.exp (math.exp can differ by an ulp).
+    x01 = np.exp(tau0 + dtau * np.arange(k, k + 2))
+    d0, d1 = (profile.dh_values[k:k + 2] * x01).tolist()
 
     def eval_h(tau: float) -> float:
-        return float(hermite_eval(tau, profile.tau0, dtau, profile.h_values, hd))
+        s = (tau - tau0) / dtau - k
+        s2 = s * s
+        s3 = s2 * s
+        return (
+            h0 * (1.0 - 3.0 * s2 + 2.0 * s3)
+            + h1 * (3.0 * s2 - 2.0 * s3)
+            + dtau * (d0 * (s - 2.0 * s2 + s3) + d1 * (s3 - s2))
+        )
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -21,7 +21,7 @@ stacked corrected-trapezoid quadrature (``_cumulative``), which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,20 +104,31 @@ def _cumulative(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     """Rows (Phi, int_0^x s**(-gamma) h^2 ds) at every grid node, and their tau
     derivatives x**(1-gamma) (h, h^2), the integrands of one stacked quadrature."""
     gamma = profile.params.gamma
-    x = profile.x_values
     h = profile.h_values
+    dh = profile.dh_values
+    n = len(h)
+    # The integrands and their tau derivatives
+    # x**(1-gamma) (h, h^2) ((1-gamma) h + (x, 2x) dh/dx), filled in place in
+    # an order that holds at most seven node-length arrays at once.
+    x = profile.x_values
+    dphi = np.empty((2, n))
+    np.multiply(x, dh, out=dphi[0])
+    np.multiply(x, 2.0, out=dphi[1])
+    dphi[1] *= dh
     w = x ** (1.0 - gamma)
-    wh = w * h
-    phi = np.stack((wh, wh * h))
-    dphi = np.stack((w, wh)) * ((1.0 - gamma) * h + np.stack((x, 2.0 * x)) * profile.dh_values)
+    del x
+    phi = np.empty((2, n))
+    np.multiply(w, h, out=phi[0])
+    np.multiply(phi[0], h, out=phi[1])
+    cum = np.empty((2, n))
+    np.multiply(h, 1.0 - gamma, out=cum[0])  # scratch until the quadrature
+    dphi += cum[0]
+    dphi[0] *= w
+    dphi[1] *= phi[0]
+    cumtrapz_corrected(phi, dphi, profile.dtau, cum)
     limit = 1.0 / (1.0 - profile.params.theta)
-    head = _head_integral(profile, profile.x_min, weight=np.array([[1.0], [limit]]))
-    return head + cumtrapz_corrected(phi, dphi, profile.dtau), phi
-
-
-def phi_nodes(profile: Profile) -> np.ndarray:
-    """Phi(x) = int_0^x s**(-gamma) h ds at every grid node."""
-    return _cumulative(profile)[0][0]
+    cum += _head_integral(profile, profile.x_min, weight=np.array([[1.0], [limit]]))
+    return cum, phi
 
 
 def _phi_at(profile: Profile, cum: np.ndarray, phi: np.ndarray, x: float) -> float:
@@ -130,11 +141,6 @@ def _phi_at(profile: Profile, cum: np.ndarray, phi: np.ndarray, x: float) -> flo
 def phi_of(profile: Profile, x: float) -> float:
     """Dense evaluation of Phi."""
     return _phi_at(profile, *_cumulative(profile), x)
-
-
-def c0_of(profile: Profile) -> float:
-    """c0 = Phi(1) > 0, the anchor of the lower-bound chain."""
-    return phi_of(profile, 1.0)
 
 
 def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
@@ -157,23 +163,27 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     degenerate = params.degenerate
     check_beta(gamma, beta)
 
+    # The quadrature runs first, so its temporaries are gone before the
+    # x-derived arrays below are built; only the row of Phi is kept.
+    cum, phi = _cumulative(profile)
+    c0 = _phi_at(profile, cum, phi, 1.0)
+    del phi
+
+    # The grid increases, so its nodes x >= 1 are a suffix.
     x = profile.x_values
-    h = profile.h_values
-    sel = x >= 1.0
-    xs = x[sel]
-    hs = h[sel]
+    start = int(np.searchsorted(x, 1.0))
+    xs = x[start:]
+    hs = profile.h_values[start:]
     xb = xs ** (1.0 / beta)
 
     upper_gap = 1.0 / (1.0 + xb) - hs
     upper_margin = float(np.min(upper_gap))
     upper_ok = upper_margin >= -BOUND_SLACK
-    cum, phi = _cumulative(profile)
-    c0 = _phi_at(profile, cum, phi, 1.0)
 
     details: dict = {
         "degenerate": degenerate,
         "upper_margin": upper_margin,
-        "n_nodes_checked": int(sel.sum()),
+        "n_nodes_checked": len(xs),
         "c0": c0,
     }
 
@@ -196,7 +206,7 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     details["lower_margin_chain"] = chain_margin
     details["lower_chain_ok"] = chain_margin >= -BOUND_SLACK
 
-    hineq_margin = float(np.min(beta * xs ** (1.0 - gamma) * hs - lam * cum[0, sel]))
+    hineq_margin = float(np.min(beta * xs ** (1.0 - gamma) * hs - lam * cum[0, start:]))
     details["hineq_margin"] = hineq_margin
     details["hineq_ok"] = hineq_margin > -BOUND_SLACK
 
@@ -218,8 +228,6 @@ def residual_sss4b(profile: Profile, samples) -> float:
     params = profile.params
     gamma, beta = params.gamma, params.beta
     m = profile.m
-    x = profile.x_values
-    h = profile.h_values
 
     samples = np.atleast_1d(np.asarray(samples, dtype=float))
     if np.any(samples < profile.x_min) or np.any(samples > profile.x_max * (1 + 1e-12)):
@@ -227,10 +235,16 @@ def residual_sss4b(profile: Profile, samples) -> float:
     idx = np.clip(
         np.rint((np.log(samples) - profile.tau0) / profile.dtau).astype(int),
         0,
-        len(x) - 1,
+        len(profile.h_values) - 1,
     )
 
-    cum_phi, cum_sq = _cumulative(profile)[0]
+    # A cumulative integral's prefix does not depend on later nodes, so only
+    # the grid prefix the samples reach is integrated.
+    n = int(idx.max(initial=0)) + 1
+    prefix = replace(profile, h_values=profile.h_values[:n], dh_values=profile.dh_values[:n])
+    x = prefix.x_values
+    h = prefix.h_values
+    cum_phi, cum_sq = _cumulative(prefix)[0]
     limit = 1.0 / (1.0 - params.theta)
     worst = 0.0
     lam = (1.0 - gamma) * (beta - params.beta_star)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from io import StringIO
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from diagcoag import pipeline, profile as profile_mod, tail
-from diagcoag.errors import DomainError, MonotonicityError, PositivityError, RangeError
+from diagcoag._quad import hermite_eval
+from diagcoag.errors import DiagcoagError, DomainError, MonotonicityError, PositivityError, RangeError
 from diagcoag.expansion import fixed_point, h_from_expansion
 from diagcoag.params import beta_star_of, make_params, params_from_rho
 from diagcoag.profile import (
@@ -234,6 +236,77 @@ def test_integrate_errors_match_whole_history_march(canon, values, error):
     assert got.value.x == want.value.x == pytest.approx(seed.x_max * 2.0 ** (1 / 64))
 
 
+def _steps_before(seed, x):
+    """New nodes a march from ``seed`` had written when it stopped at node x."""
+    return round((math.log(x) - seed.tau0) / seed.dtau) - len(seed.h_values)
+
+
+@pytest.mark.parametrize(
+    "values, c, error",
+    [
+        # decreasing from above the fixed point 2 for a while, then growing
+        (np.linspace(2.5072, 2.2, 65), 1.0, MonotonicityError),
+        # the constant branch just above its fixed point grows without bound
+        # and overflows to inf, then to nan
+        (np.full(65, 2.0 + 1e-3), 0.0, PositivityError),
+    ],
+)
+def test_late_errors_match_whole_history_march(canon, values, c, error):
+    # the sliding history has been written out and cut back at least once
+    # before these errors, which land inside a delay interval
+    seed = _hand_seed(canon, values, c=c)
+    with pytest.raises(error) as got:
+        integrate(seed, seed.x_max * 2.0**24)
+    with pytest.raises(error) as want:
+        _whole_history_integrate(seed, canon, seed.x_max * 2.0**24)
+    assert got.value.x == want.value.x
+    steps = _steps_before(seed, got.value.x)
+    assert steps >= 4 * seed.m and steps % seed.m != 0
+
+
+def test_late_floor_truncation_matches_whole_history_march(canon):
+    # a power-law tail that ties in the subnormals inside a delay interval,
+    # several written-out chunks after the seed
+    seed = _hand_seed(canon, np.logspace(-300.0, -320.0, 65))
+    out = integrate(seed, seed.x_max * 2.0**24)
+    steps = len(out.h_values) - len(seed.h_values)
+    assert steps >= 4 * seed.m and steps % seed.m != 0
+    _assert_same_profile(out, _whole_history_integrate(seed, canon, out.x_max))
+    # the earlier march raised at the tied node, the one after out's last
+    with pytest.raises(MonotonicityError) as tie:
+        _whole_history_integrate(seed, canon, seed.x_max * 2.0**24)
+    assert tie.value.x == pytest.approx(out.x_max * 2.0 ** (1 / seed.m))
+
+
+def test_continuation_from_inside_a_delay_interval_matches_whole_history_march(
+    canonical_profile,
+):
+    # a normalized profile cut half an interval past a multiple of m,
+    # continued to a target that ends inside a chunk
+    prof = canonical_profile
+    m = prof.m
+    n = 40 * m + m // 2
+    cut = replace(prof, h_values=prof.h_values[:n], dh_values=prof.dh_values[:n])
+    x_max = cut.x_max * 2.0 ** (9 + 37 / m)
+    _assert_same_profile(
+        integrate(cut, x_max), _whole_history_integrate(cut, cut.params, x_max)
+    )
+
+
+def test_integrate_peak_memory_is_a_few_output_arrays(canon):
+    # the march holds a few delay intervals as Python floats and writes the
+    # nodes into preallocated arrays (20,673 of them here)
+    seed = h_from_expansion(fixed_point(canon, c=1.0, z=0.125))
+    integrate(seed, 1.0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        out = integrate(seed, 2.0**300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (out.h_values.nbytes + out.dh_values.nbytes)
+
+
 @pytest.mark.parametrize("gamma", [0.8, 0.9])
 def test_march_reproduces_exact_tail_at_twice_beta_star(gamma):
     # at beta = 2 beta_star, h = d x^(-1/beta) solves the equation exactly
@@ -291,6 +364,61 @@ def test_normalize_idempotent(canonical_profile):
     again = normalize(canonical_profile)
     # the rescale factor is 1 within the bisection tolerance
     assert again.tau0 == pytest.approx(canonical_profile.tau0, abs=1e-11)
+
+
+def _reference_normalize(profile):
+    """The earlier ``normalize``: bisection on ``hermite_eval`` over the whole
+    profile.  ``normalize`` must give the same profile bit for bit."""
+    h = profile.h_values
+    idx = int(np.argmax(h < 0.5))
+    dtau = profile.dtau
+    lo = profile.tau0 + dtau * (idx - 1)
+    hi = profile.tau0 + dtau * idx
+    hd = profile._dh_dtau()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = float(hermite_eval(mid, profile.tau0, dtau, profile.h_values, hd))
+        if abs(val - 0.5) <= profile_mod.NORMALIZE_TOL:
+            lo = hi = mid
+            break
+        if val > 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return replace(rescale(profile, math.exp(0.5 * (lo + hi))), normalized=True)
+
+
+class _Captured(Exception):
+    """Stops ``build_profile`` at its ``normalize`` call, carrying the input."""
+
+
+def _raise_captured(profile):
+    raise _Captured(profile)
+
+
+_BENCH_GRIDS = (
+    ((-1.0, 0.0, 0.5), (0.1, 0.3, 0.5, 0.7, 0.9)),  # sweep15
+    ((0.8, 0.9, 0.95, 0.99), (0.3, 0.5, 0.7, 0.9)),  # deep_tail
+)
+
+
+def test_normalize_matches_whole_profile_bisection(monkeypatch):
+    # the profiles build_profile normalizes on the benchmark's grids
+    monkeypatch.setattr(pipeline, "normalize", _raise_captured)
+    inputs = []
+    for gammas, fracs in _BENCH_GRIDS:
+        for gamma in gammas:
+            for frac in fracs:
+                params = params_from_rho(gamma, gamma + frac * (1.0 - gamma))
+                try:
+                    pipeline.build_profile(params)
+                except _Captured as got:
+                    inputs.append(got.args[0])
+                except DiagcoagError:
+                    pass  # six deep_tail cells exceed the octave budget first
+    assert len(inputs) == 25
+    for prof in inputs:
+        _assert_same_profile(normalize(prof), _reference_normalize(prof))
 
 
 def test_normalize_constant_profile_range_error(canon):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -7,7 +8,17 @@ import pytest
 
 from diagcoag import pipeline, tail
 from diagcoag.errors import DomainError, RangeError
-from diagcoag.params import make_params
+from diagcoag.params import make_params, params_from_rho
+
+
+def _phi_nodes(profile):
+    """Phi(x) = int_0^x s**(-gamma) h ds at every grid node."""
+    return tail._cumulative(profile)[0][0]
+
+
+def _c0_of(profile):
+    """c0 = Phi(1) > 0, the anchor of the lower-bound chain."""
+    return tail.phi_of(profile, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +108,7 @@ def test_d_dominates_chain_constant(canonical_profile):
     # the lower-bound chain gives d >= (1-gamma)(beta-beta_star) c0/beta,
     # and for beta >= 2 beta_star also the stronger d >= c0/beta
     d, _ = tail.estimate_d(canonical_profile)
-    c0 = tail.c0_of(canonical_profile)
+    c0 = _c0_of(canonical_profile)
     params = canonical_profile.params
     factor = (1.0 - params.gamma) * (params.beta - params.beta_star)
     assert d >= factor * c0 / params.beta
@@ -117,7 +128,7 @@ def test_phi_constant_profile_linear(constant_profile):
 def test_phi_monotone_rescaled(canonical_profile):
     params = canonical_profile.params
     x = canonical_profile.x_values
-    cum = tail.phi_nodes(canonical_profile)
+    cum = _phi_nodes(canonical_profile)
     sel = x >= 1.0
     expo = (1.0 - params.gamma) * (params.beta - params.beta_star) / params.beta
     scaled = x[sel] ** (-expo) * cum[sel]
@@ -126,9 +137,9 @@ def test_phi_monotone_rescaled(canonical_profile):
 
 def test_phi_lower_bound(canonical_profile):
     params = canonical_profile.params
-    c0 = tail.c0_of(canonical_profile)
+    c0 = _c0_of(canonical_profile)
     x = canonical_profile.x_values
-    cum = tail.phi_nodes(canonical_profile)
+    cum = _phi_nodes(canonical_profile)
     sel = x >= 1.0
     bound = c0 * x[sel] ** (1.0 - params.gamma) * x[sel] ** (-1.0 / params.beta)
     assert np.all(cum[sel] >= bound * (1.0 - 1e-9))
@@ -276,6 +287,20 @@ def test_tail_report_integrates_once_per_check(canonical_profile, monkeypatch):
     assert calls["hermite_eval"] == 1
 
 
+def test_tail_report_peak_memory_on_a_long_tail():
+    # deep_tail cell (0.9, 0.9), 10,477 nodes: the quadrature fills its rows
+    # in place, and the bound checks build their arrays after it
+    prof = pipeline.build_profile(params_from_rho(0.9, 0.9 + 0.9 * (1.0 - 0.9)))
+    tail.build_tail_report(prof)  # numpy imports some helpers on a first call
+    tracemalloc.start()
+    try:
+        tail.build_tail_report(prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 910 * 1024
+
+
 def test_tail_report_holds_python_scalars(canonical_profile):
     report, details = tail.build_tail_report(canonical_profile)
     assert type(report.max_residual_sss4b) is float
@@ -285,7 +310,7 @@ def test_tail_report_holds_python_scalars(canonical_profile):
 
 def test_degenerate_tail_report_carries_its_c0(degenerate_profile):
     report, details = tail.build_tail_report(degenerate_profile)
-    assert details["c0"] == report.c0 == tail.c0_of(degenerate_profile)
+    assert details["c0"] == report.c0 == _c0_of(degenerate_profile)
 
 
 # -- module-level properties -------------------------------------------------------

@@ -15,7 +15,8 @@ the profile equation
 
 Both cumulative integrals, Phi and int_0^x s**(-gamma) h^2 ds, come from one
 stacked corrected-trapezoid quadrature (``_cumulative``), which
-``check_bounds`` and ``residual_sss4b`` each run once per call.
+``check_bounds`` and ``residual_sss4b`` each run once per call, the latter
+over the grid prefix its samples reach.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ def cumtrapz_corrected(
     out[..., 0] = 0.0
     np.add(phi[..., 1:], phi[..., :-1], out=out[..., 1:])
     np.add.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
-    out[..., 1:] *= 0.5 * dtau
+    out *= 0.5 * dtau  # entry 0 stays 0: one pass over the whole array
     dphi -= dphi[..., :1].copy()  # a copy: an overlapping operand copies all of dphi
     dphi *= dtau * dtau / 12.0
     out -= dphi

@@ -23,9 +23,11 @@ which is the exact leading behavior of the fixed point.
 The factors of T that do not depend on j (powers of the nodes, the head
 integrals' powers of the lowest node and of the delayed points below it,
 the norm weights, the grid check) are built once per fixed point, as a
-plan that rides on the iterated grid.  The evaluation order is kept:
-every floating-point operation has the same operands and grouping as when
-T is evaluated from scratch, so outputs are bit-identical to that.
+plan that rides on the iterated grid.  The plan also holds the scratch
+arrays that every application of T overwrites, so an iteration allocates
+little beyond the new iterate.  The evaluation order is kept: every
+floating-point operation has the same operands and grouping as when T is
+evaluated from scratch, so outputs are bit-identical to that.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class _TPlan:
     """The j-independent factors of T on one grid and its parameter set.
 
     Each entry is the expression that T would otherwise evaluate on every
-    call, with the same operands in the same order.
+    call, with the same operands in the same order.  The plan also holds
+    the scratch arrays that ``apply_T`` and ``change_norm`` overwrite on
+    every call, so one plan serves one evaluation at a time.
     """
 
     def __init__(self, grid: ExpansionGrid):
@@ -121,11 +125,13 @@ class _TPlan:
         e1 = 1.0 - gamma + mu
         e2 = 1.0 - gamma + 2.0 * mu
 
-        self.x_e1 = x**e1
+        x_e1 = x**e1
         self.x_e2 = x**e2
-        self.x_e1_two_a = self.x_e1 * self.two_a
-        self.x_e2_two = self.x_e2 * 2.0
-        self.den = beta * self.x_e1
+        # The factors of rows 0 and 2 (linear and memory terms), stacked.
+        self.x_e1_rows = np.stack((x_e1 * self.two_a, x_e1))
+        # Row 1's derivative factor, negated: a - b*c*d == a + (-b)*c*d exactly.
+        self.neg_x_e2_two = -(self.x_e2 * 2.0)
+        self.den = beta * x_e1
         # x**e1 is smallest at the lowest node; there it can underflow to 0
         # for a tiny hand-off point, and T would then divide by zero.
         if not self.den[0] > 0.0:
@@ -141,13 +147,23 @@ class _TPlan:
         self.edge_n = (0.5 / self.dtau, -2.0 / self.dtau, 1.5 / self.dtau)
 
         x1 = x[0]
-        self.x1_mu = x1**-mu
-        self.x1_2mu = x1 ** (-2.0 * mu)
+        self.x1_mu = float(x1**-mu)
+        self.x1_2mu = float(x1 ** (-2.0 * mu))
         self.k_lin = e1 + mu
         self.k_sq1 = e2 + mu
         self.k_sq2 = e2 + 2.0 * mu
         self.head_x1 = _Head(x1, grid.c, e1, e2, mu)
         self.head_half = _Head((x / 2.0)[:n_oct], grid.c, e1, e2, mu)
+
+        n = len(x)
+        self.djdtau = np.empty(n)
+        self.cmj = np.empty(n)
+        self.phi = np.empty((3, n))
+        self.dphi = np.empty((3, n))
+        self.integrals = np.empty((3, n))
+        self.delay = np.empty((2, n))
+        self.heads = np.empty((3, 1))
+        self.scratch = np.empty(n)
 
     def fits(self, grid: ExpansionGrid) -> bool:
         return (
@@ -159,7 +175,13 @@ class _TPlan:
 
     def norm(self, j: np.ndarray) -> float:
         """Weighted norm max x**(-epsilon) |j(x)| over the nodes."""
-        return float((np.abs(j) * self.weight).max())
+        w = np.abs(j, out=self.scratch)
+        w *= self.weight
+        return float(w.max())
+
+    def change_norm(self, new: np.ndarray, old: np.ndarray) -> float:
+        """Weighted norm of new - old."""
+        return self.norm(np.subtract(new, old, out=self.scratch))
 
 
 def check_amplitude(c: float) -> None:
@@ -281,64 +303,72 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
 
 
 def apply_T(grid: ExpansionGrid) -> ExpansionGrid:
-    """One application of T for the grid's parameters; the input grid is not mutated."""
+    """One application of T for the grid's parameters; the input grid is not mutated.
+
+    The grid's plan lends its scratch arrays to the evaluation, so calls on
+    grids that share a plan must not overlap (nothing in this package runs
+    threads).  The returned iterate is a fresh array.
+    """
     plan = grid._plan
     if plan is None or not plan.fits(grid):
         plan = _TPlan(grid)
     j = grid.j_values
     c = grid.c
     n_oct = plan.n_oct
-    dtau = plan.dtau
-    mu = grid.params.mu
     two_a = plan.two_a
-    x_e1, x_e2, x_e1_two_a = plan.x_e1, plan.x_e2, plan.x_e1_two_a
 
-    djdtau = np.empty(len(j))
-    djdtau[1:-1] = (j[2:] - j[:-2]) / plan.two_dtau
+    djdtau = plan.djdtau
+    np.subtract(j[2:], j[:-2], out=djdtau[1:-1])
+    djdtau[1:-1] /= plan.two_dtau
     # Anchor the bottom edge on the known leading behavior j ~ x**mu.
-    djdtau[0] = mu * j[0]
+    j1 = float(j[0])
+    djdtau[0] = grid.params.mu * j1
     a, b, c_n = plan.edge_n
     djdtau[-1] = a * j[-3] + b * j[-2] + c_n * j[-1]
 
     # The integrands stacked as rows: the linear term 2/(1-theta) j, the
     # square term (c - j)**2 and the memory term j, each times its power of x.
-    cmj = c - j  # (-c + j)**2 == (c - j)**2
-    phi = np.empty((3, len(j)))
-    np.multiply(x_e1_two_a, j, out=phi[0])
-    np.multiply(x_e2, cmj, out=phi[1])
+    cmj = np.subtract(c, j, out=plan.cmj)  # (-c + j)**2 == (c - j)**2
+    phi = plan.phi
+    np.multiply(plan.x_e1_rows, j, out=phi[::2])
+    np.multiply(plan.x_e2, cmj, out=phi[1])
     phi[1] *= cmj
-    np.multiply(x_e1, j, out=phi[2])
-    dphi = plan.e_rows * phi
-    dphi[0] += x_e1_two_a * djdtau
-    dphi[1] -= plan.x_e2_two * cmj * djdtau
-    dphi[2] += x_e1 * djdtau
+    dphi = np.multiply(plan.e_rows, phi, out=plan.dphi)
+    # The derivative terms, formed in the quadrature's output before it is written.
+    i = plan.integrals
+    np.multiply(plan.x_e1_rows, djdtau, out=i[::2])
+    np.multiply(plan.neg_x_e2_two, cmj, out=i[1])
+    i[1] *= djdtau
+    dphi += i
+    cumtrapz_corrected(phi, dphi, plan.dtau, i)
 
-    j1 = j[0]
+    # Analytic integrals over (0, y] for y <= x1 under j(s) = j1*(s/x1)**mu,
+    # with their j-dependent prefactors formed once.
+    f_lin = j1 * plan.x1_mu
+    f_sq1 = 2.0 * c * j1 * plan.x1_mu
+    f_sq2 = j1 * j1 * plan.x1_2mu
 
-    # Analytic integrals over (0, y] for y <= x1 under j(s) = j1*(s/x1)**mu.
     def head_lin(y: _Head):
-        return j1 * plan.x1_mu * y.lin / plan.k_lin
+        return f_lin * y.lin / plan.k_lin
 
     def head_sq(y: _Head):
-        return (
-            y.sq0
-            - 2.0 * c * j1 * plan.x1_mu * y.sq1 / plan.k_sq1
-            + j1 * j1 * plan.x1_2mu * y.sq2 / plan.k_sq2
-        )
+        return y.sq0 - f_sq1 * y.sq1 / plan.k_sq1 + f_sq2 * y.sq2 / plan.k_sq2
 
-    i = cumtrapz_corrected(phi, dphi, dtau, np.empty(phi.shape))
-    i[0] += two_a * head_lin(plan.head_x1)
-    i[1] += head_sq(plan.head_x1)
-    i[2] += head_lin(plan.head_x1)
+    heads = plan.heads
+    lin_x1 = head_lin(plan.head_x1)
+    heads[:, 0] = (two_a * lin_x1, head_sq(plan.head_x1), lin_x1)
+    i += heads
 
     # Delay differences int_{x/2}^{x} of the first two rows: exactly n_oct
     # nodes back on the grid, analytic below the lowest node.
-    d = np.empty((2, len(j)))
-    d[:, n_oct:] = i[:2, n_oct:] - i[:2, :-n_oct]
-    d[0, :n_oct] = i[0, :n_oct] - two_a * head_lin(plan.head_half)
-    d[1, :n_oct] = i[1, :n_oct] - head_sq(plan.head_half)
+    d = plan.delay
+    np.subtract(i[:2, n_oct:], i[:2, :-n_oct], out=d[:, n_oct:])
+    np.subtract(i[0, :n_oct], two_a * head_lin(plan.head_half), out=d[0, :n_oct])
+    np.subtract(i[1, :n_oct], head_sq(plan.head_half), out=d[1, :n_oct])
 
-    new_j = (d[0] + d[1] + plan.lam * i[2]) / plan.den
+    new_j = np.add(d[0], d[1])
+    new_j += np.multiply(plan.lam, i[2], out=plan.scratch)
+    new_j /= plan.den
     return replace(grid, j_values=new_j, weighted_norm=plan.norm(new_j), _plan=plan)
 
 
@@ -367,16 +397,19 @@ def fixed_point(
     radius = ball_radius(params, c, z)
     for _ in range(DEFAULT_MAX_ITER):
         new = apply_T(grid)
-        if not np.isfinite(new.j_values).all():
+        norm = new.weighted_norm
+        # A finite weighted norm implies a finite iterate: every weight is >= 0
+        # and the maximum propagates NaN.
+        if not math.isfinite(norm) and not np.isfinite(new.j_values).all():
             raise ConvergenceError(
                 f"fixed-point iteration diverged at z={z:g} (non-finite iterate)"
             )
-        if new.weighted_norm > radius * (1.0 + 1e-9):
+        if norm > radius * (1.0 + 1e-9):
             raise ConvergenceError(
-                f"iterate left the invariant ball (norm {new.weighted_norm:g} > "
+                f"iterate left the invariant ball (norm {norm:g} > "
                 f"R = {radius:g}): z={z:g} too large"
             )
-        change = plan.norm(new.j_values - grid.j_values)
+        change = plan.change_norm(new.j_values, grid.j_values)
         grid = new
         if change <= DEFAULT_TOL:
             return grid

@@ -12,10 +12,12 @@ tau; half-step delayed values are read from history by cubic Hermite
 interpolation, which keeps the interpolation error below the truncation
 error of the integrator.  A march reads only the last delay interval (m+1
 nodes) of the history it continues, so extending a profile costs the new
-steps plus one vector pass, however long the stored history is.  It holds
-a few delay intervals of h and dh/dtau as Python floats and writes the new
-nodes into output arrays preallocated for all its steps, so its memory
-beyond the returned profile is a few node-length arrays.
+steps plus one vector pass, however long the stored history is.  It goes
+one delay interval at a time: the interval's delayed squares and Hermite
+midpoints read only nodes written before it, so they are formed as arrays,
+and only the Runge-Kutta stages run step by step.  The new nodes go into
+output arrays preallocated for all its steps, so its memory beyond the
+returned profile is a few node-length arrays.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ _LN2 = math.log(2.0)
 _C_ZERO = 1e-300
 
 NORMALIZE_TOL = 1e-12
-
-# New nodes a march holds as Python floats before it writes them into its
-# output arrays, in delay intervals (m steps).
-_CHUNK_INTERVALS = 4
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,12 @@ def _resolvable_decrement(profile: Profile, x: np.ndarray) -> np.ndarray:
     below the ulp of h the sampled values tie exactly and strictness cannot
     be observed in double precision.  ``x`` is ``profile.x_values``.
     """
-    h = profile.h_values
-    dh_tau = profile.dh_values * x
-    return np.abs(dh_tau) * profile.dtau > 64.0 * np.finfo(float).eps * np.abs(h)
+    step = np.multiply(profile.dh_values, x)  # dh/dtau
+    np.abs(step, out=step)
+    step *= profile.dtau
+    floor = np.abs(profile.h_values)
+    floor *= 64.0 * np.finfo(float).eps
+    return step > floor
 
 
 def check_invariants(profile: Profile) -> None:
@@ -131,9 +132,13 @@ def check_invariants(profile: Profile) -> None:
     precision; exact ties are tolerated where it is not (deep in the
     expansion region for large mu).
     """
+    _check_invariants(profile, profile.x_values)
+
+
+def _check_invariants(profile: Profile, x: np.ndarray) -> None:
+    """``check_invariants`` with the nodes ``x`` (``profile.x_values``) given."""
     h = profile.h_values
     limit = 1.0 / (1.0 - profile.params.theta)
-    x = profile.x_values
     bad = np.nonzero(~(h > 0.0))[0]
     if bad.size:
         raise PositivityError(f"h <= 0 at x = {x[bad[0]]:g}", x=float(x[bad[0]]))
@@ -160,9 +165,9 @@ def integrate(seed: Profile, x_max: float) -> Profile:
     The seed must carry at least one delay interval (m+1 nodes) of history.
     Only that last interval feeds the march, as h and dh/dtau = x dh/dx, so
     a call costs its new steps plus one vector pass over the history.  The
-    march holds that interval and the nodes of its current chunk
-    (``_CHUNK_INTERVALS`` delay intervals) as Python floats, and writes each
-    chunk into arrays preallocated for all ``n_new`` steps.  The nodes are
+    march advances one delay interval (at most m steps) at a time, forms
+    that interval's delayed terms as arrays, and writes its nodes into
+    arrays preallocated for all ``n_new`` steps.  The nodes are
     bit-identical to those of a march that re-reads the whole history (kept
     as the reference in ``tests/test_profile.py``), on a first call and on
     every continuation.
@@ -195,65 +200,69 @@ def integrate(seed: Profile, x_max: float) -> Profile:
     h[:n_have] = seed.h_values
     np.multiply(seed.dh_values, x[:n_have], out=hd[:n_have])
 
-    # The sliding history: the last delay interval, then the nodes of the
-    # current chunk, written into h and hd when the chunk ends.  In a chunk,
-    # hl[k] and hl[k + 1] are the delayed nodes of its k-th step and hl[-1]
-    # is that step's current node.
-    hl = h[n_have - m - 1:n_have].tolist()
-    hdl = hd[n_have - m - 1:n_have].tolist()
-
     half = 0.5 * dtau
     eighth = dtau / 8.0
     sixth = dtau / 6.0
-    chunk = _CHUNK_INTERVALS * m
+    hn = float(h[n_have - 1])
+    h_b0 = float(h[n_have - 1 - m])
+    # Stage k1 of a step is dh/dtau at its node: the seed's last node needs
+    # it computed, every later node has it from the step that made it.
+    k1 = (hn * hn - theta * h_b0 * h_b0 - hn) / beta
     n = n_have
     while n < n_total:
-        steps = min(chunk, n_total - n)
-        h_b1 = hl[0]
-        q_b1 = theta * h_b1 * h_b1
-        for k in range(steps):
-            h_b0 = h_b1
-            q_b0 = q_b1
-            h_b1 = hl[k + 1]
-            q_b1 = theta * h_b1 * h_b1
-            # Hermite midpoint of the delayed history interval.
-            h_mid = 0.5 * (h_b0 + h_b1) + eighth * (hdl[k] - hdl[k + 1])
-            q_mid = theta * h_mid * h_mid
-            hn = hl[-1]
-            k1 = (hn * hn - q_b0 - hn) / beta
+        # One delay interval: its steps read only nodes written before it.
+        steps = min(m, n_total - n)
+        lo = n - m - 1
+        h_b = h[lo:lo + steps + 1]  # delayed nodes: h_b[k], h_b[k + 1] for step k
+        hd_b = hd[lo:lo + steps + 1]
+        q_b = theta * h_b
+        q_b *= h_b
+        # Hermite midpoints of the delayed history intervals.
+        h_mid = h_b[:-1] + h_b[1:]
+        h_mid *= 0.5
+        slope = hd_b[:-1] - hd_b[1:]
+        slope *= eighth
+        h_mid += slope
+        q_mid = theta * h_mid
+        q_mid *= h_mid
+        h_new = []
+        hd_new = []
+        put_h = h_new.append
+        put_hd = hd_new.append
+        for q_m, q_b1 in zip(q_mid.tolist(), q_b[1:].tolist()):
             hv = hn + half * k1
-            k2 = (hv * hv - q_mid - hv) / beta
+            k2 = (hv * hv - q_m - hv) / beta
             hv = hn + half * k2
-            k3 = (hv * hv - q_mid - hv) / beta
+            k3 = (hv * hv - q_m - hv) / beta
             hv = hn + dtau * k3
             k4 = (hv * hv - q_b1 - hv) / beta
             hnext = hn + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            # Double-precision floor: a decaying tail (power law or exponential)
-            # underflows to zero or ties in subnormals; truncate the march there.
-            if not hnext > 0.0:
-                if hn <= 1e-250:
-                    n_total = n + k
+            if not (hnext > 0.0 and (hnext < hn or not strict)):
+                # Double-precision floor: a decaying tail (power law or
+                # exponential) underflows to zero or ties in subnormals;
+                # truncate the march there.
+                positive = hnext > 0.0
+                node = n + len(h_new)  # the node this step would have made
+                if hn <= 1e-250 and (not positive or hnext == hn):
+                    n_total = node
                     break
-                x_bad = math.exp(seed.tau0 + dtau * (n + k))
-                raise PositivityError(f"h lost positivity at x = {x_bad:g}", x=x_bad)
-            if strict and not hnext < hn:
-                if hnext == hn and hn <= 1e-250:
-                    n_total = n + k
-                    break
-                x_bad = math.exp(seed.tau0 + dtau * (n + k))
+                x_bad = math.exp(seed.tau0 + dtau * node)
+                if not positive:
+                    raise PositivityError(f"h lost positivity at x = {x_bad:g}", x=x_bad)
                 raise MonotonicityError(f"h failed to decrease at x = {x_bad:g}", x=x_bad)
-            hl.append(hnext)
-            hdl.append((hnext * hnext - q_b1 - hnext) / beta)
-        done = len(hl) - (m + 1)
-        h[n:n + done] = hl[m + 1:]
-        hd[n:n + done] = hdl[m + 1:]
+            hn = hnext
+            k1 = (hnext * hnext - q_b1 - hnext) / beta
+            put_h(hnext)
+            put_hd(k1)
+        done = len(h_new)
+        h[n:n + done] = h_new
+        hd[n:n + done] = hd_new
         n += done
-        del hl[:done], hdl[:done]
 
     h = h[:n_total]
     hd = hd[:n_total]
-    hd /= x[:n_total]  # dh/dx
-    del x
+    x = x[:n_total]
+    hd /= x  # dh/dx
     out = Profile(
         params=seed.params,
         m=m,
@@ -264,7 +273,7 @@ def integrate(seed: Profile, x_max: float) -> Profile:
         z=seed.z,
         normalized=seed.normalized,
     )
-    check_invariants(out)
+    _check_invariants(out, x)
     return out
 
 

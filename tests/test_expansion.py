@@ -121,6 +121,26 @@ def test_fixed_point_rejects_huge_z(canon):
         fixed_point(canon, c=1.0, z=1e3)
 
 
+@pytest.mark.parametrize(
+    "c, z, message",
+    [
+        # c*c overflows in the first iterate
+        (1e200, 1e-2, "fixed-point iteration diverged at z=0.01 (non-finite iterate)"),
+        (
+            1.0,
+            1e3,
+            "iterate left the invariant ball (norm 4.61165 > R = 9.54056e-06): "
+            "z=1000 too large",
+        ),
+    ],
+    ids=["non-finite", "ball"],
+)
+def test_fixed_point_failure_messages(canon, c, z, message):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as err:
+        fixed_point(canon, c=c, z=z)
+    assert str(err.value) == message
+
+
 def test_fixed_point_stays_inside_ball(canon):
     z, eps = 1e-2, 0.5
     grid = fixed_point(canon, c=1.0, z=z)
@@ -220,7 +240,10 @@ def test_default_z_has_margin(canon):
 
 # -- bit-identity of the planned operator -------------------------------------
 
-BIT_IDENTITY_CELLS = [(0.0, 0.5), (-1.0, 0.1)]  # (gamma, frac); frac = 0.1: kappa ~ 0.96
+# (gamma, frac): frac = 0.1 has kappa ~ 0.96; (0.9, 0.3) is a small-mu deep_tail
+# cell whose fixed point takes many iterations; (-1, 0.9) is a large-mu cell
+# where the benchmark's d bound is tight.
+BIT_IDENTITY_CELLS = [(0.0, 0.5), (-1.0, 0.1), (0.9, 0.3), (-1.0, 0.9)]
 
 
 def cell_params(gamma, frac):

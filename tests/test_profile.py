@@ -9,7 +9,7 @@ import pytest
 from diagcoag import pipeline, profile as profile_mod, tail
 from diagcoag._quad import hermite_eval
 from diagcoag.errors import DiagcoagError, DomainError, MonotonicityError, PositivityError, RangeError
-from diagcoag.expansion import fixed_point, h_from_expansion
+from diagcoag.expansion import DEFAULT_TOL, default_z, empty_grid, fixed_point, h_from_expansion
 from diagcoag.params import beta_star_of, make_params, params_from_rho
 from diagcoag.profile import (
     Profile,
@@ -22,6 +22,8 @@ from diagcoag.profile import (
     write_profile_csv,
     write_table,
 )
+
+from test_expansion import apply_T_from_scratch, cell_params
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +191,42 @@ def test_integrate_matches_whole_history_march(canon):
         integrate(norm, norm.x_max * 2.0**20),
         _whole_history_integrate(norm, canon, norm.x_max * 2.0**20),
     )
+
+
+@pytest.mark.parametrize("m", [32, 128])
+def test_integrate_matches_whole_history_march_at_other_densities(canon, m):
+    # the march steps in blocks of min(m, remaining nodes); both calls end
+    # inside a delay interval
+    seed = h_from_expansion(fixed_point(canon, c=1.0, z=0.125, nodes_per_octave=max(m, 64)), m)
+    x_max = 0.125 * 2.0 ** (12 + 5 / m)
+    first = integrate(seed, x_max)
+    ref_first = _whole_history_integrate(seed, canon, x_max)
+    _assert_same_profile(first, ref_first)
+    x_max = first.x_max * 2.0 ** (3 + 7 / m)
+    _assert_same_profile(
+        integrate(first, x_max), _whole_history_integrate(ref_first, canon, x_max)
+    )
+
+
+def test_scratch_layers_compose_to_the_pipeline_layers():
+    # T from scratch iterated by fixed_point's rule, then the whole-history
+    # march, against fixed_point and integrate, on a slowly contracting cell
+    params = cell_params(-1.0, 0.1)
+    z = default_z(params)
+    grid = empty_grid(params, z, c=1.0)
+    weight = grid.nodes ** (-grid.epsilon)
+    for _ in range(2000):
+        new_j, norm = apply_T_from_scratch(grid)
+        change = float(np.max(np.abs(new_j - grid.j_values) * weight))
+        grid = replace(grid, j_values=new_j, weighted_norm=norm)
+        if change <= DEFAULT_TOL:
+            break
+    else:
+        pytest.fail("the scratch iteration did not converge")
+    x_max = z * 2.0**40
+    want = _whole_history_integrate(h_from_expansion(grid), params, x_max)
+    got = integrate(h_from_expansion(fixed_point(params, c=1.0, z=z)), x_max)
+    _assert_same_profile(got, want)
 
 
 def test_integrate_underflow_truncation_matches_whole_history_march():
@@ -439,6 +477,51 @@ def test_normalized_supersolution_bound(canonical_profile):
 
 def test_check_invariants_passes(canonical_profile):
     check_invariants(canonical_profile)
+
+
+def test_check_invariants_peak_memory_is_a_few_node_arrays(canon):
+    # the nodes, then the two buffers of the resolvable-decrement mask
+    prof = integrate(h_from_expansion(fixed_point(canon, c=1.0, z=0.125)), 2.0**300)
+    check_invariants(prof)  # first-call allocations
+    tracemalloc.start()
+    try:
+        check_invariants(prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * prof.h_values.nbytes
+
+
+_RESOLVED = [-1.0] * 4
+
+
+@pytest.mark.parametrize(
+    "h, dh, error, message, node",
+    [
+        ([1.5, 1.0, 0.0, -1.0], _RESOLVED, PositivityError, "h <= 0 at x = 0.375935", 2),
+        ([1.9, 2.0, 1.8, 1.7], _RESOLVED, DomainError, "h >= 1/(1-theta) at x = 0.371885", None),
+        ([2.0, 1.8, 1.7, 1.6], _RESOLVED, DomainError, "h >= 1/(1-theta) at x = 0.367879", None),
+        ([1.9, 1.8, 1.8, 1.7], _RESOLVED, MonotonicityError,
+         "h not strictly decreasing at x = 0.375935", 2),
+        # ties and the limit are allowed where the decrement is below float resolution
+        ([2.0, 1.8, 1.7, 1.6], [-1e-17, -1.0, -1.0, -1.0], None, None, None),
+        ([1.9, 1.8, 1.8, 1.7], [-1.0, -1e-17, -1.0, -1.0], None, None, None),
+    ],
+    ids=["positivity", "above limit", "at limit", "tie", "unresolved limit", "unresolved tie"],
+)
+def test_check_invariants_verdicts(canon, h, dh, error, message, node):
+    x = np.exp(-1.0 + (math.log(2.0) / 64) * np.arange(4))
+    prof = Profile(params=canon, m=64, tau0=-1.0, h_values=np.array(h),
+                   dh_values=np.array(dh) / x, c=1.0, z=x[0])
+    if error is None:
+        check_invariants(prof)
+        return
+    with pytest.raises(error) as err:
+        check_invariants(prof)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    if node is not None:
+        assert err.value.x == float(prof.x_values[node])
 
 
 def test_profile_bounds(canonical_profile):

@@ -66,6 +66,6 @@ def hermite_eval(
         + h1 * (3.0 * s2 - 2.0 * s3)
         + dtau * (d0 * (s - 2.0 * s2 + s3) + d1 * (s3 - s2))
     )
-    if np.isscalar(tau) or (isinstance(tau, float)):
+    if np.isscalar(tau):
         return float(out)
     return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -36,12 +37,7 @@ from .errors import (
 )
 from .mu import solve_mu
 from .params import beta_from_rho, make_params, same_value
-from .profile import (
-    profile_metadata,
-    read_profile_csv,
-    write_profile_csv,
-    write_table,
-)
+from .profile import read_profile_csv, write_profile_csv, write_table
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -50,24 +46,15 @@ EXIT_BOUNDS = 4
 EXIT_STEP = 5
 
 
-_FORMATS = ("csv", "json")
-
-
-def _format_name(text: str) -> str:
-    if text not in _FORMATS:
-        raise ValueError(text)
-    return text
-
-
 # The options a --config file may set, each with the conversion of its flag.
 _OPTION_TYPES = {
     "gamma": float, "beta": float, "rho": float, "c": float, "z": float,
-    "m": int, "xmax": float, "out": str, "format": _format_name,
+    "m": int, "xmax": float, "out": str,
 }
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """The values of ``keys``: explicit flags, else config-file values.
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The options the command registers: explicit flags, else config-file values.
 
     A config value is converted as its flag converts the value's text; one
     that its flag would refuse raises ``DomainError``.  JSON null is unset.
@@ -81,8 +68,8 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
         if not isinstance(config, dict):
             raise DomainError(f"config file {args.config!r} does not hold a JSON object")
     merged: dict = {}
-    for key in keys:
-        val = getattr(args, key, None)
+    for key in (k for k in _OPTION_TYPES if hasattr(args, k)):
+        val = getattr(args, key)
         if val is None and config.get(key) is not None:
             try:
                 val = _OPTION_TYPES[key](str(config[key]))
@@ -116,7 +103,7 @@ def _print_json(obj, out: str | None) -> None:
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ["gamma", "beta", "rho", "out"])
+    cfg = _merge_config(args)
     gamma, beta = _resolve_beta(cfg)
     report = solve_mu(gamma, beta)
     _print_json(dataclasses.asdict(report), cfg.get("out"))
@@ -124,9 +111,7 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args, ["gamma", "beta", "rho", "c", "z", "m", "xmax", "out", "format"]
-    )
+    cfg = _merge_config(args)
     gamma, beta = _resolve_beta(cfg)
     params = make_params(gamma, beta)
     c = cfg.get("c", 1.0)
@@ -143,17 +128,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         x_max=cfg.get("xmax"),
     )
     out = cfg.get("out", "profile.csv")
-    if cfg.get("format", "csv") == "json":
-        payload = {
-            "meta": {**params.to_dict(), **profile_metadata(profile)},
-            "x": profile.x_values.tolist(),
-            "h": profile.h_values.tolist(),
-            "g": profile.g_values.tolist(),
-            "dhdx": profile.dh_values.tolist(),
-        }
-        Path(out).write_text(json.dumps(payload) + "\n")
-    else:
-        write_profile_csv(profile, out)
+    write_profile_csv(profile, out)
     print(f"wrote {out} ({len(profile.h_values)} nodes, "
           f"x in [{profile.x_min:.3g}, {profile.x_max:.3g}])")
     return EXIT_OK
@@ -208,7 +183,7 @@ def _parse_init(spec: str, params, field_kwargs: dict):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ["gamma", "beta", "rho", "out"])
+    cfg = _merge_config(args)
     gamma, beta = _resolve_beta(cfg)
     params = make_params(gamma, beta)
     field_kwargs = dict(
@@ -258,9 +233,14 @@ def _sweep_cell(row: dict, key: str) -> str:
     return str(val)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise DomainError(f"--jobs must be at least 1; got {args.jobs}")
     try:
         gammas = [float(v) for v in args.gammas.split(",") if v.strip() != ""]
         rhos = [float(v) for v in args.rhos.split(",") if v.strip() != ""]
@@ -269,8 +249,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not gammas or not rhos:
         raise DomainError("sweep needs nonempty gamma and rho lists")
     cell_gammas, cell_rhos = zip(*[(g, r) for g in gammas for r in rhos])
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(_usable_cpus(), len(cell_gammas))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(pipeline.sweep_row, cell_gammas, cell_rhos))
     else:
         rows = list(map(pipeline.sweep_row, cell_gammas, cell_rhos))
@@ -310,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="construct a profile (CSV + metadata)")
     _add_common(p)
     _add_options(p, "c", "z", "m", "xmax")
-    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--allow-degenerate", action="store_true")
     p.set_defaults(func=cmd_profile)
 
@@ -335,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas", type=str, required=True)
     p.add_argument("--rhos", type=str, required=True)
     p.add_argument("--out", type=str)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
     return ap
 

@@ -395,24 +395,27 @@ def fixed_point(
     plan = _TPlan(grid)
     grid = replace(grid, _plan=plan)
     radius = ball_radius(params, c, z)
-    for _ in range(DEFAULT_MAX_ITER):
-        new = apply_T(grid)
-        norm = new.weighted_norm
-        # A finite weighted norm implies a finite iterate: every weight is >= 0
-        # and the maximum propagates NaN.
-        if not math.isfinite(norm) and not np.isfinite(new.j_values).all():
-            raise ConvergenceError(
-                f"fixed-point iteration diverged at z={z:g} (non-finite iterate)"
-            )
-        if norm > radius * (1.0 + 1e-9):
-            raise ConvergenceError(
-                f"iterate left the invariant ball (norm {norm:g} > "
-                f"R = {radius:g}): z={z:g} too large"
-            )
-        change = plan.change_norm(new.j_values, grid.j_values)
-        grid = new
-        if change <= DEFAULT_TOL:
-            return grid
+    # A diverging iterate overflows on its way to the finiteness check below,
+    # which reports it as a ConvergenceError: no floating-point warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(DEFAULT_MAX_ITER):
+            new = apply_T(grid)
+            norm = new.weighted_norm
+            # A finite weighted norm implies a finite iterate: every weight is
+            # >= 0 and the maximum propagates NaN.
+            if not math.isfinite(norm) and not np.isfinite(new.j_values).all():
+                raise ConvergenceError(
+                    f"fixed-point iteration diverged at z={z:g} (non-finite iterate)"
+                )
+            if norm > radius * (1.0 + 1e-9):
+                raise ConvergenceError(
+                    f"iterate left the invariant ball (norm {norm:g} > "
+                    f"R = {radius:g}): z={z:g} too large"
+                )
+            change = plan.change_norm(new.j_values, grid.j_values)
+            grid = new
+            if change <= DEFAULT_TOL:
+                return grid
     raise IterationLimitError(
         f"fixed point not reached in {DEFAULT_MAX_ITER} iterations at z={z:g}"
     )

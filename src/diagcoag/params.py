@@ -102,16 +102,6 @@ class SimilarityParams:
         """True when beta == beta_star (mass-conserving boundary case, snapped by make_params)."""
         return self.beta == self.beta_star
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "beta_star": self.beta_star,
-            "theta": self.theta,
-            "rho": self.rho,
-            "mu": self.mu,
-        }
-
 
 def make_params(gamma: float, beta: float) -> SimilarityParams:
     """Build the validated parameter set, solving for the bifurcation exponent.

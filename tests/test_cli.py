@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shlex
 import warnings
 from io import StringIO
@@ -111,28 +112,6 @@ def test_profile_config_file_merging(tmp_path, capsys):
     assert out.exists()
 
 
-def test_profile_json_format(tmp_path, capsys):
-    out = tmp_path / "prof.json"
-    assert run(
-        ["profile", "--gamma", "0", "--rho", "0.5", "--format", "json", "--out", str(out)]
-    ) == 0
-    payload = json.loads(out.read_text())
-    assert set(payload) == {"meta", "x", "h", "g", "dhdx"}
-
-
-def test_profile_json_meta_is_params_plus_sidecar(tmp_path, capsys):
-    as_json = tmp_path / "prof.json"
-    as_csv = tmp_path / "prof.csv"
-    flags = ["profile", "--gamma", "0", "--rho", "0.5"]
-    assert run(flags + ["--format", "json", "--out", str(as_json)]) == 0
-    assert run(flags + ["--out", str(as_csv)]) == 0
-    meta = json.loads(as_json.read_text())["meta"]
-    sidecar = json.loads((tmp_path / "prof.meta.json").read_text())
-    expected = {**make_params(0.0, 2.0).to_dict(), **sidecar}
-    assert meta == expected
-    assert list(meta) == list(expected)
-
-
 # -- verify ----------------------------------------------------------------------
 
 
@@ -194,6 +173,18 @@ def test_profile_beyond_the_octave_budget_exits_3_up_front(tmp_path, capsys):
     assert run(["profile", "--gamma", "0.9", "--beta", "100", "--out", str(out)]) == 3
     assert "octaves, more than the budget of 600 (gamma=0.9, beta=100.0)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_profile_diverging_amplitude_exits_3_without_a_warning(tmp_path, capsys):
+    # c*c overflows in the first iterate; warnings are errors in this suite
+    out = tmp_path / "huge_c.csv"
+    argv = ["profile", "--gamma", "0", "--beta", "2", "--c", "1e200", "--z", "0.01",
+            "--out", str(out)]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "fixed-point iteration diverged at z=0.01 (non-finite iterate)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_oversize_explicit_z_exits_3(tmp_path, capsys):
@@ -475,13 +466,6 @@ _INVALID_INPUTS = {
     "profile --z -1": (["profile", *_CANON, "--z", "-1"], "z must be positive; got -1"),
     "profile --c -1": (["profile", *_CANON, "--c", "-1"], "c must be nonnegative; got -1"),
     "sweep --gammas abc": (["sweep", "--gammas", "abc", "--rhos", "0.5"], "'abc'"),
-    "sweep --jobs 0": (
-        ["sweep", "--gammas", "0", "--rhos", "0.5", "--jobs", "0"], "--jobs must be at least 1; got 0"
-    ),
-    "sweep --jobs -2": (
-        ["sweep", "--gammas", "0", "--rhos", "0.5", "--jobs", "-2"],
-        "--jobs must be at least 1; got -2",
-    ),
     "config missing": (["profile", "--config", "nofile.json"], "'nofile.json'"),
     "config not JSON": (["profile", "--config", "text.json"], "'text.json': Expecting value"),
     "config array": (["profile", "--config", "array.json"], "'array.json' does not hold"),
@@ -525,7 +509,6 @@ _INVALID_INPUTS = {
     "config m float": (["profile", *_CANON, "--config", "m_float.json"], "m = 64.5"),
     "config z text": (["profile", *_CANON, "--config", "z_text.json"], "z = 'small'"),
     "config xmax list": (["profile", *_CANON, "--config", "xmax_list.json"], "xmax = [1]"),
-    "config format xml": (["profile", *_CANON, "--config", "format_xml.json"], "format = 'xml'"),
 }
 # The config files the cases above read.
 _CONFIG_FILES = {
@@ -537,7 +520,6 @@ _CONFIG_FILES = {
     "m_float.json": '{"m": 64.5}',
     "z_text.json": '{"z": "small"}',
     "xmax_list.json": '{"xmax": [1]}',
-    "format_xml.json": '{"format": "xml"}',
 }
 
 
@@ -627,7 +609,6 @@ def test_sweep_readme_command_parses_as_written():
     args = cli.parse_args(shlex.split(line)[1:])
     assert args.gammas == "-1,0,0.5"
     assert args.rhos == "0.3,0.5,0.7"
-    assert args.jobs == 4
     assert args.out == "sweep.csv"
 
 
@@ -638,6 +619,37 @@ def test_readme_command_parses_as_written(line):
     argv = shlex.split(line)[1:]
     args = cli.parse_args(argv)
     assert args.func is getattr(cli, f"cmd_{argv[0]}")
+
+
+def test_readme_flags_are_registered():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices.values()
+    registered = {flag for p in subparsers for flag in p._option_string_actions}
+    assert named, "no flag found in the Command line section"
+    assert named <= registered, sorted(named - registered)
+
+
+def test_sweep_pool_size_keeps_the_table(tmp_path, monkeypatch, capsys):
+    # the README sweep (9 cells) serially and in a pool of two workers
+    line = next(ln for ln in _readme_commands() if ln.startswith("diagcoag sweep "))
+    pools = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        (tmp_path / str(cpus)).mkdir()
+        monkeypatch.chdir(tmp_path / str(cpus))
+        assert run(shlex.split(line)[1:]) == 4
+        outputs[cpus] = (Path("sweep.csv").read_bytes(), capsys.readouterr().out)
+        assert pools == ([] if cpus == 1 else [2])
+    assert outputs[1] == outputs[2]
 
 
 def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):

@@ -136,7 +136,7 @@ def test_fixed_point_rejects_huge_z(canon):
     ids=["non-finite", "ball"],
 )
 def test_fixed_point_failure_messages(canon, c, z, message):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as err:
+    with pytest.raises(ConvergenceError) as err:
         fixed_point(canon, c=c, z=z)
     assert str(err.value) == message
 

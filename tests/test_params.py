@@ -71,11 +71,6 @@ def test_rho_from_beta_examples():
         rho_from_beta(0.0, -1.0)
 
 
-def test_serialization_keys():
-    p = make_params(0.0, 2.0)
-    assert set(p.to_dict()) == {"gamma", "beta", "beta_star", "theta", "rho", "mu"}
-
-
 @given(gamma=gammas, frac=fractions)
 @settings(max_examples=200, deadline=None)
 def test_rho_beta_round_trip(gamma, frac):

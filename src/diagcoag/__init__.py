@@ -25,7 +25,7 @@ from .profile import (
     rhs,
     write_profile_csv,
 )
-from .tail import TailReport, build_tail_report, check_bounds, estimate_d, fit_slope, p_of, phi_of, residual_sss4b
+from .tail import TailReport, build_tail_report, check_bounds, estimate_d, fit_slope, p_of, residual_sss4b
 from .dynamics import (
     CollapseReport,
     NumberDensityField,
@@ -68,7 +68,6 @@ __all__ = [
     "estimate_d",
     "fit_slope",
     "p_of",
-    "phi_of",
     "residual_sss4b",
     "CollapseReport",
     "NumberDensityField",

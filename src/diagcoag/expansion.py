@@ -425,7 +425,7 @@ def h_from_expansion(grid: ExpansionGrid, m: int | None = None) -> Profile:
     """Assemble the profile segment h = 1/(1-theta) + x**mu (-c + j) on (0, z].
 
     ``m`` (must divide the grid's density) selects the output's octave density;
-    derivative values come from the delay equation with the grid's parameters,
+    the values dh/dtau come from the delay equation with the grid's parameters,
     the j ~ x**mu model serving delayed arguments below the lowest node.
     Raises ``MonotonicityError`` when c > 0 and h fails to decrease, which
     signals z beyond the safe neighbourhood.  It is not retried at a smaller
@@ -458,12 +458,14 @@ def h_from_expansion(grid: ExpansionGrid, m: int | None = None) -> Profile:
     h_half[m:] = h[:-m]
     low = x[:m] / 2.0
     h_half[:m] = limit + low**mu * (j1 * (low / x1) ** mu - c)
-    dh = rhs(x, h, h_half, params)  # elementwise over the nodes
+    # dh/dtau = x dh/dx, with x the profile's own nodes exp(tau), not the grid's.
+    tau0 = float(np.log(x[0]))
+    dh = rhs(x, h, h_half, params) * np.exp(tau0 + (_LN2 / m) * np.arange(len(x)))
 
     seed = Profile(
         params=params,
         m=m,
-        tau0=float(np.log(x[0])),
+        tau0=tau0,
         h_values=h,
         dh_values=dh,
         c=float(c),

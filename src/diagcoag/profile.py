@@ -17,7 +17,8 @@ one delay interval at a time: the interval's delayed squares and Hermite
 midpoints read only nodes written before it, so they are formed as arrays,
 and only the Runge-Kutta stages run step by step.  The new nodes go into
 output arrays preallocated for all its steps, so its memory beyond the
-returned profile is a few node-length arrays.
+returned profile is a few node-length arrays.  A profile stores dh/dtau,
+the march's own variable, so no stage converts it.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ NORMALIZE_TOL = 1e-12
 class Profile:
     """Sampled profile h on a uniform grid in tau = log x.
 
-    ``dh_values`` stores dh/dx.  ``c`` is the bifurcation amplitude in the
-    current gauge (rescaling x -> a*x maps c -> c*a**mu); ``z`` is the
-    hand-off point below which the values came from the local expansion.
+    ``dh_values`` stores dh/dtau = x dh/dx, which a shift in tau leaves
+    unchanged.  ``c`` is the bifurcation amplitude in the current gauge
+    (rescaling x -> a*x maps c -> c*a**mu); ``z`` is the hand-off point below
+    which the values came from the local expansion.
     Instances are immutable; share freely.
     """
 
@@ -86,13 +88,10 @@ class Profile:
         x = self.x_values
         return x ** (-(1.0 + self.params.gamma)) * self.h_values
 
-    def _dh_dtau(self) -> np.ndarray:
-        return self.dh_values * self.x_values
-
     def h_at(self, x) -> np.ndarray | float:
         """Dense evaluation of h by cubic Hermite interpolation."""
         tau = np.log(np.asarray(x, dtype=float))
-        return hermite_eval(tau, self.tau0, self.dtau, self.h_values, self._dh_dtau())
+        return hermite_eval(tau, self.tau0, self.dtau, self.h_values, self.dh_values)
 
     def g_at(self, x) -> np.ndarray | float:
         x_arr = np.asarray(x, dtype=float)
@@ -110,15 +109,14 @@ def rhs(
     return (h_at_x * h_at_x - theta * h_at_half * h_at_half - h_at_x) / (params.beta * x)
 
 
-def _resolvable_decrement(profile: Profile, x: np.ndarray) -> np.ndarray:
+def _resolvable_decrement(profile: Profile) -> np.ndarray:
     """Nodes where the true per-step decrement of h exceeds float resolution.
 
     Near the origin h approaches its limit like x**mu; once c*x**mu falls
     below the ulp of h the sampled values tie exactly and strictness cannot
-    be observed in double precision.  ``x`` is ``profile.x_values``.
+    be observed in double precision.
     """
-    step = np.multiply(profile.dh_values, x)  # dh/dtau
-    np.abs(step, out=step)
+    step = np.abs(profile.dh_values)
     step *= profile.dtau
     floor = np.abs(profile.h_values)
     floor *= 64.0 * np.finfo(float).eps
@@ -130,30 +128,24 @@ def check_invariants(profile: Profile) -> None:
 
     Monotonicity is strict wherever the decrement is resolvable in double
     precision; exact ties are tolerated where it is not (deep in the
-    expansion region for large mu).
+    expansion region for large mu).  Node x is formed only to name a failure.
     """
-    _check_invariants(profile, profile.x_values)
-
-
-def _check_invariants(profile: Profile, x: np.ndarray) -> None:
-    """``check_invariants`` with the nodes ``x`` (``profile.x_values``) given."""
     h = profile.h_values
     limit = 1.0 / (1.0 - profile.params.theta)
     bad = np.nonzero(~(h > 0.0))[0]
     if bad.size:
-        raise PositivityError(f"h <= 0 at x = {x[bad[0]]:g}", x=float(x[bad[0]]))
+        x = float(profile.x_values[bad[0]])
+        raise PositivityError(f"h <= 0 at x = {x:g}", x=x)
     if profile.c > _C_ZERO:
-        resolvable = _resolvable_decrement(profile, x)
+        resolvable = _resolvable_decrement(profile)
         bad = np.nonzero((h > limit) | ((h == limit) & resolvable))[0]
         if bad.size:
-            raise DomainError(f"h >= 1/(1-theta) at x = {x[bad[0]]:g}")
+            raise DomainError(f"h >= 1/(1-theta) at x = {profile.x_values[bad[0]]:g}")
         diffs = np.diff(h)
         bad = np.nonzero((diffs > 0.0) | ((diffs == 0.0) & resolvable[:-1]))[0]
         if bad.size:
-            raise MonotonicityError(
-                f"h not strictly decreasing at x = {x[bad[0] + 1]:g}",
-                x=float(x[bad[0] + 1]),
-            )
+            x = float(profile.x_values[bad[0] + 1])
+            raise MonotonicityError(f"h not strictly decreasing at x = {x:g}", x=x)
     else:
         if np.max(np.abs(h - limit)) > 1e-9 * limit:
             raise DomainError("constant-branch profile drifted from 1/(1-theta)")
@@ -163,8 +155,8 @@ def integrate(seed: Profile, x_max: float) -> Profile:
     """Continue a profile out to x_max by the method of steps, with its parameters.
 
     The seed must carry at least one delay interval (m+1 nodes) of history.
-    Only that last interval feeds the march, as h and dh/dtau = x dh/dx, so
-    a call costs its new steps plus one vector pass over the history.  The
+    Only that last interval of h and dh/dtau feeds the march, so a call
+    costs its new steps plus one vector pass over the history.  The
     march advances one delay interval (at most m steps) at a time, forms
     that interval's delayed terms as arrays, and writes its nodes into
     arrays preallocated for all ``n_new`` steps.  The nodes are
@@ -194,11 +186,10 @@ def integrate(seed: Profile, x_max: float) -> Profile:
     tau_last = seed.tau0 + dtau * (n_have - 1)
     n_new = int(math.ceil((math.log(x_max) - tau_last) / dtau - 1e-12))
     n_total = n_have + n_new
-    x = np.exp(seed.tau0 + dtau * np.arange(n_total))
     h = np.empty(n_total)
-    hd = np.empty(n_total)  # dh/dtau = x dh/dx until the march ends
+    hd = np.empty(n_total)
     h[:n_have] = seed.h_values
-    np.multiply(seed.dh_values, x[:n_have], out=hd[:n_have])
+    hd[:n_have] = seed.dh_values
 
     half = 0.5 * dtau
     eighth = dtau / 8.0
@@ -259,33 +250,30 @@ def integrate(seed: Profile, x_max: float) -> Profile:
         hd[n:n + done] = hd_new
         n += done
 
-    h = h[:n_total]
-    hd = hd[:n_total]
-    x = x[:n_total]
-    hd /= x  # dh/dx
     out = Profile(
         params=seed.params,
         m=m,
         tau0=seed.tau0,
-        h_values=h,
-        dh_values=hd,
+        h_values=h[:n_total],
+        dh_values=hd[:n_total],
         c=seed.c,
         z=seed.z,
         normalized=seed.normalized,
     )
-    _check_invariants(out, x)
+    check_invariants(out)
     return out
 
 
 def rescale(profile: Profile, a: float) -> Profile:
     """Apply the scaling invariance h(x) -> h(a*x): a pure shift in tau.
 
-    Node values are unchanged; the grid, derivative values, amplitude c and
+    The node values h and dh/dtau are unchanged; the grid, amplitude c and
     hand-off point z are re-expressed in the new gauge.  Raises
-    ``RangeError`` when the amplitude's gauge factor a**mu overflows.
+    ``DomainError`` unless a is finite and positive, and ``RangeError`` when
+    the amplitude's gauge factor a**mu overflows.
     """
-    if not a > 0.0:
-        raise DomainError("rescale factor a must be positive")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"rescale factor a must be finite and positive; got {a:g}")
     if a == 1.0:
         return profile
     mu = profile.params.mu
@@ -296,15 +284,13 @@ def rescale(profile: Profile, a: float) -> Profile:
             f"gauge factor a = {a:g} is out of floating-point range: "
             f"a**mu overflows (mu = {mu:g})"
         ) from exc
-    out = replace(
+    return replace(
         profile,
         tau0=profile.tau0 - math.log(a),
-        dh_values=profile.dh_values * a,
         c=c,
         z=profile.z / a,
         normalized=False,
     )
-    return out
 
 
 def normalize(profile: Profile) -> Profile:
@@ -313,7 +299,8 @@ def normalize(profile: Profile) -> Profile:
     Uses monotone bisection on the dense evaluation; raises ``RangeError``
     when 1/2 is not attained inside the stored domain (extend x_max first).
     The bisection reads h and dh/dtau on the two nodes that bracket 1/2 only,
-    and evaluates ``hermite_eval``'s cubic there in scalar arithmetic.
+    and evaluates ``hermite_eval``'s cubic there in scalar arithmetic.  Of the
+    profile, only tau0, c, z and ``normalized`` change.
     """
     h = profile.h_values
     if not (h[0] > 0.5 > h[-1]):
@@ -328,9 +315,7 @@ def normalize(profile: Profile) -> Profile:
     lo = tau0 + dtau * k
     hi = tau0 + dtau * (k + 1)
     h0, h1 = h[k:k + 2].tolist()
-    # dh/dtau = x dh/dx, with x from the grid's own np.exp (math.exp can differ by an ulp).
-    x01 = np.exp(tau0 + dtau * np.arange(k, k + 2))
-    d0, d1 = (profile.dh_values[k:k + 2] * x01).tolist()
+    d0, d1 = profile.dh_values[k:k + 2].tolist()
 
     def eval_h(tau: float) -> float:
         s = (tau - tau0) / dtau - k
@@ -360,7 +345,7 @@ def normalize(profile: Profile) -> Profile:
 # ---------------------------------------------------------------------------
 # Serialization: CSV table plus a JSON metadata sidecar.
 
-_CSV_HEADER = "x,h,g,dhdx"
+_CSV_HEADER = "x,h,g,dhdtau"
 # Rows formatted per string operation by ``write_table``: large enough to
 # spread the per-call cost, small enough that the text held at once stays
 # a few hundred kilobytes whatever the table's length.
@@ -432,7 +417,8 @@ def read_profile_csv(path: str | Path) -> Profile:
             header = fh.readline().strip()
             has_rows = any(line.strip() for line in fh)  # stops at the first row
         if header != _CSV_HEADER:
-            raise DomainError(f"unexpected profile CSV header: {header!r}")
+            raise DomainError(f"unexpected profile CSV header in {source}: {header!r}, expected "
+                              f"{_CSV_HEADER!r}; re-make the profile with `diagcoag profile`")
         if not has_rows:
             raise DomainError(f"malformed profile file {source}: the table has no data rows")
         # By name, not through the open handle: numpy parses a named file in

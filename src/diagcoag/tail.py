@@ -86,12 +86,10 @@ def estimate_d(profile: Profile) -> tuple[float, float]:
 
 def target_octaves(beta: float, d: float) -> float:
     """log2 of the x_max (normalized gauge) where ``estimate_d``'s bound is at most
-    ``D_CONVERGED_SHARE * d``, and at most ``SLOPE_EDGE_SHARE * d`` at the slope
-    window's lower edge (d floored at ``TARGET_D_FLOOR``); falls as d grows."""
+    ``SLOPE_EDGE_SHARE * d`` at the slope window's lower edge, and so below
+    ``D_CONVERGED_SHARE * d`` at x_max (d floored at ``TARGET_D_FLOOR``); falls as d grows."""
     d = max(d, TARGET_D_FLOOR)
-    at_top = beta * math.log2(2.0 / (D_CONVERGED_SHARE * d))
-    at_edge = beta * math.log2(2.0 / (SLOPE_EDGE_SHARE * d)) - math.log2(SLOPE_WINDOW_FRACTION)
-    return max(at_top, at_edge)
+    return beta * math.log2(2.0 / (SLOPE_EDGE_SHARE * d)) - math.log2(SLOPE_WINDOW_FRACTION)
 
 
 def _head_integral(profile: Profile, y: float, weight: float | np.ndarray = 1.0):
@@ -103,21 +101,19 @@ def _head_integral(profile: Profile, y: float, weight: float | np.ndarray = 1.0)
 
 def _cumulative(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     """Rows (Phi, int_0^x s**(-gamma) h^2 ds) at every grid node, and their tau
-    derivatives x**(1-gamma) (h, h^2), the integrands of one stacked quadrature."""
+    derivatives x**(1-gamma) (h, h^2), the integrands of one stacked quadrature,
+    whose end correction forms their tau derivatives from the stored dh/dtau."""
     gamma = profile.params.gamma
     h = profile.h_values
     dh = profile.dh_values
     n = len(h)
     # The integrands and their tau derivatives
-    # x**(1-gamma) (h, h^2) ((1-gamma) h + (x, 2x) dh/dx), filled in place in
+    # x**(1-gamma) (h, h^2) ((1-gamma) h + (1, 2) dh/dtau), filled in place in
     # an order that holds at most seven node-length arrays at once.
-    x = profile.x_values
     dphi = np.empty((2, n))
-    np.multiply(x, dh, out=dphi[0])
-    np.multiply(x, 2.0, out=dphi[1])
-    dphi[1] *= dh
-    w = x ** (1.0 - gamma)
-    del x
+    dphi[0] = dh
+    np.multiply(dh, 2.0, out=dphi[1])
+    w = profile.x_values ** (1.0 - gamma)
     phi = np.empty((2, n))
     np.multiply(w, h, out=phi[0])
     np.multiply(phi[0], h, out=phi[1])
@@ -137,11 +133,6 @@ def _phi_at(profile: Profile, cum: np.ndarray, phi: np.ndarray, x: float) -> flo
     if not (profile.x_min <= x <= profile.x_max * (1 + 1e-12)):
         raise DomainError(f"x = {x:g} outside the stored domain")
     return float(hermite_eval(math.log(x), profile.tau0, profile.dtau, cum[0], phi[0]))
-
-
-def phi_of(profile: Profile, x: float) -> float:
-    """Dense evaluation of Phi."""
-    return _phi_at(profile, *_cumulative(profile), x)
 
 
 def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:

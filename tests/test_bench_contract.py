@@ -2,8 +2,8 @@
 
 ``perfbench/workloads.py`` runs the workloads through the layers' public
 functions and traces them by attribute name; these tests import it as it is
-and run every profile cell of ``sweep15`` and ``deep_tail`` and one item of
-each other workload through the benchmark's own check, so a change that drops
+and run every profile cell of ``sweep15`` and ``deep_tail``, every ``roundtrip``
+cell and one ``collapse`` item through the benchmark's own check, so a change that drops
 or renames an API the benchmark calls, or moves a ``d`` past the reference's
 bound, fails here rather than in a benchmark run.
 """
@@ -50,7 +50,6 @@ def test_profile_cell_is_correct(tmp_path, name):
 
 
 ITEMS = {
-    "roundtrip": ("roundtrip", inputs.grid_cells("sweep15")[0]),
     "collapse": ("collapse", inputs.Perturbation(0.0, 0.0)),
 }
 
@@ -58,3 +57,16 @@ ITEMS = {
 @pytest.mark.parametrize("name", list(ITEMS))
 def test_one_item_per_workload_is_correct(tmp_path, name):
     _run(*ITEMS[name], tmp_path)
+
+
+@pytest.fixture(scope="module")
+def roundtrip_state(tmp_path_factory):
+    return workloads.prepare("roundtrip", tmp_path_factory.mktemp("roundtrip"))
+
+
+# Every cell: the profile is written, read back bit for bit (h and the
+# derivative column), and its tail report checked against the reference.
+@pytest.mark.parametrize("cell", inputs.grid_cells("sweep15"), ids=lambda cell: cell.key)
+def test_roundtrip_cell_is_correct(roundtrip_state, cell):
+    out = workloads.run_item(roundtrip_state, cell)
+    assert out.correct, out.failed

@@ -360,6 +360,18 @@ def test_verify_malformed_profile_exits_2(case, saved_profile, tmp_path, capsys,
     assert not recwarn.list
 
 
+def test_verify_profile_with_a_dhdx_column_exits_2(saved_profile, tmp_path, capsys):
+    # a table whose fourth column is dh/dx, as written by earlier versions
+    path = tmp_path / "old.csv"
+    path.write_text(saved_profile.read_text().replace("x,h,g,dhdtau", "x,h,g,dhdx", 1))
+    path.with_name("old.meta.json").write_text(
+        saved_profile.with_name(saved_profile.stem + ".meta.json").read_text()
+    )
+    assert run(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'x,h,g,dhdx'" in err and "expected 'x,h,g,dhdtau'" in err
+
+
 def test_simulate_window_off_grid_exits_2(saved_profile, tmp_path, capsys):
     # at t = 1e9 the rescaled pulse grid no longer overlaps the profile's
     code = run(

@@ -351,5 +351,6 @@ def test_h_from_expansion_dh_matches_rhs_per_node(gamma, frac):
         + low**params.mu * (grid.j_values[0] * (low / x[0]) ** params.mu - grid.c),
         h[:-m],
     ))
+    # dh/dtau: dh/dx per node times the profile's own nodes
     expected = np.array([rhs(xi, hi, hhi, params) for xi, hi, hhi in zip(x, h, h_half)])
-    assert np.array_equal(seed.dh_values, expected)
+    assert np.array_equal(seed.dh_values, expected * seed.x_values)

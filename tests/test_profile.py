@@ -120,7 +120,7 @@ def _whole_history_integrate(seed, params, x_max):
     h = np.empty(n_total)
     hd = np.empty(n_total)
     h[:n_have] = seed.h_values
-    hd[:n_have] = seed._dh_dtau()
+    hd[:n_have] = seed.dh_values
     hl = h.tolist()
     hdl = hd.tolist()
 
@@ -152,8 +152,7 @@ def _whole_history_integrate(seed, params, x_max):
         hl[n + 1] = hnext
         hdl[n + 1] = f(hnext, h_b1)
 
-    x = np.exp(seed.tau0 + dtau * np.arange(n_total))
-    out = replace(seed, params=params, h_values=np.array(hl), dh_values=np.array(hdl) / x)
+    out = replace(seed, params=params, h_values=np.array(hl), dh_values=np.array(hdl))
     check_invariants(out)
     return out
 
@@ -166,12 +165,13 @@ def _assert_same_profile(got, want):
 
 
 def _hand_seed(params, h_values, c=1.0):
-    """An m = 64 seed from given node values, with dh/dx from differences."""
+    """An m = 64 seed from given node values, with dh/dtau = x dh/dx from
+    differences in x."""
     h = np.asarray(h_values, dtype=float)
     m = 64
     x = np.exp(-5.0 + (math.log(2.0) / m) * np.arange(len(h)))
     return Profile(params=params, m=m, tau0=-5.0, h_values=h,
-                   dh_values=np.gradient(h, x), c=c, z=x[0])
+                   dh_values=np.gradient(h, x) * x, c=c, z=x[0])
 
 
 def test_integrate_matches_whole_history_march(canon):
@@ -382,6 +382,26 @@ def test_rescale_invalid(canonical_profile):
         rescale(canonical_profile, -2.0)
 
 
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+def test_rescale_refuses_a_factor_that_is_not_finite(canonical_profile, a):
+    with pytest.raises(DomainError, match="finite and positive"):
+        rescale(canonical_profile, a)
+
+
+def test_rescale_and_normalize_leave_dh_dtau_untouched(canon):
+    # a shift in tau moves the grid, not the values h and dh/dtau at its nodes
+    prof = integrate(h_from_expansion(fixed_point(canon, c=1.0, z=0.125)), 0.125 * 2.0**30)
+    for out in (rescale(prof, 2.0), normalize(prof)):
+        assert out.tau0 != prof.tau0
+        assert np.array_equal(out.h_values, prof.h_values)
+        assert np.array_equal(out.dh_values, prof.dh_values)
+
+
+def test_h_at_the_nodes_is_h_values(canonical_profile):
+    prof = canonical_profile
+    assert np.allclose(prof.h_at(prof.x_values), prof.h_values, rtol=1e-13, atol=0.0)
+
+
 def test_rescale_overflowing_gauge_factor_is_range_error(canonical_profile):
     # mu > 1 here, so a**mu leaves the double range although a does not
     prof = replace(canonical_profile, params=make_params(0.0, 1.5))
@@ -412,7 +432,7 @@ def _reference_normalize(profile):
     dtau = profile.dtau
     lo = profile.tau0 + dtau * (idx - 1)
     hi = profile.tau0 + dtau * idx
-    hd = profile._dh_dtau()
+    hd = profile.dh_values
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = float(hermite_eval(mid, profile.tau0, dtau, profile.h_values, hd))
@@ -480,7 +500,7 @@ def test_check_invariants_passes(canonical_profile):
 
 
 def test_check_invariants_peak_memory_is_a_few_node_arrays(canon):
-    # the nodes, then the two buffers of the resolvable-decrement mask
+    # the two buffers of the resolvable-decrement mask; no node array x
     prof = integrate(h_from_expansion(fixed_point(canon, c=1.0, z=0.125)), 2.0**300)
     check_invariants(prof)  # first-call allocations
     tracemalloc.start()
@@ -489,7 +509,7 @@ def test_check_invariants_peak_memory_is_a_few_node_arrays(canon):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * prof.h_values.nbytes
+    assert peak <= 3 * prof.h_values.nbytes
 
 
 _RESOLVED = [-1.0] * 4
@@ -512,7 +532,7 @@ _RESOLVED = [-1.0] * 4
 def test_check_invariants_verdicts(canon, h, dh, error, message, node):
     x = np.exp(-1.0 + (math.log(2.0) / 64) * np.arange(4))
     prof = Profile(params=canon, m=64, tau0=-1.0, h_values=np.array(h),
-                   dh_values=np.array(dh) / x, c=1.0, z=x[0])
+                   dh_values=np.array(dh), c=1.0, z=x[0])
     if error is None:
         check_invariants(prof)
         return
@@ -535,7 +555,7 @@ def test_csv_round_trip(tmp_path, canonical_profile):
     write_profile_csv(canonical_profile, path)
     p = canonical_profile
     rows = zip(p.x_values, p.h_values, p.g_values, p.dh_values)
-    expected = "x,h,g,dhdx\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
+    expected = "x,h,g,dhdtau\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
     assert path.read_bytes() == expected.encode()
     back = read_profile_csv(path)
     assert np.array_equal(back.h_values, canonical_profile.h_values)
@@ -548,7 +568,7 @@ def test_csv_round_trip(tmp_path, canonical_profile):
 def test_csv_header_mismatch(tmp_path, canonical_profile):
     path = tmp_path / "prof.csv"
     write_profile_csv(canonical_profile, path)
-    path.write_text(path.read_text().replace("x,h,g,dhdx", "x,h,g,dh", 1))
+    path.write_text(path.read_text().replace("x,h,g,dhdtau", "x,h,g,dh", 1))
     with pytest.raises(DomainError, match="header"):
         read_profile_csv(path)
 
@@ -567,7 +587,7 @@ def test_profile_csv_longer_than_one_chunk_matches_savetxt(tmp_path):
     path = tmp_path / "long.csv"
     write_profile_csv(p, path)
     table = np.column_stack([p.x_values, p.h_values, p.g_values, p.dh_values])
-    assert path.read_bytes() == _savetxt_bytes(table, "x,h,g,dhdx")
+    assert path.read_bytes() == _savetxt_bytes(table, "x,h,g,dhdtau")
 
 
 @pytest.mark.parametrize("rows", [1, 2 * profile_mod._TABLE_CHUNK_ROWS], ids=["one row", "two chunks"])

@@ -16,9 +16,14 @@ def _phi_nodes(profile):
     return tail._cumulative(profile)[0][0]
 
 
+def _phi_of(profile, x):
+    """Dense evaluation of Phi."""
+    return tail._phi_at(profile, *tail._cumulative(profile), x)
+
+
 def _c0_of(profile):
     """c0 = Phi(1) > 0, the anchor of the lower-bound chain."""
-    return tail.phi_of(profile, 1.0)
+    return _phi_of(profile, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +127,7 @@ def test_d_dominates_chain_constant(canonical_profile):
 def test_phi_constant_profile_linear(constant_profile):
     # gamma = 0, h = 2: Phi(x) = 2x
     for x in (1e-3, 1.0, 1e3):
-        assert tail.phi_of(constant_profile, x) == pytest.approx(2.0 * x, rel=1e-10)
+        assert _phi_of(constant_profile, x) == pytest.approx(2.0 * x, rel=1e-10)
 
 
 def test_phi_monotone_rescaled(canonical_profile):

@@ -23,17 +23,17 @@ which is the exact leading behavior of the fixed point.
 The factors of T that do not depend on j (powers of the nodes, the head
 integrals' powers of the lowest node and of the delayed points below it,
 the norm weights, the grid check) are built once per fixed point, as a
-plan that rides on the iterated grid.  The plan also holds the scratch
-arrays that every application of T overwrites, so an iteration allocates
-little beyond the new iterate.  The evaluation order is kept: every
-floating-point operation has the same operands and grouping as when T is
-evaluated from scratch, so outputs are bit-identical to that.
+plan that ``fixed_point`` iterates on plain arrays.  The plan also holds
+the scratch arrays that every application of T overwrites, so an iteration
+allocates little beyond the new iterate.  The evaluation order is kept:
+every floating-point operation has the same operands and grouping as when
+T is evaluated from scratch, so outputs are bit-identical to that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class ExpansionGrid:
     j_values: np.ndarray
     weighted_norm: float
     nodes_per_octave: int
-    # j-independent factors of T on this grid (built by fixed_point).
-    _plan: _TPlan | None = field(default=None, compare=False, repr=False)
 
     @property
     def epsilon(self) -> float:
@@ -85,24 +83,36 @@ class ExpansionGrid:
 
 
 class _Head:
-    """Powers of the upper limits y of the analytic head integrals over (0, y]."""
+    """Analytic integrals over (0, y] under j(s) = j1*(s/x1)**mu, for upper limits y."""
 
-    __slots__ = ("lin", "sq0", "sq1", "sq2")
+    __slots__ = ("k_lin", "k_sq1", "k_sq2", "y_lin", "sq0", "sq1", "sq2")
 
     def __init__(self, y, c: float, e1: float, e2: float, mu: float):
-        self.lin = y ** (e1 + mu)
+        self.k_lin = e1 + mu
+        self.k_sq1 = e2 + mu
+        self.k_sq2 = e2 + 2.0 * mu
+        self.y_lin = y**self.k_lin
         self.sq0 = c * c * y**e2 / e2  # the j-free term of the square integral
-        self.sq1 = y ** (e2 + mu)
-        self.sq2 = y ** (e2 + 2.0 * mu)
+        self.sq1 = y**self.k_sq1
+        self.sq2 = y**self.k_sq2
+
+    def lin(self, f_lin: float):
+        """Integral of s**(e1-1) j(s), given f_lin = j1 * x1**-mu."""
+        return f_lin * self.y_lin / self.k_lin
+
+    def sq(self, f_sq1: float, f_sq2: float):
+        """Integral of s**(e2-1) (c - j(s))**2, given 2 c j1 x1**-mu and j1**2 x1**-2mu."""
+        return self.sq0 - f_sq1 * self.sq1 / self.k_sq1 + f_sq2 * self.sq2 / self.k_sq2
 
 
 class _TPlan:
-    """The j-independent factors of T on one grid and its parameter set.
+    """T on one grid and its parameter set: ``apply(j)`` returns T[j].
 
-    Each entry is the expression that T would otherwise evaluate on every
-    call, with the same operands in the same order.  The plan also holds
-    the scratch arrays that ``apply_T`` and ``change_norm`` overwrite on
-    every call, so one plan serves one evaluation at a time.
+    The j-independent factors are the expressions that T would otherwise
+    evaluate on every call, with the same operands in the same order.  The
+    plan also holds the scratch arrays that ``apply`` and ``change_norm``
+    overwrite on every call, so one plan serves one evaluation at a time
+    (nothing in this package runs threads).
     """
 
     def __init__(self, grid: ExpansionGrid):
@@ -112,13 +122,12 @@ class _TPlan:
         # Three nodes at least: the second-order edge derivative needs them.
         if len(x) < 3 or np.any(np.diff(np.log(x)) <= 0):
             raise QuadratureError("degenerate expansion grid")
-        self.nodes = x
-        self.params = params
         self.c = grid.c
         self.n_oct = n_oct
         self.dtau = _LN2 / n_oct
 
         gamma, beta, mu = params.gamma, params.beta, params.mu
+        self.mu = mu
         self.two_a = 2.0 / (1.0 - params.theta)
         self.lam = (1.0 - gamma) * (beta - params.beta_star)
         # exponents of the linear and square integrands (with jacobian)
@@ -149,9 +158,6 @@ class _TPlan:
         x1 = x[0]
         self.x1_mu = float(x1**-mu)
         self.x1_2mu = float(x1 ** (-2.0 * mu))
-        self.k_lin = e1 + mu
-        self.k_sq1 = e2 + mu
-        self.k_sq2 = e2 + 2.0 * mu
         self.head_x1 = _Head(x1, grid.c, e1, e2, mu)
         self.head_half = _Head((x / 2.0)[:n_oct], grid.c, e1, e2, mu)
 
@@ -165,14 +171,6 @@ class _TPlan:
         self.heads = np.empty((3, 1))
         self.scratch = np.empty(n)
 
-    def fits(self, grid: ExpansionGrid) -> bool:
-        return (
-            grid.nodes is self.nodes
-            and grid.c == self.c
-            and grid.nodes_per_octave == self.n_oct
-            and grid.params == self.params
-        )
-
     def norm(self, j: np.ndarray) -> float:
         """Weighted norm max x**(-epsilon) |j(x)| over the nodes."""
         w = np.abs(j, out=self.scratch)
@@ -182,6 +180,58 @@ class _TPlan:
     def change_norm(self, new: np.ndarray, old: np.ndarray) -> float:
         """Weighted norm of new - old."""
         return self.norm(np.subtract(new, old, out=self.scratch))
+
+    def apply(self, j: np.ndarray) -> np.ndarray:
+        """T[j] as a fresh array; j is not mutated."""
+        c = self.c
+        n_oct = self.n_oct
+        two_a = self.two_a
+
+        djdtau = self.djdtau
+        np.subtract(j[2:], j[:-2], out=djdtau[1:-1])
+        djdtau[1:-1] /= self.two_dtau
+        # Anchor the bottom edge on the known leading behavior j ~ x**mu.
+        j1 = float(j[0])
+        djdtau[0] = self.mu * j1
+        a, b, c_n = self.edge_n
+        djdtau[-1] = a * j[-3] + b * j[-2] + c_n * j[-1]
+
+        # The integrands stacked as rows: the linear term 2/(1-theta) j, the
+        # square term (c - j)**2 and the memory term j, each times its power of x.
+        cmj = np.subtract(c, j, out=self.cmj)  # (-c + j)**2 == (c - j)**2
+        phi = self.phi
+        np.multiply(self.x_e1_rows, j, out=phi[::2])
+        np.multiply(self.x_e2, cmj, out=phi[1])
+        phi[1] *= cmj
+        dphi = np.multiply(self.e_rows, phi, out=self.dphi)
+        # The derivative terms, formed in the quadrature's output before it is written.
+        i = self.integrals
+        np.multiply(self.x_e1_rows, djdtau, out=i[::2])
+        np.multiply(self.neg_x_e2_two, cmj, out=i[1])
+        i[1] *= djdtau
+        dphi += i
+        cumtrapz_corrected(phi, dphi, self.dtau, i)
+
+        # The head integrals' j-dependent prefactors, formed once.
+        f_lin = j1 * self.x1_mu
+        f_sq1 = 2.0 * c * j1 * self.x1_mu
+        f_sq2 = j1 * j1 * self.x1_2mu
+        heads = self.heads
+        lin_x1 = self.head_x1.lin(f_lin)
+        heads[:, 0] = (two_a * lin_x1, self.head_x1.sq(f_sq1, f_sq2), lin_x1)
+        i += heads
+
+        # Delay differences int_{x/2}^{x} of the first two rows: exactly n_oct
+        # nodes back on the grid, analytic below the lowest node.
+        d = self.delay
+        np.subtract(i[:2, n_oct:], i[:2, :-n_oct], out=d[:, n_oct:])
+        np.subtract(i[0, :n_oct], two_a * self.head_half.lin(f_lin), out=d[0, :n_oct])
+        np.subtract(i[1, :n_oct], self.head_half.sq(f_sq1, f_sq2), out=d[1, :n_oct])
+
+        new_j = np.add(d[0], d[1])
+        new_j += np.multiply(self.lam, i[2], out=self.scratch)
+        new_j /= self.den
+        return new_j
 
 
 def check_amplitude(c: float) -> None:
@@ -305,71 +355,12 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
 def apply_T(grid: ExpansionGrid) -> ExpansionGrid:
     """One application of T for the grid's parameters; the input grid is not mutated.
 
-    The grid's plan lends its scratch arrays to the evaluation, so calls on
-    grids that share a plan must not overlap (nothing in this package runs
-    threads).  The returned iterate is a fresh array.
+    Builds the plan for the grid on every call; ``fixed_point`` builds one
+    and iterates it on arrays.
     """
-    plan = grid._plan
-    if plan is None or not plan.fits(grid):
-        plan = _TPlan(grid)
-    j = grid.j_values
-    c = grid.c
-    n_oct = plan.n_oct
-    two_a = plan.two_a
-
-    djdtau = plan.djdtau
-    np.subtract(j[2:], j[:-2], out=djdtau[1:-1])
-    djdtau[1:-1] /= plan.two_dtau
-    # Anchor the bottom edge on the known leading behavior j ~ x**mu.
-    j1 = float(j[0])
-    djdtau[0] = grid.params.mu * j1
-    a, b, c_n = plan.edge_n
-    djdtau[-1] = a * j[-3] + b * j[-2] + c_n * j[-1]
-
-    # The integrands stacked as rows: the linear term 2/(1-theta) j, the
-    # square term (c - j)**2 and the memory term j, each times its power of x.
-    cmj = np.subtract(c, j, out=plan.cmj)  # (-c + j)**2 == (c - j)**2
-    phi = plan.phi
-    np.multiply(plan.x_e1_rows, j, out=phi[::2])
-    np.multiply(plan.x_e2, cmj, out=phi[1])
-    phi[1] *= cmj
-    dphi = np.multiply(plan.e_rows, phi, out=plan.dphi)
-    # The derivative terms, formed in the quadrature's output before it is written.
-    i = plan.integrals
-    np.multiply(plan.x_e1_rows, djdtau, out=i[::2])
-    np.multiply(plan.neg_x_e2_two, cmj, out=i[1])
-    i[1] *= djdtau
-    dphi += i
-    cumtrapz_corrected(phi, dphi, plan.dtau, i)
-
-    # Analytic integrals over (0, y] for y <= x1 under j(s) = j1*(s/x1)**mu,
-    # with their j-dependent prefactors formed once.
-    f_lin = j1 * plan.x1_mu
-    f_sq1 = 2.0 * c * j1 * plan.x1_mu
-    f_sq2 = j1 * j1 * plan.x1_2mu
-
-    def head_lin(y: _Head):
-        return f_lin * y.lin / plan.k_lin
-
-    def head_sq(y: _Head):
-        return y.sq0 - f_sq1 * y.sq1 / plan.k_sq1 + f_sq2 * y.sq2 / plan.k_sq2
-
-    heads = plan.heads
-    lin_x1 = head_lin(plan.head_x1)
-    heads[:, 0] = (two_a * lin_x1, head_sq(plan.head_x1), lin_x1)
-    i += heads
-
-    # Delay differences int_{x/2}^{x} of the first two rows: exactly n_oct
-    # nodes back on the grid, analytic below the lowest node.
-    d = plan.delay
-    np.subtract(i[:2, n_oct:], i[:2, :-n_oct], out=d[:, n_oct:])
-    np.subtract(i[0, :n_oct], two_a * head_lin(plan.head_half), out=d[0, :n_oct])
-    np.subtract(i[1, :n_oct], head_sq(plan.head_half), out=d[1, :n_oct])
-
-    new_j = np.add(d[0], d[1])
-    new_j += np.multiply(plan.lam, i[2], out=plan.scratch)
-    new_j /= plan.den
-    return replace(grid, j_values=new_j, weighted_norm=plan.norm(new_j), _plan=plan)
+    plan = _TPlan(grid)
+    new_j = plan.apply(grid.j_values)
+    return replace(grid, j_values=new_j, weighted_norm=plan.norm(new_j))
 
 
 def fixed_point(
@@ -393,17 +384,17 @@ def fixed_point(
         return grid  # T[0] = 0 identically: the constant branch
 
     plan = _TPlan(grid)
-    grid = replace(grid, _plan=plan)
     radius = ball_radius(params, c, z)
+    j = grid.j_values
     # A diverging iterate overflows on its way to the finiteness check below,
     # which reports it as a ConvergenceError: no floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DEFAULT_MAX_ITER):
-            new = apply_T(grid)
-            norm = new.weighted_norm
+            new = plan.apply(j)
+            norm = plan.norm(new)
             # A finite weighted norm implies a finite iterate: every weight is
             # >= 0 and the maximum propagates NaN.
-            if not math.isfinite(norm) and not np.isfinite(new.j_values).all():
+            if not math.isfinite(norm) and not np.isfinite(new).all():
                 raise ConvergenceError(
                     f"fixed-point iteration diverged at z={z:g} (non-finite iterate)"
                 )
@@ -412,38 +403,28 @@ def fixed_point(
                     f"iterate left the invariant ball (norm {norm:g} > "
                     f"R = {radius:g}): z={z:g} too large"
                 )
-            change = plan.change_norm(new.j_values, grid.j_values)
-            grid = new
+            change = plan.change_norm(new, j)
+            j = new
             if change <= DEFAULT_TOL:
-                return grid
+                return replace(grid, j_values=j, weighted_norm=norm)
     raise IterationLimitError(
         f"fixed point not reached in {DEFAULT_MAX_ITER} iterations at z={z:g}"
     )
 
 
-def h_from_expansion(grid: ExpansionGrid, m: int | None = None) -> Profile:
+def h_from_expansion(grid: ExpansionGrid) -> Profile:
     """Assemble the profile segment h = 1/(1-theta) + x**mu (-c + j) on (0, z].
 
-    ``m`` (must divide the grid's density) selects the output's octave density;
-    the values dh/dtau come from the delay equation with the grid's parameters,
-    the j ~ x**mu model serving delayed arguments below the lowest node.
+    The profile has the grid's nodes and density; the values dh/dtau come
+    from the delay equation with the grid's parameters, the j ~ x**mu model
+    serving delayed arguments below the lowest node.
     Raises ``MonotonicityError`` when c > 0 and h fails to decrease, which
     signals z beyond the safe neighbourhood.  It is not retried at a smaller
     z: ``build_profile`` reports it, and ``default_z`` is the safe choice.
     """
-    if m is None:
-        m = grid.nodes_per_octave
-    if grid.nodes_per_octave % m != 0:
-        raise DomainError(
-            f"output density m={m} must divide the expansion density "
-            f"{grid.nodes_per_octave}"
-        )
-    stride = grid.nodes_per_octave // m
-    # Keep the right endpoint: subsample counting back from the end.
-    idx = np.arange(len(grid.nodes) - 1, -1, -stride)[::-1]
-    x = grid.nodes[idx]
-    j = grid.j_values[idx]
-
+    x = grid.nodes
+    j = grid.j_values
+    m = grid.nodes_per_octave
     params = grid.params
     mu = params.mu
     limit = 1.0 / (1.0 - params.theta)
@@ -452,8 +433,8 @@ def h_from_expansion(grid: ExpansionGrid, m: int | None = None) -> Profile:
 
     # Delayed values for the derivative: exact nodes where available, the
     # x**mu extrapolation model below the grid.
-    x1 = grid.nodes[0]
-    j1 = grid.j_values[0]
+    x1 = x[0]
+    j1 = j[0]
     h_half = np.empty_like(h)
     h_half[m:] = h[:-m]
     low = x[:m] / 2.0

@@ -76,7 +76,7 @@ def build_profile(
     if z is None:
         z = default_z(params, c)
     grid = fixed_point(params, c, z, nodes_per_octave=m)
-    seed = h_from_expansion(grid, m=m)
+    seed = h_from_expansion(grid)
 
     target = x_max if x_max is not None else 2.0**40 * z
     profile = integrate(seed, target)

@@ -270,7 +270,8 @@ def rescale(profile: Profile, a: float) -> Profile:
     The node values h and dh/dtau are unchanged; the grid, amplitude c and
     hand-off point z are re-expressed in the new gauge.  Raises
     ``DomainError`` unless a is finite and positive, and ``RangeError`` when
-    the amplitude's gauge factor a**mu overflows.
+    the new gauge leaves the double range: c must stay finite and on its side
+    of ``_C_ZERO`` (so the profile keeps its branch), z finite and normal.
     """
     if not 0.0 < a < math.inf:
         raise DomainError(f"rescale factor a must be finite and positive; got {a:g}")
@@ -279,16 +280,20 @@ def rescale(profile: Profile, a: float) -> Profile:
     mu = profile.params.mu
     try:
         c = profile.c * a**mu
-    except OverflowError as exc:
+    except OverflowError:
+        c = math.inf
+    z = profile.z / a
+    same_branch = (c > _C_ZERO) == (profile.c > _C_ZERO)
+    if not (c < math.inf and same_branch and np.finfo(float).tiny <= z < math.inf):
         raise RangeError(
-            f"gauge factor a = {a:g} is out of floating-point range: "
-            f"a**mu overflows (mu = {mu:g})"
-        ) from exc
+            f"gauge factor a = {a:g} is out of floating-point range for this "
+            f"profile: c = {c:g}, z = {z:g} (mu = {mu:g})"
+        )
     return replace(
         profile,
         tau0=profile.tau0 - math.log(a),
         c=c,
-        z=profile.z / a,
+        z=z,
         normalized=False,
     )
 

@@ -174,7 +174,7 @@ def test_criterion_07_cauchy_limit_structure(sweep_profiles):
                 worst_i = int(np.argmax(spread - bound))
                 parts.append(
                     f"cauchy violated at x0={xs[worst_i]:.3g} where the bound "
-                    f"{bound[worst_i]:.1e} sits below float drift,"
+                    f"{bound[worst_i]:.1e} sits below the march's discretization error,"
                 )
             if not d_ok:
                 parts.append(f"d={d:.4f} outside [c0/beta, 1]=[{c0 / beta:.4f}, 1]")
@@ -190,8 +190,8 @@ def test_criterion_07_cauchy_limit_structure(sweep_profiles):
     assert not failures, (
         "d >= c0/beta inherits the dropped factor (1-gamma)(beta-beta_star) "
         "(see criterion 5); the Cauchy increment bound is violated only at "
-        "pairs where 2 x0^(-1/beta) < 1e-8, below the double-precision "
-        "integration drift (restricting to bound >= 1e-6 it holds everywhere)\n"
+        "pairs where 2 x0^(-1/beta) < 1e-8, below the march's fourth-order "
+        "discretization error of p (restricting to bound >= 1e-6 it holds everywhere)\n"
         + "\n".join(failures)
     )
 
@@ -213,11 +213,10 @@ def test_criterion_08_integral_equation_residual(sweep_profiles):
 def test_criterion_09_order_of_accuracy():
     params = make_params(0.0, 2.0)
     z = 0.125
-    grid = fixed_point(params, c=1.0, z=z, nodes_per_octave=256)
     x_max = z * 2.0**20
     end = {}
-    for m in (32, 64, 128):
-        seed = h_from_expansion(grid, m=m)
+    for m in (32, 64, 128):  # seed and march at each density, as build_profile does
+        seed = h_from_expansion(fixed_point(params, c=1.0, z=z, nodes_per_octave=m))
         end[m] = integrate(seed, x_max).h_values[-1]
     ratio = (end[32] - end[64]) / (end[64] - end[128])
     ok = 12.0 < ratio < 20.0

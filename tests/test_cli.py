@@ -668,7 +668,8 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
     # Each line runs in order in one directory, so verify and simulate read the
     # profile written before them.  The sweep exits 4: its rows (-1, 0.3/0.5/0.7)
     # and (0, 0.7) fail the stated c0/beta lower bound by design (beta < 2
-    # beta_star) and the gamma = -1 rows fail Cauchy pairs below float drift.
+    # beta_star) and the gamma = -1 rows fail Cauchy pairs whose bound lies
+    # below the march's discretization error.
     monkeypatch.chdir(tmp_path)
     codes = []
     with warnings.catch_warnings():

@@ -308,7 +308,7 @@ def test_apply_T_bit_identical_to_unplanned_evaluation(gamma, frac):
         grid = new
 
 
-def test_apply_T_rebuilds_a_plan_that_no_longer_fits(canon):
+def test_apply_T_bit_identical_on_grids_moved_off_a_fixed_point(canon):
     grid = fixed_point(canon, c=1.0, z=1e-2)
     for moved in (
         replace(grid, c=2.0),
@@ -343,7 +343,7 @@ def test_h_from_expansion_dh_matches_rhs_per_node(gamma, frac):
     grid = fixed_point(params, c=1.0, z=default_z(params))
     seed = h_from_expansion(grid)
     m = seed.m
-    x = grid.nodes  # output density equals the grid's: no subsampling
+    x = grid.nodes
     h = seed.h_values
     low = x[:m] / 2.0
     h_half = np.concatenate((

@@ -67,13 +67,12 @@ def test_integrate_fat_tail_structure(canon):
 
 
 def test_integrate_fourth_order(canon):
-    # shared high-resolution expansion so the march alone sets the error
+    # seed and march at each density: both are fourth order in dtau
     z = 0.125
-    grid = fixed_point(canon, c=1.0, z=z, nodes_per_octave=256)
     x_max = z * 2.0**20
     end = {}
     for m in (32, 64, 128):
-        seed = h_from_expansion(grid, m=m)
+        seed = h_from_expansion(fixed_point(canon, c=1.0, z=z, nodes_per_octave=m))
         end[m] = integrate(seed, x_max).h_values[-1]
     ratio = (end[32] - end[64]) / (end[64] - end[128])
     assert 12.0 < ratio < 20.0
@@ -197,7 +196,7 @@ def test_integrate_matches_whole_history_march(canon):
 def test_integrate_matches_whole_history_march_at_other_densities(canon, m):
     # the march steps in blocks of min(m, remaining nodes); both calls end
     # inside a delay interval
-    seed = h_from_expansion(fixed_point(canon, c=1.0, z=0.125, nodes_per_octave=max(m, 64)), m)
+    seed = h_from_expansion(fixed_point(canon, c=1.0, z=0.125, nodes_per_octave=m))
     x_max = 0.125 * 2.0 ** (12 + 5 / m)
     first = integrate(seed, x_max)
     ref_first = _whole_history_integrate(seed, canon, x_max)
@@ -408,6 +407,24 @@ def test_rescale_overflowing_gauge_factor_is_range_error(canonical_profile):
     assert prof.params.mu > 1.0
     with pytest.raises(RangeError, match=r"a = 1e\+300"):
         rescale(prof, 1e300)
+
+
+@pytest.mark.parametrize(
+    "a, named",
+    [
+        (5e-324, "c = 4.94066e-323, z = inf"),  # z overflows; c drops to the constant branch
+        (1e-302, "c = 1.04737e-301, z = 1.19346e+300"),  # c alone drops below _C_ZERO
+        (1e308, "c = inf, z = 1.19346e-310"),  # c overflows; z is subnormal
+    ],
+)
+def test_rescale_refuses_a_gauge_out_of_double_range(canonical_profile, a, named):
+    assert canonical_profile.c > 1.0
+    with pytest.raises(RangeError) as err:
+        rescale(canonical_profile, a)
+    assert str(err.value) == (
+        f"gauge factor a = {a:g} is out of floating-point range for this profile: "
+        f"{named} (mu = 1)"
+    )
 
 
 # -- normalize ----------------------------------------------------------------

@@ -14,10 +14,10 @@ densities are rejected and retried at half the step.  The escaped-mass
 budget is accumulated with the same Runge-Kutta stages, which makes the
 discrete mass balance exact to rounding.
 
-The kernel's weights on the grid (the loss weight xi**(1+gamma) and the
-boundary-flux weight of the top octave) do not depend on f: the field builds
-them once per grid and carries them along, and the Runge-Kutta stages are
-plain density arrays, so a step does only the work that depends on f.
+A private kernel, built once per run from the grid and gamma, applies the
+scheme to plain density arrays: it holds the f-independent weights (the loss
+weight xi**(1+gamma) and the boundary-flux weight of the top octave), and
+``evolve`` marches on arrays with it, making one field per output time.
 
 The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
 in its window, so data with empty nodes (a pulse) can be measured against a
@@ -26,7 +26,6 @@ profile, and a field sampled from the profile has D = 0 at t = 1.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -59,45 +58,98 @@ class NumberDensityField:
     f_values: np.ndarray
     t: float
     escaped_mass: float = 0.0
-    # f-independent kernel weights on this grid; ``replace`` carries them.
-    _weights: _KernelWeights | None = dataclasses.field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if self._weights is None or not self._weights.fits(self):
-            object.__setattr__(self, "_weights", _KernelWeights(self))
 
     @property
     def dlog(self) -> float:
         return _LN2 / self.nodes_per_octave
 
 
-class _KernelWeights:
-    """The f-independent factors of the kernel terms on one grid.
+def _boundary_weight(field: NumberDensityField) -> np.ndarray:
+    """Weight of f**2 in the mass flux through the truncated upper boundary.
 
-    Each entry is the expression the kernel terms would otherwise evaluate on
-    every call, with the same operands in the same order.
+    Loss at the top m_d nodes has its gain above the grid; in the uniform log
+    weights xi * dlog of the mass moment this is its exact compensator.
+    """
+    top = field.xi_grid[-field.nodes_per_octave :]
+    return (top * field.dlog) * top ** (2.0 + field.gamma)
+
+
+class _Kernel:
+    """The scheme on one grid and kernel, applied to plain density arrays.
+
+    The f-independent weights are built once, so a step does only the work
+    that depends on f; every expression keeps the operands and order of the
+    field-by-field form.
     """
 
-    __slots__ = ("xi_grid", "gamma", "m", "loss", "boundary")
+    __slots__ = ("m", "loss", "boundary")
 
-    def __init__(self, fld: NumberDensityField):
-        xi = fld.xi_grid
-        m = fld.nodes_per_octave
-        self.xi_grid = xi
-        self.gamma = fld.gamma
-        self.m = m
-        self.loss = xi ** (1.0 + self.gamma)
-        top = xi[-m:]
-        self.boundary = (top * fld.dlog) * top ** (2.0 + self.gamma)
+    def __init__(self, field: NumberDensityField):
+        self.m = field.nodes_per_octave
+        self.loss = field.xi_grid ** (1.0 + field.gamma)
+        self.boundary = _boundary_weight(field)
 
-    def fits(self, fld: NumberDensityField) -> bool:
-        return (
-            self.xi_grid is fld.xi_grid
-            and self.gamma == fld.gamma
-            and self.m == fld.nodes_per_octave
+    def rhs(self, f: np.ndarray) -> np.ndarray:
+        """df/dt per node; indices below the grid contribute nothing."""
+        m = self.m
+        loss_density = self.loss * f * f
+        rate = -loss_density
+        # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m}
+        rate[m:] += 0.25 * loss_density[:-m]
+        return rate
+
+    def flux(self, f: np.ndarray) -> float:
+        """Mass per unit time leaving through the truncated upper boundary."""
+        return float((self.boundary * f[-self.m :] ** 2).sum())
+
+    def stable_dt(self, f: np.ndarray) -> float:
+        """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale."""
+        scale = float((self.loss * f).max())
+        if scale == 0.0:
+            return math.inf
+        return ETA / scale
+
+    def step(self, f0: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float, float]:
+        """One Runge-Kutta step from f0 at time t: (f_new, accepted dt, escaped mass).
+
+        Halves dt on negativity, at most MAX_HALVINGS times; the escaped mass
+        comes from the same stages.
+        """
+        if not dt > 0.0:
+            raise DomainError("dt must be positive")
+        for _ in range(MAX_HALVINGS + 1):
+            k1 = self.rhs(f0)
+            f1 = f0 + 0.5 * dt * k1
+            k2 = self.rhs(f1)
+            f2 = f0 + 0.5 * dt * k2
+            k3 = self.rhs(f2)
+            f3 = f0 + dt * k3
+            k4 = self.rhs(f3)
+            f_new = f0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if (f_new >= 0.0).all() and np.isfinite(f_new).all():
+                escaped = (dt / 6.0) * (
+                    self.flux(f0) + 2.0 * (self.flux(f1) + self.flux(f2)) + self.flux(f3)
+                )
+                return f_new, dt, escaped
+            dt *= 0.5
+        raise StepCollapseError(
+            f"time step collapsed after {MAX_HALVINGS} halvings at t = {t:g}"
         )
+
+    def advance(self, field: NumberDensityField, t_target: float) -> NumberDensityField:
+        """March the field to t_target with the adaptive step bound.
+
+        Returns the field itself when no step is due.
+        """
+        t_stop = t_target * (1.0 - 1e-15)
+        if not field.t < t_stop:
+            return field
+        f, t, escaped_mass = field.f_values, field.t, field.escaped_mass
+        while t < t_stop:
+            f, dt, escaped = self.step(f, min(self.stable_dt(f), t_target - t), t)
+            t = t + dt
+            escaped_mass = escaped_mass + escaped
+        return replace(field, f_values=f, t=t, escaped_mass=escaped_mass)
 
 
 def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray:
@@ -177,100 +229,37 @@ def pulse_field(
     return make_field(gamma, f, xi_min, nodes_per_octave)
 
 
-def coag_rhs(field: NumberDensityField, f: np.ndarray | None = None) -> np.ndarray:
-    """df/dt per node for the density f (default: the field's own).
-
-    Indices below the grid contribute nothing.  The loss weight
-    xi**(1+gamma) comes from the field's per-grid weights.
-    """
-    m = field.nodes_per_octave
-    if f is None:
-        f = field.f_values
-    loss_density = field._weights.loss * f * f
-    rate = -loss_density
-    # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m}
-    rate[m:] += 0.25 * loss_density[:-m]
-    return rate
-
-
-def _boundary_flux(field: NumberDensityField, f: np.ndarray | None = None) -> float:
-    """Mass per unit time leaving through the truncated upper boundary.
-
-    Loss at the top m_d nodes has its gain above the grid; with uniform
-    log weights this is the exact compensator of the discrete mass moment.
-    ``f`` defaults to the field's own density.
-    """
-    m = field.nodes_per_octave
-    if f is None:
-        f = field.f_values
-    return float((field._weights.boundary * f[-m:] ** 2).sum())
+def coag_rhs(field: NumberDensityField) -> np.ndarray:
+    """df/dt per node for the field's density."""
+    return _Kernel(field).rhs(field.f_values)
 
 
 def moments(field: NumberDensityField) -> tuple[float, float, float]:
-    """(number N, mass M, boundary loss flux); trapezoid in log xi."""
+    """(number N, mass M, boundary loss flux) in the uniform log weights xi * dlog.
+
+    The boundary flux compensates this M exactly, so M + escaped_mass is
+    conserved to rounding.
+    """
     xi = field.xi_grid
     f = field.f_values
-    w_trap = xi * field.dlog
-    w_trap[0] *= 0.5
-    w_trap[-1] *= 0.5
-    n = float(np.sum(w_trap * f))
-    mass = float(np.sum(w_trap * xi * f))
-    return n, mass, _boundary_flux(field)
+    w = xi * field.dlog
+    flux = float((_boundary_weight(field) * f[-field.nodes_per_octave :] ** 2).sum())
+    return float(np.sum(w * f)), float(np.sum(w * xi * f)), flux
 
 
 def step(field: NumberDensityField, dt: float) -> NumberDensityField:
     """One Runge-Kutta step; halves dt on negativity, at most MAX_HALVINGS times.
 
     Advances by the accepted dt (possibly smaller than requested) and
-    accumulates the escaped-mass budget from the same stages.  The stages
-    are density arrays evaluated against the field's per-grid weights, one
-    ``coag_rhs`` call each; the result is bit-identical to evaluating every
-    stage as a field of its own.
+    accumulates the escaped-mass budget from the same stages.
     """
-    if not dt > 0.0:
-        raise DomainError("dt must be positive")
-    f0 = field.f_values
-    for _ in range(MAX_HALVINGS + 1):
-        k1 = coag_rhs(field)
-        f1 = f0 + 0.5 * dt * k1
-        k2 = coag_rhs(field, f1)
-        f2 = f0 + 0.5 * dt * k2
-        k3 = coag_rhs(field, f2)
-        f3 = f0 + dt * k3
-        k4 = coag_rhs(field, f3)
-        f_new = f0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (f_new >= 0.0).all() and np.isfinite(f_new).all():
-            escaped = (dt / 6.0) * (
-                _boundary_flux(field)
-                + 2.0 * (_boundary_flux(field, f1) + _boundary_flux(field, f2))
-                + _boundary_flux(field, f3)
-            )
-            return replace(
-                field,
-                f_values=f_new,
-                t=field.t + dt,
-                escaped_mass=field.escaped_mass + escaped,
-            )
-        dt *= 0.5
-    raise StepCollapseError(
-        f"time step collapsed after {MAX_HALVINGS} halvings at t = {field.t:g}"
-    )
+    f, dt, escaped = _Kernel(field).step(field.f_values, dt, field.t)
+    return replace(field, f_values=f, t=field.t + dt, escaped_mass=field.escaped_mass + escaped)
 
 
 def stable_dt(field: NumberDensityField) -> float:
     """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale."""
-    scale = float((field._weights.loss * field.f_values).max())
-    if scale == 0.0:
-        return math.inf
-    return ETA / scale
-
-
-def advance_to(field: NumberDensityField, t_target: float) -> NumberDensityField:
-    """March the field to t_target with the adaptive step bound."""
-    while field.t < t_target * (1.0 - 1e-15):
-        dt = min(stable_dt(field), t_target - field.t)
-        field = step(field, dt)
-    return field
+    return _Kernel(field).stable_dt(field.f_values)
 
 
 def _output_times(field: NumberDensityField, t_end: float, n_outputs: int) -> np.ndarray:
@@ -286,9 +275,11 @@ def evolve(
     field: NumberDensityField, t_end: float, n_outputs: int
 ) -> list[NumberDensityField]:
     """The field at the times np.geomspace(field.t, t_end, n_outputs); t_end >= field.t."""
+    times = _output_times(field, t_end, n_outputs)
+    kernel = _Kernel(field)
     fields = [field]
-    for t_out in _output_times(field, t_end, n_outputs):
-        fields.append(advance_to(fields[-1], float(t_out)))
+    for t_out in times:
+        fields.append(kernel.advance(fields[-1], float(t_out)))
     return fields[1:]
 
 

@@ -31,24 +31,27 @@ def test_replace_keeps_grid(canon):
     field = dy.pulse_field(canon.gamma, 100)
     moved = replace(field, f_values=2.0 * field.f_values)
     assert moved.xi_grid is field.xi_grid
-    assert moved._weights is field._weights
 
 
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_kernel_weights_are_built_bit_for_bit(gamma):
     params = make_params(gamma, 2.0 / (1.0 - gamma))
     field = dy.power_law_field(params.gamma, 1.0, stationary_exponent(gamma))
+    kernel = dy._Kernel(field)
     xi = field.xi_grid
     m = field.nodes_per_octave
-    assert np.array_equal(field._weights.loss, xi ** (1.0 + gamma))
+    assert np.array_equal(kernel.loss, xi ** (1.0 + gamma))
     w = xi * field.dlog
-    assert np.array_equal(field._weights.boundary, w[-m:] * xi[-m:] ** (2.0 + gamma))
+    assert np.array_equal(kernel.boundary, w[-m:] * xi[-m:] ** (2.0 + gamma))
 
 
 def test_replace_with_another_kernel_rebuilds_weights(canon):
     field = dy.pulse_field(canon.gamma, 100)
     moved = replace(field, gamma=0.5)
-    assert np.array_equal(moved._weights.loss, field.xi_grid ** 1.5)
+    assert np.array_equal(dy._Kernel(moved).loss, field.xi_grid ** 1.5)
+    dt = _reference_stable_dt(moved)
+    assert dy.stable_dt(moved) == dt
+    _assert_same_field(dy.step(moved, dt), _reference_step(moved, dt))
 
 
 def test_constructors_share_make_field_grid(canonical_profile, canon):
@@ -130,7 +133,7 @@ def test_pulse_cascade(canon):
     k0 = 320
     field = dy.pulse_field(canon.gamma, k0, amplitude=1e3)
     m = field.nodes_per_octave
-    fld = dy.advance_to(field, field.t + 1.0)
+    fld = dy.evolve(field, field.t + 1.0, 2)[-1]
     occupied = np.nonzero(fld.f_values > 1e-12)[0]
     # mass moved strictly upward through doubling images of the pulse
     assert occupied[0] == k0
@@ -144,7 +147,7 @@ def test_evolve_outputs_at_geometric_times(canon):
     assert fields[0] is field
     targets = np.geomspace(1.0, 2.0, 4)
     assert [f.t for f in fields] == pytest.approx(targets, rel=1e-14)
-    assert np.array_equal(fields[-1].f_values, dy.advance_to(fields[-2], 2.0).f_values)
+    assert np.array_equal(fields[-1].f_values, dy.evolve(fields[-2], 2.0, 2)[-1].f_values)
 
 
 def test_evolve_refuses_an_end_before_the_start(canon):
@@ -155,7 +158,7 @@ def test_evolve_refuses_an_end_before_the_start(canon):
 
 def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
     field = dy.pulse_field(canon.gamma, 320)
-    monkeypatch.setattr(dy, "advance_to", None)  # an infinite end never returns
+    monkeypatch.setattr(dy, "_Kernel", None)  # an infinite end never returns
     with pytest.raises(DomainError, match="finite t_end > 0"):
         dy.evolve(field, math.inf, 2)
 
@@ -260,15 +263,17 @@ def _assert_same_field(out, ref):
     assert out.escaped_mass == ref.escaped_mass
 
 
-@pytest.mark.parametrize("kind", ["profile", "power_law", "pulse"])
-def test_step_matches_reference_bit_for_bit(canonical_profile, canon, kind):
+def _initial_field(kind, profile):
     if kind == "profile":
-        field = dy.field_from_profile(canonical_profile)
-    elif kind == "power_law":
-        params = make_params(0.5, 4.0)
-        field = dy.power_law_field(params.gamma, 2.0, 1.6)
-    else:
-        field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
+        return dy.field_from_profile(profile)
+    if kind == "power_law":
+        return dy.power_law_field(make_params(0.5, 4.0).gamma, 2.0, 1.6)
+    return dy.pulse_field(profile.params.gamma, 320, amplitude=1e3)
+
+
+@pytest.mark.parametrize("kind", ["profile", "power_law", "pulse"])
+def test_step_matches_reference_bit_for_bit(canonical_profile, kind):
+    field = _initial_field(kind, canonical_profile)
     ref = field
     for _ in range(6):
         dt = _reference_stable_dt(ref)
@@ -287,6 +292,45 @@ def test_halved_step_matches_reference_bit_for_bit(canon):
     _assert_same_field(out, _reference_step(field, dt))
 
 
+@pytest.mark.parametrize("kind", ["profile", "power_law", "pulse"])
+def test_evolve_matches_reference_bit_for_bit(canonical_profile, kind):
+    field = _initial_field(kind, canonical_profile)
+    fields = dy.evolve(field, 1.25, 3)
+    ref = field
+    for fld, t_out in zip(fields, np.geomspace(1.0, 1.25, 3)):
+        while ref.t < t_out * (1.0 - 1e-15):
+            ref = _reference_step(ref, min(_reference_stable_dt(ref), t_out - ref.t))
+        _assert_same_field(fld, ref)
+    assert fields[0] is field
+
+
+@pytest.mark.parametrize("kind", ["profile", "power_law"])
+def test_lattices_step_independently(canonical_profile, kind):
+    # the gain at node k reads node k - m only, so each lattice k = r (mod m)
+    # evolves on its own at a shared dt, and its mass changes only by its own
+    # top-octave boundary flux
+    field = _initial_field(kind, canonical_profile)
+    m = field.nodes_per_octave
+    lattice = np.arange(len(field.f_values)) % m
+    masked = [
+        replace(field, f_values=np.where(lattice == r, field.f_values, 0.0)) for r in range(m)
+    ]
+    mass0 = [dy.moments(fld)[1] for fld in masked]
+    for _ in range(5):
+        dt = dy.stable_dt(field)
+        field = dy.step(field, dt)
+        masked = [dy.step(fld, dt) for fld in masked]
+        assert all(fld.t == field.t for fld in masked)  # no lattice halved its step
+    for r, fld in enumerate(masked):
+        assert np.array_equal(fld.f_values[lattice == r], field.f_values[lattice == r])
+        assert np.all(fld.f_values[lattice != r] == 0.0)
+        mass = dy.moments(fld)[1]
+        assert abs(mass + fld.escaped_mass - mass0[r]) <= 1e-14 * mass0[r]
+    assert math.fsum(fld.escaped_mass for fld in masked) == pytest.approx(
+        field.escaped_mass, rel=1e-14
+    )
+
+
 # -- moments --------------------------------------------------------------------
 
 
@@ -299,9 +343,19 @@ def test_moments_zero_field(canon):
 def test_mass_conservation_with_boundary_flux(canon):
     field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     _, m0, _ = dy.moments(field)
-    fld = dy.advance_to(field, field.t + 2.0)
+    fld = dy.evolve(field, field.t + 2.0, 2)[-1]
     _, m1, _ = dy.moments(fld)
     assert m1 + fld.escaped_mass == pytest.approx(m0, rel=1e-12)
+
+
+def test_moments_mass_balances_to_rounding(canonical_profile):
+    # the flux compensates the mass moment in the uniform weights xi * dlog
+    field = dy.field_from_profile(canonical_profile)
+    _, m0, _ = dy.moments(field)
+    fld = dy.evolve(field, 4.0, 2)[-1]
+    _, m1, _ = dy.moments(fld)
+    assert fld.escaped_mass > 0.0
+    assert abs(m1 + fld.escaped_mass - m0) <= 1e-14 * m0
 
 
 def test_number_decreases_at_half_loss_rate(canon):
@@ -352,7 +406,7 @@ def test_distance_at_initial_time(canonical_field, canonical_profile, canon):
 
 def test_distance_after_evolution(canonical_field, canonical_profile, canon):
     window = dy.default_window(canonical_field, canon.beta, 2.0)
-    fld = dy.advance_to(canonical_field, 2.0)
+    fld = dy.evolve(canonical_field, 2.0, 2)[-1]
     d2 = dy.self_similar_distance(fld, canonical_profile, window)
     assert d2 < 0.05
 
@@ -392,10 +446,10 @@ def test_window_under_one_octave_raises_before_evolving(canonical_field, canon, 
     with pytest.raises(WindowError, match="less than one"):
         dy.default_window(canonical_field, canon.beta, 1e6)
 
-    def no_step(*args, **kwargs):
+    def no_evolve(*args, **kwargs):
         raise AssertionError("evolved before the window was checked")
 
-    monkeypatch.setattr(dy, "step", no_step)
+    monkeypatch.setattr(dy, "evolve", no_evolve)
     with pytest.raises(WindowError, match="less than one"):
         dy.simulate_collapse(canonical_field, None, canon.beta, 1e6)
 

@@ -320,7 +320,8 @@ def ball_radius(params: SimilarityParams, c: float, z: float) -> float:
     const = bc * z ** (mu - epsilon)
     disc = gap * gap - 4.0 * quad * const
     if disc >= 0.0:
-        return (gap - math.sqrt(disc)) / (2.0 * quad)
+        # The small root in the form that does not cancel when 4*quad*const << gap**2.
+        return 2.0 * const / (gap + math.sqrt(disc))
     return gap / (2.0 * quad)
 
 

@@ -14,15 +14,15 @@ the profile equation
                              + (1-gamma)(beta-beta_star) int_0^x s**(-gamma) h ds.
 
 Both cumulative integrals, Phi and int_0^x s**(-gamma) h^2 ds, come from one
-stacked corrected-trapezoid quadrature (``_cumulative``), which
-``check_bounds`` and ``residual_sss4b`` each run once per call, the latter
-over the grid prefix its samples reach.
+stacked corrected-trapezoid quadrature (``_cumulative``).  ``build_tail_report``
+runs it once and reads its rows for the bound checks and the residual alike;
+``check_bounds`` and ``residual_sss4b`` each run their own when called alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,6 +135,13 @@ def _phi_at(profile: Profile, cum: np.ndarray, phi: np.ndarray, x: float) -> flo
     return float(hermite_eval(math.log(x), profile.tau0, profile.dtau, cum[0], phi[0]))
 
 
+def _rows(profile: Profile) -> tuple[np.ndarray, float]:
+    """``_cumulative``'s rows and c0 = Phi(1), beta >= beta_star checked; integrands dropped."""
+    check_beta(profile.params.gamma, profile.params.beta)
+    cum, phi = _cumulative(profile)
+    return cum, _phi_at(profile, cum, phi, 1.0)
+
+
 def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     """Verify the three tail inequalities at every grid node x >= 1.
 
@@ -149,17 +156,13 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     """
     if not profile.normalized:
         raise DomainError("check_bounds requires a normalized profile (h(1) = 1/2)")
-    params = profile.params
-    beta = params.beta
-    gamma = params.gamma
-    degenerate = params.degenerate
-    check_beta(gamma, beta)
+    return _bounds(profile, *_rows(profile))
 
-    # The quadrature runs first, so its temporaries are gone before the
-    # x-derived arrays below are built; only the row of Phi is kept.
-    cum, phi = _cumulative(profile)
-    c0 = _phi_at(profile, cum, phi, 1.0)
-    del phi
+
+def _bounds(profile: Profile, cum: np.ndarray, c0: float) -> tuple[bool, bool, dict]:
+    """``check_bounds`` from the rows of ``_cumulative`` and c0 = Phi(1)."""
+    params = profile.params
+    gamma, beta = params.gamma, params.beta
 
     # The grid increases, so its nodes x >= 1 are a suffix.
     x = profile.x_values
@@ -173,13 +176,13 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
     upper_ok = upper_margin >= -BOUND_SLACK
 
     details: dict = {
-        "degenerate": degenerate,
+        "degenerate": params.degenerate,
         "upper_margin": upper_margin,
         "n_nodes_checked": len(xs),
         "c0": c0,
     }
 
-    if degenerate:
+    if params.degenerate:
         details["hineq_skipped"] = True
         details["lower_skipped"] = True
         return upper_ok, True, details
@@ -210,55 +213,47 @@ def check_bounds(profile: Profile) -> tuple[bool, bool, dict]:
 
 
 def residual_sss4b(profile: Profile, samples) -> float:
-    """Max relative residual of the integral equation over the samples.
+    """Max relative residual of the integral equation over a non-empty sample set.
 
     Samples are snapped to the nearest grid node; both sides are evaluated
     from the stored values by the corrected trapezoid rule (the analytic
     limit h -> 1/(1-theta) covers the part of the cumulative integral below
     the grid).
     """
+    return _residual(profile, _cumulative(profile)[0], samples)
+
+
+def _residual(profile: Profile, cum: np.ndarray, samples) -> float:
+    """``residual_sss4b`` from the rows of ``_cumulative``, at the unique snapped nodes."""
     params = profile.params
     gamma, beta = params.gamma, params.beta
-    m = profile.m
-
     samples = np.atleast_1d(np.asarray(samples, dtype=float))
-    if np.any(samples < profile.x_min) or np.any(samples > profile.x_max * (1 + 1e-12)):
-        raise DomainError("residual samples outside the stored domain")
-    idx = np.clip(
-        np.rint((np.log(samples) - profile.tau0) / profile.dtau).astype(int),
-        0,
-        len(profile.h_values) - 1,
-    )
-
-    # A cumulative integral's prefix does not depend on later nodes, so only
-    # the grid prefix the samples reach is integrated.
-    n = int(idx.max(initial=0)) + 1
-    prefix = replace(profile, h_values=profile.h_values[:n], dh_values=profile.dh_values[:n])
-    x = prefix.x_values
-    h = prefix.h_values
-    cum_phi, cum_sq = _cumulative(prefix)[0]
-    limit = 1.0 / (1.0 - params.theta)
-    worst = 0.0
-    lam = (1.0 - gamma) * (beta - params.beta_star)
-    for i in np.unique(idx):
-        xi = x[i]
-        lhs = beta * xi ** (1.0 - gamma) * h[i]
-        if i >= m:
-            delayed = cum_sq[i] - cum_sq[i - m]
-        else:
-            delayed = cum_sq[i] - _head_integral(profile, xi / 2.0, weight=limit)
-        rhs_val = delayed + lam * cum_phi[i]
-        worst = max(worst, abs(lhs - rhs_val) / abs(lhs))
-    return float(worst)
+    # NaN fails the comparisons, and an empty sample set the size test.
+    lo, hi = profile.x_min, profile.x_max * (1 + 1e-12)
+    if not (samples.size and lo <= samples.min() <= samples.max() <= hi):
+        raise DomainError("residual samples must be a non-empty set inside the stored domain")
+    tau = (np.log(samples) - profile.tau0) / profile.dtau
+    i = np.unique(np.clip(np.rint(tau).astype(int), 0, len(profile.h_values) - 1))
+    # Python-float powers, through an object array: numpy's SIMD array power
+    # differs from the scalar power in the last bit on some elements.
+    x = profile.x_values[i].astype(object)
+    lhs = beta * (x ** (1.0 - gamma)).astype(float) * profile.h_values[i]
+    delayed = cum[1, i] - cum[1, np.maximum(i - profile.m, 0)]
+    # In the first octave x/2 lies below the grid, where h sits at its limit.
+    first = i < profile.m
+    head = _head_integral(profile, x[first] / 2.0, weight=1.0 / (1.0 - params.theta))
+    delayed[first] = cum[1, i[first]] - head
+    rhs = delayed + (1.0 - gamma) * (beta - params.beta_star) * cum[0, i]
+    return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
 
 
 def fit_slope(profile: Profile, x_lo: float, x_hi: float) -> float:
-    """Least-squares slope of log h against log x over [x_lo, x_hi]."""
-    if x_lo < 1.0:
+    """Least-squares slope of log h against log x over [x_lo, x_hi]; a NaN edge fails the checks."""
+    if not x_lo >= 1.0:
         raise DomainError("fit window must start at x_lo >= 1")
-    if x_hi > profile.x_max * (1 + 1e-12):
+    if not x_hi <= profile.x_max * (1 + 1e-12):
         raise DomainError("fit window exceeds the stored domain")
-    if x_hi < 100.0 * x_lo:
+    if not x_hi >= 100.0 * x_lo:
         raise RangeError("fit window too narrow: need x_hi >= 100*x_lo")
     x = profile.x_values
     sel = (x >= x_lo) & (x <= x_hi)
@@ -301,15 +296,18 @@ def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
     d, d_err = estimate_d(profile)
     lo, hi = default_slope_window(profile)
     slope = fit_slope(profile, lo, hi)
-    upper_ok, lower_ok, details = check_bounds(profile)
+    # estimate_d has checked normalization; one quadrature serves both checks.
+    cum, c0 = _rows(profile)
+    upper_ok, lower_ok, details = _bounds(profile, cum, c0)
     residual_samples = np.geomspace(
         max(1e-4, profile.x_min * 4.0), min(1e4, profile.x_max / 4.0), 200
     )
-    resid = residual_sss4b(profile, residual_samples)
+    resid = _residual(profile, cum, residual_samples)
+    del cum  # before the Cauchy scan builds its arrays
     report = TailReport(
         d_estimate=d,
         d_error_bound=d_err,
-        c0=details["c0"],
+        c0=c0,
         slope_fit=slope,
         rho_check=profile.params.gamma - slope,
         cauchy_max_violation=cauchy_violation(profile),

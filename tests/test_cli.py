@@ -616,6 +616,12 @@ def _readme_commands() -> list[str]:
     return [ln for ln in block.splitlines() if ln.startswith("diagcoag ")]
 
 
+def _readme_python() -> str:
+    """The ``python`` block of the README's Library use section."""
+    section = README.read_text().split("## Library use", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
 def test_sweep_readme_command_parses_as_written():
     line = next(ln for ln in _readme_commands() if ln.startswith("diagcoag sweep "))
     args = cli.parse_args(shlex.split(line)[1:])
@@ -680,11 +686,11 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
     assert codes == [("mu", 0), ("profile", 0), ("verify", 0), ("simulate", 0), ("sweep", 4)]
 
 
-def test_readme_library_example_runs_as_written(capsys):
-    section = README.read_text().split("## Library use", 1)[1]
-    code = section.split("```python", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README.md", "exec"), {})
+def test_readme_library_example_runs_as_written(canonical_profile, capsys):
+    exec(compile(_readme_python(), "README.md", "exec"), {})
     d_estimate, d_error_bound, lower_margin_chain = map(float, capsys.readouterr().out.split())
+    # the example builds the canonical profile, and print keeps every digit of d
+    assert (d_estimate, d_error_bound) == tail.estimate_d(canonical_profile)
     assert 0.0 < d_error_bound < d_estimate < 1.0
     assert lower_margin_chain >= 0.0
 

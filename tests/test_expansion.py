@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagcoag import pipeline, tail
 from diagcoag.errors import ConvergenceError, DomainError
 from diagcoag.expansion import (
     DEFAULT_TOL,
+    _quadratic_coefficients,
     apply_T,
     ball_radius,
     contraction_margin,
@@ -149,6 +151,26 @@ def test_fixed_point_stays_inside_ball(canon):
     assert grid.weighted_norm == pytest.approx(
         weighted_norm(grid.nodes, grid.j_values, eps), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-8, 1e-12])
+def test_ball_radius_is_the_small_root(canon, c):
+    # R solves quad R^2 - gap R + const = 0 with gap = 1 - kappa; for a small
+    # c the form (gap - sqrt(disc)) / (2 quad) cancels (to R = 0 at c = 1e-8)
+    z = default_z(canon, c)
+    eps = canon.mu / 2.0
+    gap = 1.0 - contraction_margin(canon, eps)
+    b2, bc = _quadratic_coefficients(canon, c)
+    quad, const = b2 * z ** (canon.mu + eps), bc * z ** (canon.mu - eps)
+    radius = ball_radius(canon, c, z)
+    assert 0.0 < radius < gap / (2.0 * quad)
+    assert abs(quad * radius * radius - gap * radius + const) <= 1e-12 * const
+
+
+def test_fixed_point_at_a_small_gauge_keeps_d(canon, canonical_profile):
+    # c only fixes the gauge, which normalize removes: d is the c = 1 profile's
+    d, bound = tail.estimate_d(pipeline.build_profile(canon, c=1e-8))
+    assert abs(d - tail.estimate_d(canonical_profile)[0]) <= 1e-3 * bound
 
 
 def test_fixed_point_residual(canon):

@@ -26,6 +26,46 @@ def _c0_of(profile):
     return _phi_of(profile, 1.0)
 
 
+def _residual_loop(profile, samples):
+    """Reference ``residual_sss4b``: one sample at a time over the grid prefix the samples reach."""
+    params = profile.params
+    gamma, beta = params.gamma, params.beta
+    m = profile.m
+    samples = np.atleast_1d(np.asarray(samples, dtype=float))
+    idx = np.clip(
+        np.rint((np.log(samples) - profile.tau0) / profile.dtau).astype(int),
+        0,
+        len(profile.h_values) - 1,
+    )
+    n = int(idx.max(initial=0)) + 1
+    prefix = replace(profile, h_values=profile.h_values[:n], dh_values=profile.dh_values[:n])
+    x = prefix.x_values
+    h = prefix.h_values
+    cum_phi, cum_sq = tail._cumulative(prefix)[0]
+    limit = 1.0 / (1.0 - params.theta)
+    worst = 0.0
+    lam = (1.0 - gamma) * (beta - params.beta_star)
+    for i in np.unique(idx):
+        xi = x[i]
+        lhs = beta * xi ** (1.0 - gamma) * h[i]
+        if i >= m:
+            delayed = cum_sq[i] - cum_sq[i - m]
+        else:
+            delayed = cum_sq[i] - tail._head_integral(profile, xi / 2.0, weight=limit)
+        rhs_val = delayed + lam * cum_phi[i]
+        worst = max(worst, abs(lhs - rhs_val) / abs(lhs))
+    return float(worst)
+
+
+def _residual_sample_sets(profile):
+    """The report's samples, criterion 08's, and samples inside the first octave."""
+    return (
+        np.geomspace(max(1e-4, profile.x_min * 4.0), min(1e4, profile.x_max / 4.0), 200),
+        np.geomspace(max(1e-4, profile.x_min * 2.0), min(1e4, profile.x_max / 2.0), 300),
+        np.geomspace(profile.x_min * 1.01, profile.x_min * 1.99, 40),
+    )
+
+
 @pytest.fixture(scope="module")
 def canon():
     return make_params(0.0, 2.0)
@@ -238,6 +278,28 @@ def test_residual_invariant_under_rescale(canonical_profile):
     assert r2 == pytest.approx(r1, rel=1e-6)
 
 
+def test_residual_matches_the_per_sample_loop(sweep_profiles):
+    for row in sweep_profiles["rows"]:
+        prof = row["profile"]
+        for samples in _residual_sample_sets(prof):
+            assert tail.residual_sss4b(prof, samples) == _residual_loop(prof, samples)
+
+
+def test_residual_matches_the_per_sample_loop_on_a_deep_tail():
+    # deep_tail cell (0.9, 0.5), where an array power of x would move the residual
+    prof = pipeline.build_profile(params_from_rho(0.9, 0.9 + 0.5 * (1.0 - 0.9)))
+    for samples in _residual_sample_sets(prof):
+        assert tail.residual_sss4b(prof, samples) == _residual_loop(prof, samples)
+
+
+@pytest.mark.parametrize(
+    "samples", [[], [math.nan], [1.0, math.nan]], ids=["empty", "nan", "one-nan"]
+)
+def test_residual_refuses_an_empty_or_nan_sample_set(canonical_profile, samples):
+    with pytest.raises(DomainError, match="non-empty set inside the stored domain"):
+        tail.residual_sss4b(canonical_profile, samples)
+
+
 # -- slope fit --------------------------------------------------------------------
 
 
@@ -268,11 +330,17 @@ def test_fit_slope_window_validation(canonical_profile):
         tail.fit_slope(canonical_profile, 0.5, 1e4)
 
 
+@pytest.mark.parametrize("x_lo, x_hi", [(math.nan, 1e8), (1e4, math.nan)], ids=["lo", "hi"])
+def test_fit_slope_refuses_a_nan_window_edge(canonical_profile, x_lo, x_hi):
+    with pytest.raises(DomainError):
+        tail.fit_slope(canonical_profile, x_lo, x_hi)
+
+
 # -- report ----------------------------------------------------------------------
 
 
 def test_tail_report_integrates_once_per_check(canonical_profile, monkeypatch):
-    # check_bounds and residual_sss4b each run one stacked quadrature of Phi and
+    # the bound checks and the residual read one stacked quadrature of Phi and
     # int s**(-gamma) h^2 ds; c0 = Phi(1) is the report's one Hermite evaluation
     calls = {"cumtrapz_corrected": 0, "hermite_eval": 0}
 
@@ -288,7 +356,7 @@ def test_tail_report_integrates_once_per_check(canonical_profile, monkeypatch):
     for name in calls:
         monkeypatch.setattr(tail, name, counted(name))
     tail.build_tail_report(canonical_profile)
-    assert calls["cumtrapz_corrected"] <= 2
+    assert calls["cumtrapz_corrected"] == 1
     assert calls["hermite_eval"] == 1
 
 

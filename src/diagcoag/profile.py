@@ -11,14 +11,12 @@ steps with exact delay alignment).  Classical 4-stage Runge-Kutta marches in
 tau; half-step delayed values are read from history by cubic Hermite
 interpolation, which keeps the interpolation error below the truncation
 error of the integrator.  A march reads only the last delay interval (m+1
-nodes) of the history it continues, so extending a profile costs the new
-steps plus one vector pass, however long the stored history is.  It goes
-one delay interval at a time: the interval's delayed squares and Hermite
-midpoints read only nodes written before it, so they are formed as arrays,
-and only the Runge-Kutta stages run step by step.  The new nodes go into
-output arrays preallocated for all its steps, so its memory beyond the
-returned profile is a few node-length arrays.  A profile stores dh/dtau,
-the march's own variable, so no stage converts it.
+nodes) of the history it continues, and goes one delay interval at a time:
+the interval's delayed squares and Hermite midpoints read only nodes written
+before it, so they are formed as arrays, and only the Runge-Kutta stages run
+step by step.  It ends at a given x_max, or by itself where the tail is
+resolved.  A profile stores dh/dtau, the march's own variable, so no stage
+converts it.
 """
 
 from __future__ import annotations
@@ -31,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from ._quad import hermite_eval
-from .errors import DomainError, MonotonicityError, PositivityError, RangeError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    MonotonicityError,
+    PositivityError,
+    RangeError,
+)
 from .params import SimilarityParams, make_params
 
 _LN2 = math.log(2.0)
@@ -41,6 +45,9 @@ _LN2 = math.log(2.0)
 _C_ZERO = 1e-300
 
 NORMALIZE_TOL = 1e-12
+
+# Hard cap on the total integration span, as octaves of the stored domain.
+MAX_OCTAVES = 600
 
 
 @dataclass(frozen=True)
@@ -151,43 +158,68 @@ def check_invariants(profile: Profile) -> None:
             raise DomainError("constant-branch profile drifted from 1/(1-theta)")
 
 
-def integrate(seed: Profile, x_max: float) -> Profile:
-    """Continue a profile out to x_max by the method of steps, with its parameters.
+def _check_nodes_per_octave(m: int) -> None:
+    """Raise ``DomainError`` unless the march's grid has at least 32 nodes per octave."""
+    if m < 32:
+        raise DomainError(f"octave density m must be >= 32 nodes per octave; got {m}")
+
+
+def _check_octaves(params: SimilarityParams, octaves: float) -> None:
+    """Raise ``ConvergenceError`` when a profile needs more than ``MAX_OCTAVES``."""
+    if octaves > MAX_OCTAVES:
+        raise ConvergenceError(
+            f"profile needs {octaves:.6g} octaves, more than the budget of {MAX_OCTAVES} "
+            f"(gamma={params.gamma}, beta={params.beta})"
+        )
+
+
+def integrate(seed: Profile, x_max: float | None = None) -> Profile:
+    """Continue a profile by the method of steps, with its parameters: to the first
+    node at or past x_max, or, when x_max is None, to the stop rule.
+
+    The rule is checked at the seed's end and at each delay-interval end, and
+    holds at the first one at or past x = 2**40 z where h < 0.45 and, for a
+    fat tail (c > 0, beta > beta_star), log2 x in the normalized gauge reaches
+    ``tail.target_octaves(beta, d)`` of the d ``tail.estimate_d`` would
+    return there; the constant branch stops at 2**40 z.  The h = 1/2
+    crossing is found once, as ``normalize`` finds it.  A check that does not
+    stop the march raises ``ConvergenceError`` if the stored octaves plus
+    those still needed (the target at d = 1 before the crossing, the target
+    minus the normalized log2 x after it) exceed ``MAX_OCTAVES``.
 
     The seed must carry at least one delay interval (m+1 nodes) of history.
-    Only that last interval of h and dh/dtau feeds the march, so a call
-    costs its new steps plus one vector pass over the history.  The
-    march advances one delay interval (at most m steps) at a time, forms
-    that interval's delayed terms as arrays, and writes its nodes into
-    arrays preallocated for all ``n_new`` steps.  The nodes are
-    bit-identical to those of a march that re-reads the whole history (kept
-    as the reference in ``tests/test_profile.py``), on a first call and on
-    every continuation.
-    Monotonicity or positivity violations abort with the offending x; the
-    step is too coarse, and nothing retries: pass a seed with a larger m.
-    A tail that reaches the double-precision floor (h <= 1e-250 and the next
-    value zero or tied) ends the march there, short of x_max; the profile
-    then holds the filled prefix of those arrays.
+    The nodes go into arrays preallocated to x_max (to 2**40 z without it,
+    doubled as the stop rule needs), and are bit-identical to those of a
+    march that re-reads the whole history (``tests/test_profile.py``), on a
+    first call and on every continuation.  Monotonicity or positivity
+    violations abort with the offending x; the step is too coarse, and
+    nothing retries: pass a seed with a larger m.  A tail that reaches the
+    double-precision floor (h <= 1e-250 and the next value zero or tied)
+    ends the march there.
     """
+    from . import tail  # deferred: tail imports this module
+
     m = seed.m
-    if m < 32:
-        raise DomainError(f"octave density m must be >= 32; got {m}")
+    _check_nodes_per_octave(m)
     n_have = len(seed.h_values)
     if n_have < m + 1:
         raise DomainError("seed history shorter than one delay interval")
-    if not seed.x_max < x_max < math.inf:
+    if x_max is not None and not seed.x_max < x_max < math.inf:
         raise DomainError(f"x_max must be finite and past the seed's x_max; got {x_max:g}")
 
     dtau = seed.dtau
     theta = seed.params.theta
     beta = seed.params.beta
     strict = seed.c > _C_ZERO
+    fat = x_max is None and strict and not seed.params.degenerate
+    need = tail.target_octaves(beta, 1.0) if fat else 0.0  # since d < 1
+    tau0_normal = None  # tau0 of the normalized gauge, once h crosses 1/2
 
     tau_last = seed.tau0 + dtau * (n_have - 1)
-    n_new = int(math.ceil((math.log(x_max) - tau_last) / dtau - 1e-12))
-    n_total = n_have + n_new
-    h = np.empty(n_total)
-    hd = np.empty(n_total)
+    x_first = 2.0**40 * seed.z if x_max is None else x_max
+    n_first = n_have + int(math.ceil((math.log(x_first) - tau_last) / dtau - 1e-12))
+    h = np.empty(max(n_first, n_have))
+    hd = np.empty(len(h))
     h[:n_have] = seed.h_values
     hd[:n_have] = seed.dh_values
 
@@ -200,9 +232,22 @@ def integrate(seed: Profile, x_max: float) -> Profile:
     # it computed, every later node has it from the step that made it.
     k1 = (hn * hn - theta * h_b0 * h_b0 - hn) / beta
     n = n_have
-    while n < n_total:
+    while n < n_first or x_max is None:
+        if x_max is None:  # the stop rule, then the octave budget
+            if fat and hn < 0.5:
+                if tau0_normal is None:  # as ``normalize`` and ``rescale`` shift it
+                    tau_half = _half_tau(h[:n], hd[:n], seed.tau0, dtau)
+                    tau0_normal = seed.tau0 - math.log(math.exp(tau_half))
+                x = math.exp(tau0_normal + dtau * (n - 1))
+                need = tail.target_octaves(beta, x ** (1.0 / beta) * hn) - math.log2(x)
+            if n >= n_first and (not strict or (hn < 0.45 and need <= 0.0)):
+                break
+            _check_octaves(seed.params, (n - 1) / m + need)  # stored octaves + needed
         # One delay interval: its steps read only nodes written before it.
-        steps = min(m, n_total - n)
+        steps = min(m, n_first - n) if n < n_first else m
+        if n + steps > len(h):
+            h = np.concatenate((h[:n], np.empty(len(h))))
+            hd = np.concatenate((hd[:n], np.empty(len(hd))))
         lo = n - m - 1
         h_b = h[lo:lo + steps + 1]  # delayed nodes: h_b[k], h_b[k + 1] for step k
         hd_b = hd[lo:lo + steps + 1]
@@ -235,7 +280,6 @@ def integrate(seed: Profile, x_max: float) -> Profile:
                 positive = hnext > 0.0
                 node = n + len(h_new)  # the node this step would have made
                 if hn <= 1e-250 and (not positive or hnext == hn):
-                    n_total = node
                     break
                 x_bad = math.exp(seed.tau0 + dtau * node)
                 if not positive:
@@ -249,17 +293,10 @@ def integrate(seed: Profile, x_max: float) -> Profile:
         h[n:n + done] = h_new
         hd[n:n + done] = hd_new
         n += done
+        if done < steps:  # the double-precision floor
+            break
 
-    out = Profile(
-        params=seed.params,
-        m=m,
-        tau0=seed.tau0,
-        h_values=h[:n_total],
-        dh_values=hd[:n_total],
-        c=seed.c,
-        z=seed.z,
-        normalized=seed.normalized,
-    )
+    out = replace(seed, h_values=h[:n], dh_values=hd[:n])
     check_invariants(out)
     return out
 
@@ -298,29 +335,21 @@ def rescale(profile: Profile, a: float) -> Profile:
     )
 
 
-def normalize(profile: Profile) -> Profile:
-    """Rescale so that h(1) = 1/2 (gauge fixing for the tail analysis).
-
-    Uses monotone bisection on the dense evaluation; raises ``RangeError``
-    when 1/2 is not attained inside the stored domain (extend x_max first).
-    The bisection reads h and dh/dtau on the two nodes that bracket 1/2 only,
-    and evaluates ``hermite_eval``'s cubic there in scalar arithmetic.  Of the
-    profile, only tau0, c, z and ``normalized`` change.
-    """
-    h = profile.h_values
+def _half_tau(h: np.ndarray, dh: np.ndarray, tau0: float, dtau: float) -> float:
+    """tau where h crosses 1/2, by monotone bisection on the Hermite cubic, in scalar
+    arithmetic, of the two nodes that bracket it on the grid tau0 + k dtau.
+    Raises ``RangeError`` unless 1/2 is attained inside the stored domain."""
     if not (h[0] > 0.5 > h[-1]):
         raise RangeError(
             "h does not straddle 1/2 on the stored domain "
-            f"[{profile.x_min:g}, {profile.x_max:g}]; range "
+            f"[{math.exp(tau0):g}, {math.exp(tau0 + dtau * (len(h) - 1)):g}]; range "
             f"({h[-1]:g}, {h[0]:g})"
         )
     k = int(np.argmax(h < 0.5)) - 1  # h[k] >= 1/2 > h[k + 1]
-    dtau = profile.dtau
-    tau0 = profile.tau0
     lo = tau0 + dtau * k
     hi = tau0 + dtau * (k + 1)
     h0, h1 = h[k:k + 2].tolist()
-    d0, d1 = profile.dh_values[k:k + 2].tolist()
+    d0, d1 = dh[k:k + 2].tolist()
 
     def eval_h(tau: float) -> float:
         s = (tau - tau0) / dtau - k
@@ -342,7 +371,14 @@ def normalize(profile: Profile) -> Profile:
             lo = mid
         else:
             hi = mid
-    tau_star = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def normalize(profile: Profile) -> Profile:
+    """Rescale so that h(1) = 1/2 (gauge fixing for the tail analysis), at the
+    crossing ``_half_tau`` finds (extend x_max first when it raises
+    ``RangeError``).  Of the profile, only tau0, c, z and ``normalized`` change."""
+    tau_star = _half_tau(profile.h_values, profile.dh_values, profile.tau0, profile.dtau)
     out = rescale(profile, math.exp(tau_star))
     return replace(out, normalized=True)
 
@@ -404,19 +440,20 @@ def read_profile_csv(path: str | Path) -> Profile:
     """Reconstruct a profile from its CSV table and metadata sidecar.
 
     Raises ``DomainError`` when either file is missing or malformed: a
-    sidecar that is not JSON, lacks a key or has m < 1, a header that
-    differs, a table with no data rows, a non-numeric cell, or a row
-    without exactly four fields.
+    sidecar that is not JSON, lacks a key, has an m that is not an integer
+    >= 1 or a ``normalized`` that is not a boolean, a header that differs, a
+    table with no data rows, a non-numeric or non-finite cell or x <= 0, a row
+    without exactly four fields, or a profile that fails ``check_invariants``.
     """
     source = sidecar_path(path)  # the file being parsed, for the error message
     try:
         meta = json.loads(source.read_text())
         params = make_params(meta["gamma"], meta["beta"])
-        m = int(meta["m"])
-        if m < 1:
-            raise DomainError(f"malformed profile file {source}: m = {m} is not positive")
+        m, normalized = meta["m"], meta["normalized"]
+        if type(m) is not int or m < 1 or type(normalized) is not bool:
+            raise DomainError(f"malformed profile file {source}: m = {m!r} must be a positive "
+                              f"integer and normalized = {normalized!r} a boolean")
         c, z = float(meta["c"]), float(meta["z"])
-        normalized = bool(meta["normalized"])
         source = Path(path)
         with open(path) as fh:
             header = fh.readline().strip()
@@ -431,25 +468,28 @@ def read_profile_csv(path: str | Path) -> Profile:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 4:
             raise DomainError(f"malformed profile file {source}: rows of {data.shape[1]} fields, not 4")
+        if not (np.isfinite(data).all() and (data[:, 0] > 0.0).all()):
+            raise DomainError(f"malformed profile file {source}: a cell is not finite or x <= 0")
+        tau = np.log(data[:, 0])
+        if not np.allclose(np.diff(tau), _LN2 / m, rtol=0, atol=1e-9):
+            raise DomainError("profile CSV grid is not uniform in log x at spacing ln2/m")
+        profile = Profile(
+            params=params,
+            m=m,
+            tau0=float(tau[0]),
+            h_values=data[:, 1].copy(),
+            dh_values=data[:, 3].copy(),
+            c=c,
+            z=z,
+            normalized=normalized,
+        )
+        check_invariants(profile)
     except FileNotFoundError as exc:
         raise DomainError(f"profile file not found: {exc.filename}") from exc
     except DomainError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers json's decode error and loadtxt's bad cells and rows.
+    except (KeyError, TypeError, ValueError, OverflowError, MonotonicityError, PositivityError) as exc:
+        # ValueError covers json's decode error and loadtxt's bad cells and rows,
+        # the other two a table that fails ``check_invariants``.
         raise DomainError(f"malformed profile file {source}: {exc!r}") from exc
-    x = data[:, 0]
-    tau = np.log(x)
-    dtau = _LN2 / m
-    if not np.allclose(np.diff(tau), dtau, rtol=0, atol=1e-9):
-        raise DomainError("profile CSV grid is not uniform in log x at spacing ln2/m")
-    return Profile(
-        params=params,
-        m=m,
-        tau0=float(tau[0]),
-        h_values=data[:, 1].copy(),
-        dh_values=data[:, 3].copy(),
-        c=c,
-        z=z,
-        normalized=normalized,
-    )
+    return profile

@@ -138,10 +138,11 @@ def test_verify_fresh_profile(saved_profile, capsys):
 
 
 def test_verify_corrupted_profile(saved_profile, tmp_path, capsys):
+    # 0.1% keeps h decreasing; 1% would make it increase, which reading refuses
     rows = saved_profile.read_text().splitlines()
     k = len(rows) // 2
     cols = rows[k].split(",")
-    cols[1] = f"{float(cols[1]) * 1.01:.17g}"
+    cols[1] = f"{float(cols[1]) * 1.001:.17g}"
     rows[k] = ",".join(cols)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(rows) + "\n")
@@ -322,9 +323,32 @@ def _non_numeric_cell(text: str) -> str:
     return "".join(rows)
 
 
+def _middle_h(value, col=1):
+    """An edit that sets h (or column ``col``) in the middle row to ``value(rows)``."""
+
+    def edit(text: str) -> str:
+        rows = text.splitlines(keepends=True)
+        cols = rows[len(rows) // 2].split(",")
+        cols[col] = value(rows)
+        rows[len(rows) // 2] = ",".join(cols)
+        return "".join(rows)
+
+    return edit
+
+
 # Malformed copies of a saved profile: (file to edit, edit of its text).
 _MALFORMED = {
     "non-numeric cell": ("csv", _non_numeric_cell),
+    "h nan": ("csv", _middle_h(lambda rows: "nan")),
+    "h inf": ("csv", _middle_h(lambda rows: "inf")),
+    "h -inf": ("csv", _middle_h(lambda rows: "-inf")),
+    "h negative": ("csv", _middle_h(lambda rows: "-0.1")),
+    "h increasing": ("csv", _middle_h(lambda rows: rows[1].split(",")[1])),
+    "x negative": ("csv", _middle_h(lambda rows: "-1", col=0)),
+    "sidecar normalized a string": (
+        "meta", lambda text: text.replace('"normalized": true', '"normalized": "false"')
+    ),
+    "sidecar m not an integer": ("meta", lambda text: text.replace('"m": 64', '"m": 64.9')),
     "truncated row": ("csv", _break_row),
     "header only": ("csv", lambda text: text.splitlines(keepends=True)[0]),
     "sidecar not json": ("meta", lambda text: text[: len(text) // 2]),
@@ -358,6 +382,19 @@ def test_verify_malformed_profile_exits_2(case, saved_profile, tmp_path, capsys,
     if case == "header only":
         assert "the table has no data rows" in err
     assert not recwarn.list
+
+
+def test_simulate_profile_with_a_negative_h_exits_2(saved_profile, tmp_path, capsys):
+    path = tmp_path / "neg.csv"
+    path.write_text(_middle_h(lambda rows: "-0.1")(saved_profile.read_text()))
+    path.with_name("neg.meta.json").write_text(
+        saved_profile.with_name(saved_profile.stem + ".meta.json").read_text()
+    )
+    code = run(["simulate", "--gamma", "0", "--rho", "0.5", "--init", f"profile:{path}",
+                "--t-end", "2", "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert "malformed profile" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sim*"))
 
 
 def test_verify_profile_with_a_dhdx_column_exits_2(saved_profile, tmp_path, capsys):
@@ -472,6 +509,7 @@ def test_simulate_malformed_init_exits_2(init, tmp_path, capsys):
 
 # Invalid inputs, each with the text by which its message names it.
 _CANON = ["--gamma", "0", "--beta", "2"]
+
 _INVALID_INPUTS = {
     "profile --m 16": (["profile", *_CANON, "--m", "16"], "got 16"),
     "profile --m 0": (["profile", *_CANON, "--m", "0"], "per octave; got 0"),
@@ -544,6 +582,14 @@ def test_invalid_input_exits_2_naming_it(case, tmp_path, capsys, monkeypatch):
     assert run(argv) == 2
     assert named in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CONFIG_FILES)
+
+
+def test_profile_explicit_xmax_is_used_as_given(tmp_path, capsys):
+    # the march ends at the first node past x = 10, where h has not crossed 1/2
+    out = tmp_path / "short.csv"
+    assert run(["profile", *_CANON, "--xmax", "10", "--out", str(out)]) == 3
+    assert "does not straddle 1/2" in capsys.readouterr().err
+    assert not out.exists() and not out.with_name("short.meta.json").exists()
 
 
 def test_profile_has_no_tol_option(capsys):

@@ -1,11 +1,16 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from diagcoag import pipeline, tail
-from diagcoag.errors import ConvergenceError, IterationLimitError, MonotonicityError
+from diagcoag.errors import ConvergenceError, DomainError, IterationLimitError, MonotonicityError
+from diagcoag.expansion import default_z, fixed_point, h_from_expansion
 from diagcoag.params import beta_star_of, make_params, params_from_rho
+from diagcoag.profile import integrate
 
 
 def _record_calls(monkeypatch, *names):
@@ -58,13 +63,76 @@ def test_exhausted_expansion_is_not_retried_at_a_smaller_z(monkeypatch):
     "gamma, frac", [(0.0, 0.3), (0.9, 0.3)], ids=["sweep15 cell", "deep_tail cell"]
 )
 def test_one_tail_extension_reaches_the_target_of_the_final_d(monkeypatch, gamma, frac):
-    # the target is set from d before the extension; it must still hold after it
+    # one march, then normalize: the target of the d at the march's end holds
     params = params_from_rho(gamma, gamma + frac * (1.0 - gamma))
     calls = _record_calls(monkeypatch, "integrate", "normalize")
     profile = pipeline.build_profile(params)
-    assert calls[calls.index("normalize") + 1 :] == ["integrate"]
+    assert calls == ["integrate", "normalize"]
     d, _ = tail.estimate_d(profile)
     assert math.log2(profile.x_max) >= tail.target_octaves(params.beta, d)
+
+
+def _cell(gamma, frac):
+    return params_from_rho(gamma, gamma + frac * (1.0 - gamma))
+
+
+# Every path of build_profile: (parameters, keyword arguments).
+_BUILD_PATHS = {
+    "sweep15 cell": (lambda: _cell(0.0, 0.1), {}),
+    "deep_tail cell": (lambda: _cell(0.9, 0.3), {}),
+    "constant branch": (lambda: make_params(0.0, 2.0), {"c": 0.0}),
+    "explicit x_max": (lambda: make_params(0.0, 2.0), {"x_max": 1e12}),
+    "degenerate": (lambda: make_params(0.0, beta_star_of(0.0)), {}),
+}
+
+
+@pytest.mark.parametrize("case", _BUILD_PATHS)
+def test_each_build_makes_exactly_one_integrate_call(monkeypatch, case):
+    params, kwargs = _BUILD_PATHS[case]
+    params = params()
+    calls = _record_calls(monkeypatch, "integrate")
+    pipeline.build_profile(params, **kwargs)
+    assert calls == ["integrate"]
+
+
+def _stop_rule_holds(profile, n):
+    """integrate's stop rule at the march's node count n, read off the normalized
+    profile: past 2**40 z, h < 0.45 and log2 x at the target of estimate_d's d there."""
+    head = replace(profile, h_values=profile.h_values[:n], dh_values=profile.dh_values[:n])
+    beta = profile.params.beta
+    d = head.x_max ** (1.0 / beta) * head.h_values[-1]
+    return (
+        head.x_max >= 2.0**40 * profile.z * (1.0 - 1e-12)
+        and head.h_values[-1] < 0.45
+        and math.log2(head.x_max) >= tail.target_octaves(beta, d)
+    )
+
+
+@pytest.mark.parametrize("gamma, frac", [(0.0, 0.1), (0.0, 0.5), (-1.0, 0.9), (0.9, 0.3)])
+def test_the_march_stops_at_the_first_interval_end_where_the_rule_holds(gamma, frac):
+    profile = pipeline.build_profile(_cell(gamma, frac))
+    n = len(profile.h_values)
+    assert _stop_rule_holds(profile, n)
+    assert not _stop_rule_holds(profile, n - profile.m)
+
+
+@pytest.mark.parametrize("gamma, frac", [(0.0, 0.1), (0.9, 0.3)])
+def test_the_march_to_the_stop_rule_is_a_prefix_of_a_longer_march(gamma, frac):
+    params = _cell(gamma, frac)
+    seed = h_from_expansion(fixed_point(params, 1.0, default_z(params, 1.0)))
+    short = integrate(seed)
+    longer = integrate(seed, short.x_max * 2.0**10)
+    n = len(short.h_values)
+    assert longer.tau0 == short.tau0 and len(longer.h_values) > n
+    assert np.array_equal(longer.h_values[:n], short.h_values)
+    assert np.array_equal(longer.dh_values[:n], short.dh_values)
+
+
+def test_octave_density_below_32_fails_before_the_seed(monkeypatch):
+    calls = _record_calls(monkeypatch, "default_z", "fixed_point")
+    with pytest.raises(DomainError, match="m must be >= 32 nodes per octave; got 16"):
+        pipeline.build_profile(make_params(0.0, 2.0), m=16)
+    assert calls == []
 
 
 # The one message of the octave budget: the octaves needed, gamma and beta.
@@ -89,6 +157,15 @@ def test_tail_beyond_the_octave_budget_fails_during_the_half_search(monkeypatch)
     with pytest.raises(ConvergenceError, match=_OVER_BUDGET):
         pipeline.build_profile(params)
     assert calls == ["fixed_point", "integrate"]
+
+
+@pytest.mark.parametrize("gamma, frac", [(0.95, 0.5), (0.8, 0.1)])
+def test_octave_budget_fires_at_the_first_interval_end_past_it(gamma, frac):
+    # the march checks stored plus needed octaves once per octave (m steps)
+    with pytest.raises(ConvergenceError, match=_OVER_BUDGET) as info:
+        pipeline.build_profile(_cell(gamma, frac))
+    octaves = float(re.search(r"needs ([0-9.]+) octaves", str(info.value)).group(1))
+    assert pipeline.MAX_OCTAVES < octaves <= pipeline.MAX_OCTAVES + 1.0
 
 
 class _Seeded(Exception):

@@ -332,16 +332,21 @@ def test_continuation_from_inside_a_delay_interval_matches_whole_history_march(
 
 def test_integrate_peak_memory_is_a_few_output_arrays(canon):
     # the march holds a few delay intervals as Python floats and writes the
-    # nodes into preallocated arrays (20,673 of them here)
-    seed = h_from_expansion(fixed_point(canon, c=1.0, z=0.125))
-    integrate(seed, 1.0)  # first-call allocations
-    tracemalloc.start()
-    try:
-        out = integrate(seed, 2.0**300)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * (out.h_values.nbytes + out.dh_values.nbytes)
+    # nodes into preallocated arrays (20,673 of them to 2**300); to the stop
+    # rule it preallocates up to 2**40 z and doubles the arrays as needed
+    # (twice for the rho = 0.1 seed: from 3,841 nodes to 15,363, for 11,457 stored)
+    seeds = [h_from_expansion(fixed_point(canon, c=1.0, z=0.125))]
+    slow = params_from_rho(0.0, 0.1)
+    seeds.append(h_from_expansion(fixed_point(slow, c=1.0, z=default_z(slow))))
+    integrate(seeds[0], 1.0)  # first-call allocations
+    for seed, x_max in [(seeds[0], 2.0**300), (seeds[0], None), (seeds[1], None)]:
+        tracemalloc.start()
+        try:
+            out = integrate(seed, x_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (out.h_values.nbytes + out.dh_values.nbytes)
 
 
 @pytest.mark.parametrize("gamma", [0.8, 0.9])

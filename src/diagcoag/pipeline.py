@@ -19,7 +19,7 @@ from .expansion import (
 )
 from .params import SimilarityParams, params_from_rho
 from .profile import (
-    MAX_OCTAVES,
+    MAX_OCTAVES,  # the octave budget, which the march and build_profile enforce
     Profile,
     _check_nodes_per_octave,
     _check_octaves,

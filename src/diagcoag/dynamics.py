@@ -17,7 +17,10 @@ discrete mass balance exact to rounding.
 A private kernel, built once per run from the grid and gamma, applies the
 scheme to plain density arrays: it holds the f-independent weights (the loss
 weight xi**(1+gamma) and the boundary-flux weight of the top octave), and
-``evolve`` marches on arrays with it, making one field per output time.
+``evolve`` marches on arrays with it, making one field per output time.  The
+kernel also owns a step's scratch (stage rates and states, loss products,
+the top-octave flux block), which every step reuses; each density a step
+returns is a fresh array, so every field owns its data.
 
 The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
 in its window, so data with empty nodes (a pulse) can be measured against a
@@ -77,34 +80,50 @@ def _boundary_weight(field: NumberDensityField) -> np.ndarray:
 class _Kernel:
     """The scheme on one grid and kernel, applied to plain density arrays.
 
-    The f-independent weights are built once, so a step does only the work
-    that depends on f; every expression keeps the operands and order of the
-    field-by-field form.
+    The f-independent weights are built once, and so is the scratch: the
+    four stage rates, the three stage states, the loss*f product, the loss
+    density and the top-octave flux block are buffers that every step
+    overwrites.  The densities ``step`` returns are fresh arrays that no
+    later step touches, so each field made from them owns its data.  Every
+    expression keeps the operands and rounding of the field-by-field form.
     """
 
-    __slots__ = ("m", "loss", "boundary")
+    __slots__ = ("m", "loss", "boundary", "loss_f", "density", "rates", "stages", "top")
 
     def __init__(self, field: NumberDensityField):
+        n = len(field.xi_grid)
         self.m = field.nodes_per_octave
         self.loss = field.xi_grid ** (1.0 + field.gamma)
         self.boundary = _boundary_weight(field)
+        self.loss_f = np.empty(n)
+        self.density = np.empty(n)
+        self.rates = np.empty((4, n))
+        self.stages = np.empty((3, n))
+        self.top = np.empty((4, len(self.boundary)))
 
-    def rhs(self, f: np.ndarray) -> np.ndarray:
-        """df/dt per node; indices below the grid contribute nothing."""
+    def rhs(self, f: np.ndarray, out: np.ndarray, loss_f: np.ndarray | None = None) -> np.ndarray:
+        """df/dt per node into ``out``; indices below the grid contribute nothing.
+
+        ``loss_f``, when given, is loss * f already formed.
+        """
         m = self.m
-        loss_density = self.loss * f * f
-        rate = -loss_density
-        # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m}
-        rate[m:] += 0.25 * loss_density[:-m]
-        return rate
-
-    def flux(self, f: np.ndarray) -> float:
-        """Mass per unit time leaving through the truncated upper boundary."""
-        return float((self.boundary * f[-self.m :] ** 2).sum())
+        density = self.density
+        if loss_f is None:
+            loss_f = np.multiply(self.loss, f, out=density)
+        np.multiply(loss_f, f, out=density)
+        np.negative(density[:m], out=out[:m])
+        # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m};
+        # gain - loss is -loss + gain exactly
+        np.multiply(density[:-m], 0.25, out=out[m:])
+        np.subtract(out[m:], density[m:], out=out[m:])
+        return out
 
     def stable_dt(self, f: np.ndarray) -> float:
-        """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale."""
-        scale = float((self.loss * f).max())
+        """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale.
+
+        Leaves loss * f in ``loss_f`` for stage k1 of a step from f.
+        """
+        scale = float(np.multiply(self.loss, f, out=self.loss_f).max())
         if scale == 0.0:
             return math.inf
         return ETA / scale
@@ -115,26 +134,49 @@ class _Kernel:
         Halves dt on negativity, at most MAX_HALVINGS times; the escaped mass
         comes from the same stages.
         """
+        np.multiply(self.loss, f0, out=self.loss_f)
+        return self._step(f0, dt, t)
+
+    def _step(self, f0: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float, float]:
+        """``step`` with loss * f0 already in ``loss_f``."""
         if not dt > 0.0:
             raise DomainError("dt must be positive")
+        rhs = self.rhs
+        k1, k2, k3, k4 = self.rates
+        f1, f2, f3 = self.stages
+        rhs(f0, k1, self.loss_f)  # the same for every halving
         for _ in range(MAX_HALVINGS + 1):
-            k1 = self.rhs(f0)
-            f1 = f0 + 0.5 * dt * k1
-            k2 = self.rhs(f1)
-            f2 = f0 + 0.5 * dt * k2
-            k3 = self.rhs(f2)
-            f3 = f0 + dt * k3
-            k4 = self.rhs(f3)
-            f_new = f0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            if (f_new >= 0.0).all() and np.isfinite(f_new).all():
-                escaped = (dt / 6.0) * (
-                    self.flux(f0) + 2.0 * (self.flux(f1) + self.flux(f2)) + self.flux(f3)
-                )
-                return f_new, dt, escaped
+            # each stage state c*k + f0, which is f0 + c*k exactly
+            rhs(np.add(np.multiply(k1, 0.5 * dt, out=f1), f0, out=f1), k2)
+            rhs(np.add(np.multiply(k2, 0.5 * dt, out=f2), f0, out=f2), k3)
+            rhs(np.add(np.multiply(k3, dt, out=f3), f0, out=f3), k4)
+            # k1 + 2 (k2 + k3) + k4, gathered in k2
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= dt / 6.0
+            f_new = f0 + k2
+            # min and max propagate NaN: (f_new >= 0).all() and isfinite(f_new).all()
+            if f_new.min() >= 0.0 and f_new.max() < math.inf:
+                return f_new, dt, (dt / 6.0) * self._flux_sum(f0)
             dt *= 0.5
         raise StepCollapseError(
             f"time step collapsed after {MAX_HALVINGS} halvings at t = {t:g}"
         )
+
+    def _flux_sum(self, f0: np.ndarray) -> float:
+        """F0 + 2 (F1 + F2) + F3: the boundary fluxes of f0 and the current stage states.
+
+        Each flux is a row sum of the block, (boundary * f[-m:]**2).sum() of its state.
+        """
+        top = self.top
+        m = len(top[0])
+        np.square(f0[-m:], out=top[0])
+        np.square(self.stages[:, -m:], out=top[1:])
+        top *= self.boundary
+        s0, s1, s2, s3 = top.sum(axis=1).tolist()
+        return s0 + 2.0 * (s1 + s2) + s3
 
     def advance(self, field: NumberDensityField, t_target: float) -> NumberDensityField:
         """March the field to t_target with the adaptive step bound.
@@ -146,7 +188,7 @@ class _Kernel:
             return field
         f, t, escaped_mass = field.f_values, field.t, field.escaped_mass
         while t < t_stop:
-            f, dt, escaped = self.step(f, min(self.stable_dt(f), t_target - t), t)
+            f, dt, escaped = self._step(f, min(self.stable_dt(f), t_target - t), t)
             t = t + dt
             escaped_mass = escaped_mass + escaped
         return replace(field, f_values=f, t=t, escaped_mass=escaped_mass)
@@ -231,7 +273,7 @@ def pulse_field(
 
 def coag_rhs(field: NumberDensityField) -> np.ndarray:
     """df/dt per node for the field's density."""
-    return _Kernel(field).rhs(field.f_values)
+    return _Kernel(field).rhs(field.f_values, np.empty(len(field.f_values)))
 
 
 def moments(field: NumberDensityField) -> tuple[float, float, float]:

@@ -14,7 +14,15 @@ class BracketError(DiagcoagError, RuntimeError):
 
 
 class ConvergenceError(DiagcoagError, RuntimeError):
-    """An iteration failed to converge or left its trust region."""
+    """An iteration failed to converge or left its trust region.
+
+    ``x``, when known, is where the iteration stopped (the last node a march
+    reached).
+    """
+
+    def __init__(self, message: str, x: float | None = None):
+        super().__init__(message)
+        self.x = x
 
 
 class IterationLimitError(ConvergenceError):

@@ -11,6 +11,7 @@ import math
 
 from .expansion import (
     DEFAULT_NODES_PER_OCTAVE,
+    DEFAULT_OCTAVES,
     contraction_margin,
     default_z,
     epsilon_of,
@@ -53,13 +54,14 @@ def build_profile(
     retried: the typed errors of the expansion, the march and ``normalize``
     (``RangeError`` for an ``x_max`` short of the h = 1/2 crossing) propagate.
     A fat tail that needs more than ``MAX_OCTAVES`` raises ``ConvergenceError``
-    before the seed when the tail target alone exceeds it (beta > ~68), else
-    in the march.
+    before the seed when the seed's octaves plus the tail target exceed it
+    (beta > ~65.6), else in the march.
     """
     _check_nodes_per_octave(m)
     if x_max is None and c != 0.0 and not params.degenerate:
-        # d < 1 (supersolution bound): the target lies this far above x = 1 at least.
-        _check_octaves(params, tail.target_octaves(params.beta, 1.0))
+        # The march's first budget check, at the seed's end: the seed spans
+        # DEFAULT_OCTAVES and h > 1/2 there, so the target at d = 1 is still needed.
+        _check_octaves(params, DEFAULT_OCTAVES + tail.target_octaves(params.beta, 1.0))
     if z is None:
         z = default_z(params, c)
     seed = h_from_expansion(fixed_point(params, c, z, nodes_per_octave=m))

@@ -164,12 +164,16 @@ def _check_nodes_per_octave(m: int) -> None:
         raise DomainError(f"octave density m must be >= 32 nodes per octave; got {m}")
 
 
-def _check_octaves(params: SimilarityParams, octaves: float) -> None:
-    """Raise ``ConvergenceError`` when a profile needs more than ``MAX_OCTAVES``."""
+def _check_octaves(params: SimilarityParams, octaves: float, x: float | None = None) -> None:
+    """Raise ``ConvergenceError`` when a profile needs more than ``MAX_OCTAVES``.
+
+    ``x`` is the node a march has reached, carried by the error.
+    """
     if octaves > MAX_OCTAVES:
         raise ConvergenceError(
             f"profile needs {octaves:.6g} octaves, more than the budget of {MAX_OCTAVES} "
-            f"(gamma={params.gamma}, beta={params.beta})"
+            f"(gamma={params.gamma}, beta={params.beta})",
+            x=x,
         )
 
 
@@ -185,7 +189,8 @@ def integrate(seed: Profile, x_max: float | None = None) -> Profile:
     crossing is found once, as ``normalize`` finds it.  A check that does not
     stop the march raises ``ConvergenceError`` if the stored octaves plus
     those still needed (the target at d = 1 before the crossing, the target
-    minus the normalized log2 x after it) exceed ``MAX_OCTAVES``.
+    minus the normalized log2 x after it) exceed ``MAX_OCTAVES``; its ``x``
+    is the last node the march reached.
 
     The seed must carry at least one delay interval (m+1 nodes) of history.
     The nodes go into arrays preallocated to x_max (to 2**40 z without it,
@@ -242,7 +247,8 @@ def integrate(seed: Profile, x_max: float | None = None) -> Profile:
                 need = tail.target_octaves(beta, x ** (1.0 / beta) * hn) - math.log2(x)
             if n >= n_first and (not strict or (hn < 0.45 and need <= 0.0)):
                 break
-            _check_octaves(seed.params, (n - 1) / m + need)  # stored octaves + needed
+            # stored octaves + needed; the error names the last node, in the seed's gauge
+            _check_octaves(seed.params, (n - 1) / m + need, math.exp(seed.tau0 + dtau * (n - 1)))
         # One delay interval: its steps read only nodes written before it.
         steps = min(m, n_first - n) if n < n_first else m
         if n + steps > len(h):

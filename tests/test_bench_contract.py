@@ -51,6 +51,8 @@ def test_profile_cell_is_correct(tmp_path, name):
 
 ITEMS = {
     "collapse": ("collapse", inputs.Perturbation(0.0, 0.0)),
+    # 7 of every 8 benchmark items are bumped fields: the first one of seed 1
+    "collapse-perturbed": ("collapse", next(inputs.passes("collapse", 1))[1]),
 }
 
 

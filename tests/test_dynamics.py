@@ -292,16 +292,38 @@ def test_halved_step_matches_reference_bit_for_bit(canon):
     _assert_same_field(out, _reference_step(field, dt))
 
 
-@pytest.mark.parametrize("kind", ["profile", "power_law", "pulse"])
+def _evolve_input(kind, profile):
+    """(field, t_end, n_outputs); "collapse" is the benchmark's run: md 64, to t = 256."""
+    if kind == "collapse":
+        return dy.field_from_profile(profile, nodes_per_octave=64), 256.0, 9
+    return _initial_field(kind, profile), 1.25, 3
+
+
+@pytest.mark.parametrize("kind", ["profile", "power_law", "pulse", "collapse"])
 def test_evolve_matches_reference_bit_for_bit(canonical_profile, kind):
-    field = _initial_field(kind, canonical_profile)
-    fields = dy.evolve(field, 1.25, 3)
+    field, t_end, n_outputs = _evolve_input(kind, canonical_profile)
+    fields = dy.evolve(field, t_end, n_outputs)
     ref = field
-    for fld, t_out in zip(fields, np.geomspace(1.0, 1.25, 3)):
+    for fld, t_out in zip(fields, np.geomspace(1.0, t_end, n_outputs)):
         while ref.t < t_out * (1.0 - 1e-15):
             ref = _reference_step(ref, min(_reference_stable_dt(ref), t_out - ref.t))
         _assert_same_field(fld, ref)
     assert fields[0] is field
+
+
+@pytest.mark.parametrize("kind", ["profile", "pulse", "collapse"])
+def test_evolved_fields_own_their_densities(canonical_profile, kind):
+    # the kernel's scratch is reused from step to step; what evolve returns is not
+    field, t_end, n_outputs = _evolve_input(kind, canonical_profile)
+    fields = dy.evolve(field, t_end, n_outputs)
+    for i, fld in enumerate(fields):
+        for other in fields[i + 1 :]:
+            assert fld is other or not np.shares_memory(fld.f_values, other.f_values)
+    before = [fld.f_values.copy() for fld in fields]
+    later = dy.evolve(fields[-1], 2.0 * t_end, 3)
+    assert not any(np.shares_memory(a.f_values, b.f_values) for a in fields for b in later[1:])
+    for fld, f in zip(fields, before):
+        assert np.array_equal(fld.f_values, f)
 
 
 @pytest.mark.parametrize("kind", ["profile", "power_law"])

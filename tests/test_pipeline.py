@@ -143,20 +143,22 @@ def test_tail_beyond_the_octave_budget_fails_before_the_seed(monkeypatch):
     params = make_params(0.9, 100.0)
     assert tail.target_octaves(params.beta, 1.0) > pipeline.MAX_OCTAVES
     calls = _record_calls(monkeypatch, "default_z", "fixed_point", "integrate")
-    with pytest.raises(ConvergenceError, match=_OVER_BUDGET):
+    with pytest.raises(ConvergenceError, match=_OVER_BUDGET) as info:
         pipeline.build_profile(params)
     assert calls == []
+    assert info.value.x is None
 
 
 def test_tail_beyond_the_octave_budget_fails_during_the_half_search(monkeypatch):
-    # beta = 66.7 passes the up-front bound, but h > 1/2 on the first
-    # 2**40 z march puts x_min of the normalized gauge that far below 1
+    # beta = 66.7: the target alone fits the budget, but the march's first
+    # check, at the seed's end, adds the seed's 20 octaves; build_profile
+    # makes that same check before the seed
     params = params_from_rho(0.95, 0.95 + 0.3 * 0.05)
     assert tail.target_octaves(params.beta, 1.0) <= pipeline.MAX_OCTAVES
-    calls = _record_calls(monkeypatch, "fixed_point", "integrate", "normalize")
-    with pytest.raises(ConvergenceError, match=_OVER_BUDGET):
+    calls = _record_calls(monkeypatch, "default_z", "fixed_point", "integrate", "normalize")
+    with pytest.raises(ConvergenceError, match=r"profile needs 609\.545 octaves"):
         pipeline.build_profile(params)
-    assert calls == ["fixed_point", "integrate"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("gamma, frac", [(0.95, 0.5), (0.8, 0.1)])
@@ -166,6 +168,23 @@ def test_octave_budget_fires_at_the_first_interval_end_past_it(gamma, frac):
         pipeline.build_profile(_cell(gamma, frac))
     octaves = float(re.search(r"needs ([0-9.]+) octaves", str(info.value)).group(1))
     assert pipeline.MAX_OCTAVES < octaves <= pipeline.MAX_OCTAVES + 1.0
+
+
+@pytest.mark.parametrize("gamma, frac", [(0.95, 0.5), (0.8, 0.1)])
+def test_octave_budget_error_names_the_node_the_march_reached(gamma, frac):
+    # h stays above 1/2 on these marches, so the octaves still needed are the
+    # target at d = 1, and the march stops at the first interval end where
+    # the octaves stored plus that target exceed the budget
+    params = _cell(gamma, frac)
+    seed = h_from_expansion(fixed_point(params, 1.0, default_z(params, 1.0)))
+    with pytest.raises(ConvergenceError, match=_OVER_BUDGET) as info:
+        integrate(seed)
+    reached = integrate(seed, info.value.x)  # the same nodes, up to x
+    assert reached.x_max == info.value.x and reached.h_values[-1] > 0.5
+    assert (len(reached.h_values) - len(seed.h_values)) % seed.m == 0
+    stored = (len(reached.h_values) - 1) / seed.m
+    need = tail.target_octaves(params.beta, 1.0)
+    assert stored - 1.0 + need <= pipeline.MAX_OCTAVES < stored + need
 
 
 class _Seeded(Exception):
@@ -200,9 +219,9 @@ def test_octave_floor_is_below_what_a_successful_build_stores(gamma, frac):
     assert stored >= tail.target_octaves(params.beta, 1.0)
 
 
-@pytest.mark.parametrize("beta", [40.0, 66.0])
+@pytest.mark.parametrize("beta", [40.0, 65.0])  # beta > ~65.6 fails the budget up front
 def test_underflowing_expansion_node_fails_once_without_nan(monkeypatch, beta):
-    # default_z picks z ~ 1e-48 .. 1e-84 here; x**(1-gamma+mu) is 0 at the
+    # default_z picks z ~ 1e-48 .. 1e-78 here; x**(1-gamma+mu) is 0 at the
     # lowest node, so T cannot be evaluated and the seed fails on its one call
     calls = _record_calls(monkeypatch, "fixed_point")
     with warnings.catch_warnings(record=True) as caught:

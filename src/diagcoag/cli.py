@@ -10,9 +10,9 @@ or ``WindowError``: a parameter out of range at any stage, an unreadable
 malformed profile CSV or sidecar, a malformed or out-of-range ``--init`` or
 simulation grid, a ``--t-end`` below the start time 1, a gamma or beta that
 differs from the initial kernel's or the reference profile's, a collapse
-window off the grid or narrower than one octave); 3 solver failure (every
-other package error); 4 failed verification bounds (``tail.bounds_hold``); 5
-time-step collapse (``StepCollapseError``).
+window off the grid or narrower than one octave, an initial density so large
+that its loss or boundary flux overflows); 3 solver failure (every other
+package error); 4 failed verification bounds (``tail.bounds_hold``).
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, expansion, pipeline, tail
-from .errors import (
-    DiagcoagError,
-    DomainError,
-    RangeError,
-    StepCollapseError,
-    WindowError,
-)
+from .errors import DiagcoagError, DomainError, RangeError, WindowError
 from .mu import solve_mu
 from .params import beta_from_rho, make_params, same_value
 from .profile import read_profile_csv, write_profile_csv, write_table
@@ -43,7 +37,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
 EXIT_BOUNDS = 4
-EXIT_STEP = 5
 
 
 # The options a --config file may set, each with the conversion of its flag.
@@ -350,8 +343,6 @@ def _exit_code(exc: DiagcoagError) -> int:
     """The documented exit code of a package error (module docstring)."""
     if isinstance(exc, (DomainError, WindowError)):
         return EXIT_INVALID
-    if isinstance(exc, StepCollapseError):
-        return EXIT_STEP
     return EXIT_SOLVER
 
 

@@ -9,10 +9,9 @@ the gain term at node k reads the state exactly m_d nodes back:
 with f = 0 below the grid (no influx from under the domain).  The grid is
 xi_k = xi_min 2**q 2**(r/m_d) for k = q m_d + r, so xi_{k-m_d} == xi_k / 2
 holds exactly in floating point for any m_d and a normal xi_min.  Explicit
-4-stage Runge-Kutta advances the system; steps that would produce negative
-densities are rejected and retried at half the step.  The escaped-mass
-budget is accumulated with the same Runge-Kutta stages, which makes the
-discrete mass balance exact to rounding.
+4-stage Runge-Kutta advances the system, one attempt per step at the dt that
+``stable_dt`` bounds.  The escaped-mass budget is accumulated with the same
+Runge-Kutta stages, which makes the discrete mass balance exact to rounding.
 
 A private kernel, built once per run from the grid and gamma, applies the
 scheme to plain density arrays: it holds the f-independent weights (the loss
@@ -34,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, StepCollapseError, WindowError
+from .errors import DomainError, PositivityError, WindowError
 from .params import check_gamma, same_value
 from .profile import Profile
 
@@ -44,7 +43,6 @@ DEFAULT_NODES_PER_OCTAVE = 16
 DEFAULT_OCTAVES = 40
 DEFAULT_XI_MIN = 2.0**-20
 ETA = 0.1
-MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,18 @@ class _Kernel:
     overwrites.  The densities ``step`` returns are fresh arrays that no
     later step touches, so each field made from them owns its data.  Every
     expression keeps the operands and rounding of the field-by-field form.
+
+    Why one attempt per step keeps f >= 0: ``stable_dt`` bounds
+    dt * xi**(1+gamma) f by ETA = 0.1 at every node, so a stage's loss takes
+    at most a tenth of f_k, and its gain, (1/4) dt xi_{k-m}**(1+gamma)
+    f_{k-m}**2 <= (ETA/4) f_{k-m}, raises f_k by only a small share of
+    f_{k-m}.  Every stage state thus stays near that bound, where RK4 on
+    df/dt = -a f**2 with a dt f <= ETA keeps f positive.  The mass never
+    grows, and it moves up to sizes where the same mass gives a smaller loss
+    and flux, so the kernel checks once, when it is built, that the loss and
+    the boundary flux of the initial density are finite.  A step that still
+    leaves a negative or non-finite density raises ``PositivityError``; no
+    step is retried.
     """
 
     __slots__ = ("m", "loss", "boundary", "loss_f", "density", "rates", "stages", "top")
@@ -95,6 +105,13 @@ class _Kernel:
         self.m = field.nodes_per_octave
         self.loss = field.xi_grid ** (1.0 + field.gamma)
         self.boundary = _boundary_weight(field)
+        f = field.f_values
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            loss_max = (self.loss * f * f).max()
+            flux = (self.boundary * f[-self.m :] ** 2).sum()
+        for name, value in (("loss xi**(1+gamma) f**2", loss_max), ("boundary flux", flux)):
+            if not value < math.inf:
+                raise DomainError(f"number density too large: its {name} overflows")
         self.loss_f = np.empty(n)
         self.density = np.empty(n)
         self.rates = np.empty((4, n))
@@ -128,42 +145,32 @@ class _Kernel:
             return math.inf
         return ETA / scale
 
-    def step(self, f0: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float, float]:
-        """One Runge-Kutta step from f0 at time t: (f_new, accepted dt, escaped mass).
+    def step(self, f0: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float]:
+        """One Runge-Kutta step of dt from f0 at time t: (f_new, escaped mass).
 
-        Halves dt on negativity, at most MAX_HALVINGS times; the escaped mass
-        comes from the same stages.
+        Call it right after ``stable_dt(f0)``, which leaves loss * f0 in
+        ``loss_f``, with 0 < dt <= that bound.  The escaped mass comes from the
+        same stages.
         """
-        np.multiply(self.loss, f0, out=self.loss_f)
-        return self._step(f0, dt, t)
-
-    def _step(self, f0: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float, float]:
-        """``step`` with loss * f0 already in ``loss_f``."""
-        if not dt > 0.0:
-            raise DomainError("dt must be positive")
         rhs = self.rhs
         k1, k2, k3, k4 = self.rates
         f1, f2, f3 = self.stages
-        rhs(f0, k1, self.loss_f)  # the same for every halving
-        for _ in range(MAX_HALVINGS + 1):
-            # each stage state c*k + f0, which is f0 + c*k exactly
-            rhs(np.add(np.multiply(k1, 0.5 * dt, out=f1), f0, out=f1), k2)
-            rhs(np.add(np.multiply(k2, 0.5 * dt, out=f2), f0, out=f2), k3)
-            rhs(np.add(np.multiply(k3, dt, out=f3), f0, out=f3), k4)
-            # k1 + 2 (k2 + k3) + k4, gathered in k2
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= dt / 6.0
-            f_new = f0 + k2
-            # min and max propagate NaN: (f_new >= 0).all() and isfinite(f_new).all()
-            if f_new.min() >= 0.0 and f_new.max() < math.inf:
-                return f_new, dt, (dt / 6.0) * self._flux_sum(f0)
-            dt *= 0.5
-        raise StepCollapseError(
-            f"time step collapsed after {MAX_HALVINGS} halvings at t = {t:g}"
-        )
+        rhs(f0, k1, self.loss_f)
+        # each stage state c*k + f0, which is f0 + c*k exactly
+        rhs(np.add(np.multiply(k1, 0.5 * dt, out=f1), f0, out=f1), k2)
+        rhs(np.add(np.multiply(k2, 0.5 * dt, out=f2), f0, out=f2), k3)
+        rhs(np.add(np.multiply(k3, dt, out=f3), f0, out=f3), k4)
+        # k1 + 2 (k2 + k3) + k4, gathered in k2
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= dt / 6.0
+        f_new = f0 + k2
+        # min and max propagate NaN: (f_new >= 0).all() and isfinite(f_new).all()
+        if not (f_new.min() >= 0.0 and f_new.max() < math.inf):
+            raise PositivityError(f"density lost positivity or finiteness at t = {t:g}")
+        return f_new, (dt / 6.0) * self._flux_sum(f0)
 
     def _flux_sum(self, f0: np.ndarray) -> float:
         """F0 + 2 (F1 + F2) + F3: the boundary fluxes of f0 and the current stage states.
@@ -188,7 +195,8 @@ class _Kernel:
             return field
         f, t, escaped_mass = field.f_values, field.t, field.escaped_mass
         while t < t_stop:
-            f, dt, escaped = self._step(f, min(self.stable_dt(f), t_target - t), t)
+            dt = min(self.stable_dt(f), t_target - t)
+            f, escaped = self.step(f, dt, t)
             t = t + dt
             escaped_mass = escaped_mass + escaped
         return replace(field, f_values=f, t=t, escaped_mass=escaped_mass)
@@ -290,12 +298,15 @@ def moments(field: NumberDensityField) -> tuple[float, float, float]:
 
 
 def step(field: NumberDensityField, dt: float) -> NumberDensityField:
-    """One Runge-Kutta step; halves dt on negativity, at most MAX_HALVINGS times.
+    """One Runge-Kutta step of dt, which must lie in (0, stable_dt(field)].
 
-    Advances by the accepted dt (possibly smaller than requested) and
-    accumulates the escaped-mass budget from the same stages.
+    Accumulates the escaped-mass budget from the same stages.
     """
-    f, dt, escaped = _Kernel(field).step(field.f_values, dt, field.t)
+    kernel = _Kernel(field)
+    bound = kernel.stable_dt(field.f_values)
+    if not 0.0 < dt <= bound:
+        raise DomainError(f"dt = {dt:g} is outside (0, stable_dt] = (0, {bound:g}]")
+    f, escaped = kernel.step(field.f_values, dt, field.t)
     return replace(field, f_values=f, t=field.t + dt, escaped_mass=field.escaped_mass + escaped)
 
 

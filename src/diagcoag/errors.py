@@ -53,9 +53,5 @@ class RangeError(DiagcoagError, RuntimeError):
     """A target value is not attained inside the stored domain."""
 
 
-class StepCollapseError(DiagcoagError, RuntimeError):
-    """Time step underflowed after repeated rejections."""
-
-
 class WindowError(DiagcoagError, ValueError):
     """A requested evaluation window leaves the stored grid."""

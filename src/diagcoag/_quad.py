@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def cumtrapz_corrected(
     phi: np.ndarray, dphi: np.ndarray, dtau: float, out: np.ndarray
@@ -46,13 +48,13 @@ def hermite_eval(
     """Cubic Hermite evaluation on a uniform grid.
 
     ``values``/``dvalues`` are the nodal values and tau-derivatives; queries
-    outside the grid raise (no extrapolation).
+    outside the grid raise ``DomainError`` (no extrapolation).
     """
     t = np.asarray(tau, dtype=float)
     pos = (t - tau0) / dtau
     n = len(values)
     if np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9):
-        raise ValueError("hermite_eval: query outside stored grid")
+        raise DomainError("hermite_eval: query outside stored grid")
     k = np.clip(np.floor(pos).astype(int), 0, n - 2)
     s = pos - k
     h0 = values[k]

@@ -29,10 +29,6 @@ class IterationLimitError(ConvergenceError):
     """An iteration used up its iteration budget without converging."""
 
 
-class QuadratureError(DiagcoagError, RuntimeError):
-    """A quadrature grid is degenerate (collapsed or non-monotone spacing)."""
-
-
 class MonotonicityError(DiagcoagError, RuntimeError):
     """A computed profile failed to be strictly decreasing."""
 

@@ -22,8 +22,8 @@ which is the exact leading behavior of the fixed point.
 
 The factors of T that do not depend on j (powers of the nodes, the head
 integrals' powers of the lowest node and of the delayed points below it,
-the norm weights, the grid check) are built once per fixed point, as a
-plan that ``fixed_point`` iterates on plain arrays.  The plan also holds
+the norm weights) are built once per fixed point, as a plan that
+``fixed_point`` iterates on plain arrays.  The plan also holds
 the scratch arrays that every application of T overwrites, so an iteration
 allocates little beyond the new iterate.  The evaluation order is kept:
 every floating-point operation has the same operands and grouping as when
@@ -38,13 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import cumtrapz_corrected
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    IterationLimitError,
-    QuadratureError,
-    RangeError,
-)
+from .errors import ConvergenceError, DomainError, IterationLimitError, RangeError
 from .mu import F_of
 from .params import SimilarityParams
 from .profile import Profile, check_invariants as check_profile_invariants, rhs
@@ -66,20 +60,46 @@ def epsilon_of(params: SimilarityParams) -> float:
 class ExpansionGrid:
     """Correction j for one parameter set, sampled on a geometric grid over (0, z].
 
-    ``weighted_norm`` records max x**(-epsilon)*|j(x)| over the nodes (epsilon = mu/2).
+    The nodes span ``DEFAULT_OCTAVES`` octaves at ``nodes_per_octave``; they and the
+    weighted norm of j are derived.  Construction checks z, the density and j.
     """
 
     params: SimilarityParams
     z: float
     c: float
-    nodes: np.ndarray
     j_values: np.ndarray
-    weighted_norm: float
     nodes_per_octave: int
+
+    def __post_init__(self):
+        z, m = self.z, self.nodes_per_octave
+        if not z > 0.0:
+            raise DomainError(f"z must be positive; got {z:g}")
+        if not math.isfinite(z):
+            raise DomainError(f"z must be finite; got {z:g}")
+        if z * 2.0**-DEFAULT_OCTAVES < np.finfo(float).tiny:
+            raise DomainError(f"lowest node z * 2**-{DEFAULT_OCTAVES} is subnormal; got z = {z:g}")
+        if m < 1:
+            raise DomainError(f"grid must have at least one node per octave; got {m}")
+        if np.shape(self.j_values) != (m * DEFAULT_OCTAVES + 1,):
+            raise DomainError(f"j must hold {m * DEFAULT_OCTAVES + 1} values, one per node")
 
     @property
     def epsilon(self) -> float:
         return epsilon_of(self.params)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The nodes z * 2**((k - n + 1)/m), k = 0 .. n-1; the last is z exactly."""
+        n = len(self.j_values)
+        tau = math.log(self.z) + _LN2 * (np.arange(n) - (n - 1)) / self.nodes_per_octave
+        nodes = np.exp(tau)
+        nodes[-1] = self.z
+        return nodes
+
+    @property
+    def weighted_norm(self) -> float:
+        """max x**(-epsilon) |j(x)| over the nodes."""
+        return float(np.max(np.abs(self.j_values) * self.nodes ** (-self.epsilon)))
 
 
 class _Head:
@@ -119,9 +139,6 @@ class _TPlan:
         x = grid.nodes
         params = grid.params
         n_oct = grid.nodes_per_octave
-        # Three nodes at least: the second-order edge derivative needs them.
-        if len(x) < 3 or np.any(np.diff(np.log(x)) <= 0):
-            raise QuadratureError("degenerate expansion grid")
         self.c = grid.c
         self.n_oct = n_oct
         self.dtau = _LN2 / n_oct
@@ -249,39 +266,19 @@ def empty_grid(
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> ExpansionGrid:
     """Grid for ``params`` with j = 0 spanning [z*2**-DEFAULT_OCTAVES, z]."""
-    if not z > 0.0:
-        raise DomainError(f"z must be positive; got {z:g}")
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite; got {z:g}")
-    if z * 2.0**-DEFAULT_OCTAVES < np.finfo(float).tiny:
-        raise DomainError(f"lowest node z * 2**-{DEFAULT_OCTAVES} is subnormal; got z = {z:g}")
-    if nodes_per_octave < 1:
-        raise DomainError(f"grid must have at least one node per octave; got {nodes_per_octave}")
-    n = nodes_per_octave * DEFAULT_OCTAVES + 1
-    tau = math.log(z) + _LN2 * (np.arange(n) - (n - 1)) / nodes_per_octave
-    nodes = np.exp(tau)
-    nodes[-1] = z  # pin the right endpoint exactly
-    return ExpansionGrid(
-        params=params,
-        z=float(z),
-        c=float(c),
-        nodes=nodes,
-        j_values=np.zeros(n),
-        weighted_norm=0.0,
-        nodes_per_octave=nodes_per_octave,
-    )
+    n = max(nodes_per_octave * DEFAULT_OCTAVES + 1, 0)  # the grid refuses a density < 1
+    return ExpansionGrid(params, float(z), float(c), np.zeros(n), nodes_per_octave)
 
 
-def contraction_margin(params: SimilarityParams, epsilon: float) -> float:
-    """Linear-part contraction factor kappa(epsilon) < 1.
+def contraction_margin(params: SimilarityParams) -> float:
+    """Linear-part contraction factor kappa(eps) < 1 at eps = ``epsilon_of(params)``.
 
     kappa = (2 F(mu+eps) + (1-gamma)*beta - 1) / (beta * (1-gamma+mu+eps));
     the defining equation of mu makes kappa(0) = 1 exactly and kappa < 1 for
     every eps > 0.
     """
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
     gamma, beta, mu = params.gamma, params.beta, params.mu
+    epsilon = epsilon_of(params)
     num = 2.0 * F_of(params, mu + epsilon) + (1.0 - gamma) * beta - 1.0
     den = beta * (1.0 - gamma + mu + epsilon)
     return num / den
@@ -302,17 +299,18 @@ def _quadratic_coefficients(params: SimilarityParams, c: float):
     return b2, bc
 
 
-def ball_radius(params: SimilarityParams, c: float, z: float) -> float:
-    """Radius R of the invariant ball for the self-map of T at this z.
+def ball_radius(grid: ExpansionGrid) -> float:
+    """Radius R of the invariant ball for the self-map of T on the grid's parameters,
+    amplitude c and hand-off point z.
 
     Smallest root of kappa*R + B2*z**(mu+eps)*R**2 + Bc*z**(mu-eps) = R at
     eps = mu/2 when real; otherwise the vertex radius (beyond which the self-map
     bound can never close), so that runaway iterates are detected.
     """
-    mu = params.mu
-    epsilon = epsilon_of(params)
-    kappa = contraction_margin(params, epsilon)
-    b2, bc = _quadratic_coefficients(params, c)
+    params, z = grid.params, grid.z
+    mu, epsilon = params.mu, grid.epsilon
+    kappa = contraction_margin(params)
+    b2, bc = _quadratic_coefficients(params, grid.c)
     if bc == 0.0:
         return math.inf
     gap = 1.0 - kappa
@@ -338,7 +336,7 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
     mu = params.mu
     if c == 0.0:
         return 0.25
-    kappa = contraction_margin(params, epsilon_of(params))
+    kappa = contraction_margin(params)
     b2, bc = _quadratic_coefficients(params, c)
     c_est = 2.0 * math.sqrt(b2 * bc)
     threshold = max(0.95, 0.5 * (1.0 + kappa))
@@ -359,9 +357,7 @@ def apply_T(grid: ExpansionGrid) -> ExpansionGrid:
     Builds the plan for the grid on every call; ``fixed_point`` builds one
     and iterates it on arrays.
     """
-    plan = _TPlan(grid)
-    new_j = plan.apply(grid.j_values)
-    return replace(grid, j_values=new_j, weighted_norm=plan.norm(new_j))
+    return replace(grid, j_values=_TPlan(grid).apply(grid.j_values))
 
 
 def fixed_point(
@@ -385,7 +381,7 @@ def fixed_point(
         return grid  # T[0] = 0 identically: the constant branch
 
     plan = _TPlan(grid)
-    radius = ball_radius(params, c, z)
+    radius = ball_radius(grid)
     j = grid.j_values
     # A diverging iterate overflows on its way to the finiteness check below,
     # which reports it as a ConvergenceError: no floating-point warning.
@@ -407,7 +403,7 @@ def fixed_point(
             change = plan.change_norm(new, j)
             j = new
             if change <= DEFAULT_TOL:
-                return replace(grid, j_values=j, weighted_norm=norm)
+                return replace(grid, j_values=j)
     raise IterationLimitError(
         f"fixed point not reached in {DEFAULT_MAX_ITER} iterations at z={z:g}"
     )

@@ -9,18 +9,18 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from .errors import DiagcoagError, DomainError
 from .expansion import (
     DEFAULT_NODES_PER_OCTAVE,
     DEFAULT_OCTAVES,
+    check_amplitude,
     contraction_margin,
     default_z,
-    epsilon_of,
     fixed_point,
     h_from_expansion,
 )
 from .params import SimilarityParams, params_from_rho
 from .profile import (
-    MAX_OCTAVES,  # the octave budget, which the march and build_profile enforce
     Profile,
     _check_nodes_per_octave,
     _check_octaves,
@@ -49,19 +49,32 @@ def build_profile(
     ``c`` is the bifurcation amplitude (0 selects the constant branch, which
     is not normalized), ``z`` the hand-off point (``default_z`` when None),
     ``m`` the nodes per octave (at least 32, checked before the seed) and
-    ``x_max`` the end of the march, used as given; when None the march ends
-    at ``integrate``'s stop rule.  Each stage runs once and nothing is
+    ``x_max`` the end of the march, in the gauge of ``c``; when None the march
+    ends at ``integrate``'s stop rule.  Without ``z``, every c > 0 builds the
+    c = 1 profile, since c fixes only the gauge that ``normalize`` removes:
+    an explicit ``x_max`` moves to that gauge as x_max * c**(1/mu)
+    (``DomainError`` when that overflows).  Each stage runs once and nothing is
     retried: the typed errors of the expansion, the march and ``normalize``
     (``RangeError`` for an ``x_max`` short of the h = 1/2 crossing) propagate.
-    A fat tail that needs more than ``MAX_OCTAVES`` raises ``ConvergenceError``
-    before the seed when the seed's octaves plus the tail target exceed it
-    (beta > ~65.6), else in the march.
+    A fat tail that needs more than ``profile.MAX_OCTAVES`` raises
+    ``ConvergenceError`` before the seed when the seed's octaves plus the tail
+    target exceed it (beta > ~65.6), else in the march.
     """
+    check_amplitude(c)
     _check_nodes_per_octave(m)
     if x_max is None and c != 0.0 and not params.degenerate:
         # The march's first budget check, at the seed's end: the seed spans
         # DEFAULT_OCTAVES and h > 1/2 there, so the target at d = 1 is still needed.
         _check_octaves(params, DEFAULT_OCTAVES + tail.target_octaves(params.beta, 1.0))
+    if z is None and c > 0.0:
+        if x_max is not None:
+            try:
+                x_max *= c ** (1.0 / params.mu)
+            except OverflowError:
+                raise DomainError(
+                    f"x_max = {x_max:g} at c = {c:g} overflows in the gauge c = 1"
+                ) from None
+        c = 1.0
     if z is None:
         z = default_z(params, c)
     seed = h_from_expansion(fixed_point(params, c, z, nodes_per_octave=m))
@@ -75,20 +88,20 @@ def sweep_row(gamma: float, rho: float) -> dict:
     row: dict = {"gamma": gamma, "rho": rho}
     try:
         params = params_from_rho(gamma, rho)
-    except Exception as exc:  # boundary rows are recorded, not fatal
+    except DiagcoagError as exc:  # boundary rows are recorded, not fatal
         row["status"] = "invalid"
         row["error"] = str(exc)
         return row
     try:
         row["beta"] = params.beta
         row["mu"] = params.mu
-        row["kappa"] = contraction_margin(params, epsilon_of(params))
+        row["kappa"] = contraction_margin(params)
         profile = build_profile(params)
         report, details = tail.build_tail_report(profile)
         values = {**dataclasses.asdict(report), **details}
         row.update((key, values.get(key, math.nan)) for key in TAIL_COLUMNS)
         row["status"] = "ok" if tail.bounds_hold(report, details) else "bound_failure"
-    except Exception as exc:
+    except DiagcoagError as exc:  # an untyped exception is a bug, and propagates
         row["status"] = "error"
         row["error"] = str(exc)
     return row

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tail
 from ._quad import hermite_eval
 from .errors import (
     ConvergenceError,
@@ -202,8 +203,6 @@ def integrate(seed: Profile, x_max: float | None = None) -> Profile:
     double-precision floor (h <= 1e-250 and the next value zero or tied)
     ends the march there.
     """
-    from . import tail  # deferred: tail imports this module
-
     m = seed.m
     _check_nodes_per_octave(m)
     n_have = len(seed.h_values)

@@ -23,13 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._quad import cumtrapz_corrected, hermite_eval
 from .errors import DomainError, RangeError
 from .params import check_beta
-from .profile import Profile
+
+if TYPE_CHECKING:  # annotations only: ``profile`` imports this module
+    from .profile import Profile
 
 BOUND_SLACK = 1e-9
 # An estimate of d is converged when its error bound is at most this share of d.
@@ -247,12 +250,10 @@ def _residual(profile: Profile, cum: np.ndarray, samples) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
 
 
-def fit_slope(profile: Profile, x_lo: float, x_hi: float) -> float:
-    """Least-squares slope of log h against log x over [x_lo, x_hi]; a NaN edge fails the checks."""
-    if not x_lo >= 1.0:
-        raise DomainError("fit window must start at x_lo >= 1")
-    if not x_hi <= profile.x_max * (1 + 1e-12):
-        raise DomainError("fit window exceeds the stored domain")
+def fit_slope(profile: Profile) -> float:
+    """Least-squares slope of log h against log x over ``default_slope_window``;
+    ``RangeError`` when that spans less than two decades (x_max < 100)."""
+    x_lo, x_hi = default_slope_window(profile)
     if not x_hi >= 100.0 * x_lo:
         raise RangeError("fit window too narrow: need x_hi >= 100*x_lo")
     x = profile.x_values
@@ -294,8 +295,7 @@ def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:
     """The tail report plus a details dict of scalars: ``check_bounds``' margins and c0
     (the report's c0), ``d_converged`` and ``slope_err_rel = |slope_fit + 1/beta| beta``."""
     d, d_err = estimate_d(profile)
-    lo, hi = default_slope_window(profile)
-    slope = fit_slope(profile, lo, hi)
+    slope = fit_slope(profile)
     # estimate_d has checked normalization; one quadrature serves both checks.
     cum, c0 = _rows(profile)
     upper_ok, lower_ok, details = _bounds(profile, cum, c0)

@@ -188,6 +188,17 @@ def test_profile_diverging_amplitude_exits_3_without_a_warning(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("c", ["1e-14", "1e6"])
+def test_profile_amplitude_without_z_writes_the_unit_amplitude_profile(tmp_path, capsys, c):
+    # c fixes only the gauge, which normalize removes: every c > 0 writes c = 1's bytes
+    files = {}
+    for value in ("1", c):
+        out = tmp_path / f"c{value}.csv"
+        assert run(["profile", "--gamma", "0", "--beta", "2", "--c", value, "--out", str(out)]) == 0
+        files[value] = (out.read_bytes(), out.with_name(f"c{value}.meta.json").read_bytes())
+    assert files[c] == files["1"]
+
+
 def test_profile_oversize_explicit_z_exits_3(tmp_path, capsys):
     # default_z is 0.25 here; an explicit --z is used as given, not halved
     out = tmp_path / "big_z.csv"
@@ -546,6 +557,10 @@ _INVALID_INPUTS = {
     "profile --c inf": (["profile", *_CANON, "--c", "inf"], "c must be finite; got inf"),
     "profile --c nan": (["profile", *_CANON, "--c", "nan"], "c must be finite; got nan"),
     "profile --xmax inf": (["profile", *_CANON, "--xmax", "inf"], "x_max must be finite"),
+    "profile --c 1e300 --xmax 1e10": (
+        ["profile", "--gamma", "0.5", "--beta", "4", "--c", "1e300", "--xmax", "1e10"],
+        "x_max = 1e+10 at c = 1e+300 overflows in the gauge c = 1",
+    ),
     "profile --z inf": (["profile", *_CANON, "--z", "inf"], "z must be finite; got inf"),
     "profile --beta inf": (["profile", "--gamma", "0", "--beta", "inf"], "beta = inf"),
     "mu --beta nan": (["mu", "--gamma", "0", "--beta", "nan"], "beta = nan"),
@@ -614,7 +629,6 @@ _ERROR_CODES = [
     (errors.WindowError, 2),
     (errors.BracketError, 3),
     (errors.ConvergenceError, 3),
-    (errors.QuadratureError, 3),
     (errors.MonotonicityError, 3),
     (errors.PositivityError, 3),
     (errors.RangeError, 3),

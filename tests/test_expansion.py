@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from diagcoag import pipeline, tail
 from diagcoag.errors import ConvergenceError, DomainError
 from diagcoag.expansion import (
     DEFAULT_TOL,
+    ExpansionGrid,
     _quadratic_coefficients,
     apply_T,
     ball_radius,
@@ -72,27 +74,20 @@ def test_apply_T_power_input_matches_analytic_reduction(canon):
 
 
 def test_contraction_margin_canonical_value(canon):
-    # kappa = (2 F(1.5) + 1)/5 with F(1.5) = 2 (1 - 2^-2.5)
+    # at eps = mu/2 = 0.5: kappa = (2 F(1.5) + 1)/5 with F(1.5) = 2 (1 - 2^-2.5)
     expected = (4.0 * (1.0 - 2.0**-2.5) + 1.0) / 5.0
-    assert contraction_margin(canon, 0.5) == pytest.approx(expected, abs=1e-15)
+    assert contraction_margin(canon) == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(0.858578643762690, abs=1e-14)
-
-
-def test_contraction_margin_limit_at_zero(canon):
-    # the defining equation of mu makes kappa -> 1 as epsilon -> 0+
-    assert contraction_margin(canon, 1e-12) == pytest.approx(1.0, abs=1e-11)
 
 
 @given(
     gamma=st.floats(min_value=-2.0, max_value=0.9),
     frac=st.floats(min_value=0.05, max_value=0.95),
-    eps_frac=st.floats(min_value=0.05, max_value=0.95),
 )
 @settings(max_examples=60, deadline=None)
-def test_contraction_margin_below_one(gamma, frac, eps_frac):
+def test_contraction_margin_below_one(gamma, frac):
     params = params_from_rho(gamma, gamma + frac * (1.0 - gamma))
-    kappa = contraction_margin(params, eps_frac * params.mu)
-    assert kappa < 1.0
+    assert contraction_margin(params) < 1.0
 
 
 # -- fixed_point ------------------------------------------------------------
@@ -100,7 +95,7 @@ def test_contraction_margin_below_one(gamma, frac, eps_frac):
 
 def test_fixed_point_converges_with_contraction_rate(canon):
     eps = 0.5
-    kappa = contraction_margin(canon, eps)
+    kappa = contraction_margin(canon)
     grid = empty_grid(canon, 1e-2, c=1.0)
     assert grid.epsilon == eps
     prev = None
@@ -146,7 +141,7 @@ def test_fixed_point_failure_messages(canon, c, z, message):
 def test_fixed_point_stays_inside_ball(canon):
     z, eps = 1e-2, 0.5
     grid = fixed_point(canon, c=1.0, z=z)
-    assert grid.weighted_norm <= ball_radius(canon, 1.0, z)
+    assert grid.weighted_norm <= ball_radius(grid)
     # weighted norm is what it claims to be
     assert grid.weighted_norm == pytest.approx(
         weighted_norm(grid.nodes, grid.j_values, eps), rel=1e-12
@@ -159,10 +154,10 @@ def test_ball_radius_is_the_small_root(canon, c):
     # c the form (gap - sqrt(disc)) / (2 quad) cancels (to R = 0 at c = 1e-8)
     z = default_z(canon, c)
     eps = canon.mu / 2.0
-    gap = 1.0 - contraction_margin(canon, eps)
+    gap = 1.0 - contraction_margin(canon)
     b2, bc = _quadratic_coefficients(canon, c)
     quad, const = b2 * z ** (canon.mu + eps), bc * z ** (canon.mu - eps)
-    radius = ball_radius(canon, c, z)
+    radius = ball_radius(empty_grid(canon, z, c))
     assert 0.0 < radius < gap / (2.0 * quad)
     assert abs(quad * radius * radius - gap * radius + const) <= 1e-12 * const
 
@@ -201,6 +196,45 @@ def test_empty_grid_refuses_a_subnormal_lowest_node(canon):
     empty_grid(canon, tiny * 2.0**20, c=1.0)
     with pytest.raises(DomainError, match="is subnormal"):
         empty_grid(canon, tiny * 2.0**19, c=1.0)
+
+
+@pytest.mark.parametrize("density", [0, -1])
+def test_empty_grid_refuses_a_density_below_one(canon, density):
+    with pytest.raises(DomainError, match=f"at least one node per octave; got {density}"):
+        empty_grid(canon, 1e-2, c=1.0, nodes_per_octave=density)
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"z": -1.0}, "z must be positive; got -1"),
+        ({"z": math.nan}, "z must be positive; got nan"),
+        ({"z": math.inf}, "z must be finite; got inf"),
+        ({"z": np.finfo(float).tiny}, "is subnormal"),
+        ({"nodes_per_octave": 0}, "at least one node per octave; got 0"),
+        ({"nodes_per_octave": 32}, "j must hold 641 values, one per node"),
+        ({"j_values": np.zeros(3)}, "j must hold 1281 values, one per node"),
+    ],
+    ids=["negative-z", "nan-z", "inf-z", "subnormal", "no-density", "density", "j"],
+)
+def test_every_grid_is_valid(canon, change, named):
+    # the record checks itself, so replace and the constructor refuse what empty_grid does
+    grid = empty_grid(canon, 1e-2, c=1.0)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        replace(grid, **change)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        ExpansionGrid(**{**vars(grid), **change})
+
+
+def test_grid_nodes_are_derived_from_z_and_density(canon):
+    grid = empty_grid(canon, 0.3, c=1.0, nodes_per_octave=8)
+    x = grid.nodes
+    assert len(x) == 8 * 20 + 1 and x[-1] == 0.3
+    assert np.allclose(x[1:] / x[:-1], 2.0 ** (1.0 / 8), rtol=1e-14, atol=0)
+    assert x[0] == pytest.approx(0.3 * 2.0**-20, rel=1e-14)
+    assert np.array_equal(replace(grid, c=2.0).nodes, x)
+    halved = replace(grid, z=0.15).nodes
+    assert halved[-1] == 0.15 and np.allclose(halved, x / 2, rtol=1e-14, atol=0)
 
 
 # -- h_from_expansion -------------------------------------------------------
@@ -334,7 +368,7 @@ def test_apply_T_bit_identical_on_grids_moved_off_a_fixed_point(canon):
     grid = fixed_point(canon, c=1.0, z=1e-2)
     for moved in (
         replace(grid, c=2.0),
-        replace(grid, nodes=grid.nodes * 0.5),
+        replace(grid, z=grid.z / 2),
         replace(grid, params=make_params(0.0, 3.0)),
     ):
         ref_j, ref_norm = apply_T_from_scratch(moved)

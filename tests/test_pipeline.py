@@ -10,7 +10,7 @@ from diagcoag import pipeline, tail
 from diagcoag.errors import ConvergenceError, DomainError, IterationLimitError, MonotonicityError
 from diagcoag.expansion import default_z, fixed_point, h_from_expansion
 from diagcoag.params import beta_star_of, make_params, params_from_rho
-from diagcoag.profile import integrate
+from diagcoag.profile import MAX_OCTAVES, integrate
 
 
 def _record_calls(monkeypatch, *names):
@@ -141,7 +141,7 @@ _OVER_BUDGET = r"profile needs [0-9.]+ octaves, more than the budget of 600 \(ga
 
 def test_tail_beyond_the_octave_budget_fails_before_the_seed(monkeypatch):
     params = make_params(0.9, 100.0)
-    assert tail.target_octaves(params.beta, 1.0) > pipeline.MAX_OCTAVES
+    assert tail.target_octaves(params.beta, 1.0) > MAX_OCTAVES
     calls = _record_calls(monkeypatch, "default_z", "fixed_point", "integrate")
     with pytest.raises(ConvergenceError, match=_OVER_BUDGET) as info:
         pipeline.build_profile(params)
@@ -154,7 +154,7 @@ def test_tail_beyond_the_octave_budget_fails_during_the_half_search(monkeypatch)
     # check, at the seed's end, adds the seed's 20 octaves; build_profile
     # makes that same check before the seed
     params = params_from_rho(0.95, 0.95 + 0.3 * 0.05)
-    assert tail.target_octaves(params.beta, 1.0) <= pipeline.MAX_OCTAVES
+    assert tail.target_octaves(params.beta, 1.0) <= MAX_OCTAVES
     calls = _record_calls(monkeypatch, "default_z", "fixed_point", "integrate", "normalize")
     with pytest.raises(ConvergenceError, match=r"profile needs 609\.545 octaves"):
         pipeline.build_profile(params)
@@ -167,7 +167,7 @@ def test_octave_budget_fires_at_the_first_interval_end_past_it(gamma, frac):
     with pytest.raises(ConvergenceError, match=_OVER_BUDGET) as info:
         pipeline.build_profile(_cell(gamma, frac))
     octaves = float(re.search(r"needs ([0-9.]+) octaves", str(info.value)).group(1))
-    assert pipeline.MAX_OCTAVES < octaves <= pipeline.MAX_OCTAVES + 1.0
+    assert MAX_OCTAVES < octaves <= MAX_OCTAVES + 1.0
 
 
 @pytest.mark.parametrize("gamma, frac", [(0.95, 0.5), (0.8, 0.1)])
@@ -184,7 +184,7 @@ def test_octave_budget_error_names_the_node_the_march_reached(gamma, frac):
     assert (len(reached.h_values) - len(seed.h_values)) % seed.m == 0
     stored = (len(reached.h_values) - 1) / seed.m
     need = tail.target_octaves(params.beta, 1.0)
-    assert stored - 1.0 + need <= pipeline.MAX_OCTAVES < stored + need
+    assert stored - 1.0 + need <= MAX_OCTAVES < stored + need
 
 
 class _Seeded(Exception):
@@ -201,7 +201,7 @@ class _Seeded(Exception):
     ids=["explicit x_max", "constant branch", "degenerate"],
 )
 def test_octave_budget_applies_only_to_tail_extension(monkeypatch, params, kwargs):
-    assert tail.target_octaves(params.beta, 1.0) > pipeline.MAX_OCTAVES
+    assert tail.target_octaves(params.beta, 1.0) > MAX_OCTAVES
 
     def seeded(*args, **kw):
         raise _Seeded
@@ -243,3 +243,60 @@ def test_sweep_status_is_the_tail_verdict(sweep_profiles):
         statuses.add(row["status"])
     # criterion 05's rows fail the stated lower bound, the others pass
     assert statuses == {"ok", "bound_failure"}
+
+
+def _same_profile(a, b):
+    return (
+        (a.params, a.m, a.tau0, a.c, a.z, a.normalized)
+        == (b.params, b.m, b.tau0, b.c, b.z, b.normalized)
+        and np.array_equal(a.h_values, b.h_values)
+        and np.array_equal(a.dh_values, b.dh_values)
+    )
+
+
+@pytest.mark.parametrize("gamma, beta", [(0.0, 2.0), (-1.0, 1.0), (0.5, 4.0)])
+def test_a_seed_amplitude_without_z_builds_the_unit_amplitude_profile(gamma, beta):
+    # c fixes only the gauge, which normalize removes; tiny and huge c used to
+    # stall the march or exhaust the fixed point, and c = 1e-8 moved d
+    params = make_params(gamma, beta)
+    unit = pipeline.build_profile(params)
+    for c in (1e-14, 1e-8, 3.0, 1e6):
+        assert _same_profile(pipeline.build_profile(params, c=c), unit)
+
+
+def test_an_explicit_x_max_is_read_in_the_gauge_of_c():
+    # mu = 1 here, so x_max * c**(1/mu) is exact
+    params = make_params(0.0, 2.0)
+    moved = pipeline.build_profile(params, c=4.0, x_max=1e6)
+    assert _same_profile(moved, pipeline.build_profile(params, x_max=4e6))
+    # the (c, z) seed in the gauge of c marches to the same normalized x_max,
+    # within one node, and to the same d
+    z = default_z(params, 1.0) / 4.0
+    direct = pipeline.build_profile(params, c=4.0, z=z, x_max=1e6)
+    assert abs(math.log(direct.x_max / moved.x_max)) <= moved.dtau
+    assert tail.estimate_d(direct)[0] == pytest.approx(tail.estimate_d(moved)[0], rel=1e-6)
+
+
+def test_an_x_max_that_overflows_in_the_unit_gauge_is_refused():
+    # mu = 0.73: c**(1/mu) overflows
+    with pytest.raises(DomainError, match="x_max = 1e.10 at c = 1e.300 overflows"):
+        pipeline.build_profile(make_params(0.5, 4.0), c=1e300, x_max=1e10)
+
+
+@pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
+def test_a_bad_amplitude_fails_before_anything_else(monkeypatch, c):
+    calls = _record_calls(monkeypatch, "default_z", "fixed_point")
+    with pytest.raises(DomainError, match="amplitude c must be"):
+        pipeline.build_profile(make_params(0.9, 100.0), c=c, m=16)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["params_from_rho", "build_profile"])
+def test_an_untyped_exception_propagates_out_of_a_sweep_row(monkeypatch, name):
+    # only package errors become rows: anything else is a bug
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(pipeline, name, broken)
+    with pytest.raises(ZeroDivisionError, match="a bug"):
+        pipeline.sweep_row(0.0, 0.5)

@@ -215,9 +215,9 @@ def test_scratch_layers_compose_to_the_pipeline_layers():
     grid = empty_grid(params, z, c=1.0)
     weight = grid.nodes ** (-grid.epsilon)
     for _ in range(2000):
-        new_j, norm = apply_T_from_scratch(grid)
+        new_j, _ = apply_T_from_scratch(grid)
         change = float(np.max(np.abs(new_j - grid.j_values) * weight))
-        grid = replace(grid, j_values=new_j, weighted_norm=norm)
+        grid = replace(grid, j_values=new_j)
         if change <= DEFAULT_TOL:
             break
     else:
@@ -404,6 +404,15 @@ def test_rescale_and_normalize_leave_dh_dtau_untouched(canon):
 def test_h_at_the_nodes_is_h_values(canonical_profile):
     prof = canonical_profile
     assert np.allclose(prof.h_at(prof.x_values), prof.h_values, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [1e300, 1e-300, [1.0, 1e300]], ids=["above", "below", "array"])
+def test_h_at_off_the_grid_is_a_domain_error(canonical_profile, x):
+    # no extrapolation: a typed failure, which is still a ValueError
+    with pytest.raises(DomainError, match="query outside stored grid"):
+        canonical_profile.h_at(x)
+    with pytest.raises(DomainError, match="query outside stored grid"):
+        canonical_profile.g_at(x)
 
 
 def test_rescale_overflowing_gauge_factor_is_range_error(canonical_profile):

@@ -304,36 +304,36 @@ def test_residual_refuses_an_empty_or_nan_sample_set(canonical_profile, samples)
 
 
 def test_fit_slope_canonical(canonical_profile):
-    slope = tail.fit_slope(canonical_profile, 1e4, 1e8)
+    slope = tail.fit_slope(canonical_profile)
     assert slope == pytest.approx(-0.5, abs=0.005)
 
 
 def test_fit_slope_constant(constant_profile):
-    slope = tail.fit_slope(constant_profile, 1.0, constant_profile.x_max / 2)
+    slope = tail.fit_slope(constant_profile)
     assert abs(slope) < 1e-10
 
 
 def test_fit_slope_gamma_minus_one():
     # gamma = -1, beta = 1: h-slope is -1; g = x^-(1+gamma) h = h there
     prof = pipeline.build_profile(make_params(-1.0, 1.0))
-    lo, hi = tail.default_slope_window(prof)
-    slope = tail.fit_slope(prof, lo, hi)
+    slope = tail.fit_slope(prof)
     assert slope == pytest.approx(-1.0, rel=0.01)
     g_slope = slope - (1.0 + prof.params.gamma)
     assert g_slope == pytest.approx(-(1.0 + prof.params.rho), rel=0.01)
 
 
 def test_fit_slope_window_validation(canonical_profile):
-    with pytest.raises(RangeError):
-        tail.fit_slope(canonical_profile, 10.0, 100.0)
-    with pytest.raises(DomainError):
-        tail.fit_slope(canonical_profile, 0.5, 1e4)
-
-
-@pytest.mark.parametrize("x_lo, x_hi", [(math.nan, 1e8), (1e4, math.nan)], ids=["lo", "hi"])
-def test_fit_slope_refuses_a_nan_window_edge(canonical_profile, x_lo, x_hi):
-    with pytest.raises(DomainError):
-        tail.fit_slope(canonical_profile, x_lo, x_hi)
+    # the default window spans two decades only when x_max >= 100
+    for x_max in (99.0, 0.5):
+        n = int(np.searchsorted(canonical_profile.x_values, x_max, side="right"))
+        short = replace(
+            canonical_profile,
+            h_values=canonical_profile.h_values[:n],
+            dh_values=canonical_profile.dh_values[:n],
+        )
+        assert short.x_max <= x_max
+        with pytest.raises(RangeError, match="fit window too narrow"):
+            tail.fit_slope(short)
 
 
 # -- report ----------------------------------------------------------------------

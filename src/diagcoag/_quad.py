@@ -56,18 +56,19 @@ def hermite_eval(
     if np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9):
         raise DomainError("hermite_eval: query outside stored grid")
     k = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    s = pos - k
-    h0 = values[k]
-    h1 = values[k + 1]
-    d0 = dvalues[k]
-    d1 = dvalues[k + 1]
+    out = hermite_cubic(pos - k, values[k], values[k + 1], dvalues[k], dvalues[k + 1], dtau)
+    if np.isscalar(tau):
+        return float(out)
+    return out
+
+
+def hermite_cubic(s, h0, h1, d0, d1, dtau: float):
+    """The cubic Hermite interpolant at s in [0, 1] of one grid cell of width ``dtau``,
+    from its end values h0, h1 and tau-derivatives d0, d1; floats or arrays alike."""
     s2 = s * s
     s3 = s2 * s
-    out = (
+    return (
         h0 * (1.0 - 3.0 * s2 + 2.0 * s3)
         + h1 * (3.0 * s2 - 2.0 * s3)
         + dtau * (d0 * (s - 2.0 * s2 + s3) + d1 * (s3 - s2))
     )
-    if np.isscalar(tau):
-        return float(out)
-    return out

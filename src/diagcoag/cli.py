@@ -11,7 +11,9 @@ malformed profile CSV or sidecar, a malformed or out-of-range ``--init`` or
 simulation grid, a ``--t-end`` below the start time 1, a gamma or beta that
 differs from the initial kernel's or the reference profile's, a collapse
 window off the grid or narrower than one octave, an initial density so large
-that its loss or boundary flux overflows); 3 solver failure (every other
+that its loss or boundary flux overflows, two snapshot times that name the
+same file) or an ``OSError`` (a file that cannot be written or read, such
+as an ``--out`` in a missing directory); 3 solver failure (every other
 package error); 4 failed verification bounds (``tail.bounds_hold``).
 """
 
@@ -194,6 +196,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profile = read_profile_csv(args.profile)
 
     out_prefix = cfg.get("out", "sim")
+    times = dynamics.output_times(field, args.t_end, args.snapshots)
+    names = [f"{out_prefix}.t{t:.6g}.csv" for t in times]
+    for name, later in zip(names, names[1:]):
+        if name == later:  # the times increase, so equal names are neighbours
+            raise DomainError(f"two snapshot times would both be written to {name}; "
+                              "change --t-end or --snapshots")
     if profile is not None:
         report, fields = dynamics.simulate_collapse(
             field, profile, params.beta, args.t_end,
@@ -203,12 +211,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         fields = dynamics.evolve(field, args.t_end, args.snapshots)
 
-    for fld in fields:
+    for name, fld in zip(names, fields):
         xi = fld.xi_grid
-        scale = fld.t**params.beta
-        resc = fld.t ** (1.0 + (1.0 + params.gamma) * params.beta) * fld.f_values
+        scale, density_scale = dynamics.similarity_factors(fld.t, params.gamma, params.beta)
+        resc = density_scale * fld.f_values
         write_table(
-            f"{out_prefix}.t{fld.t:.6g}.csv",
+            name,
             "xi,f,x_rescaled,density_rescaled",
             np.column_stack([xi, fld.f_values, xi / scale, resc]),
         )
@@ -353,6 +361,9 @@ def main(argv=None) -> int:
     except DiagcoagError as exc:
         print(str(exc), file=sys.stderr)
         return _exit_code(exc)
+    except OSError as exc:  # a file the command cannot write (or read); str names it
+        print(f"cannot write or read a file: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -315,25 +315,32 @@ def stable_dt(field: NumberDensityField) -> float:
     return _Kernel(field).stable_dt(field.f_values)
 
 
-def _output_times(field: NumberDensityField, t_end: float, n_outputs: int) -> np.ndarray:
-    """np.geomspace(field.t, t_end, n_outputs) for a finite t_end >= field.t."""
+def output_times(field: NumberDensityField, t_end: float, n_outputs: int) -> np.ndarray:
+    """np.geomspace(field.t, t_end, n_outputs) for a finite t_end >= field.t; a
+    single output is at t_end."""
     if not (0.0 < t_end < math.inf and n_outputs >= 0):
         raise DomainError(f"need finite t_end > 0, n_outputs >= 0; got {t_end:g} and {n_outputs}")
     if t_end < field.t:
         raise DomainError(f"t_end = {t_end:g} is before the field's time t = {field.t:g}")
-    return np.geomspace(field.t, t_end, n_outputs)
+    return np.geomspace(field.t if n_outputs > 1 else t_end, t_end, n_outputs)
 
 
 def evolve(
     field: NumberDensityField, t_end: float, n_outputs: int
 ) -> list[NumberDensityField]:
-    """The field at the times np.geomspace(field.t, t_end, n_outputs); t_end >= field.t."""
-    times = _output_times(field, t_end, n_outputs)
+    """The field at the ``output_times(field, t_end, n_outputs)``; t_end >= field.t."""
+    times = output_times(field, t_end, n_outputs)
     kernel = _Kernel(field)
     fields = [field]
     for t_out in times:
         fields.append(kernel.advance(fields[-1], float(t_out)))
     return fields[1:]
+
+
+def similarity_factors(t: float, gamma: float, beta: float) -> tuple[float, float]:
+    """(t**beta, t**(1+(1+gamma)beta)): at time t, size xi = t**beta x and density
+    f = g(x) / t**(1+(1+gamma)beta) of a self-similar solution with profile g."""
+    return t**beta, t ** (1.0 + (1.0 + gamma) * beta)
 
 
 def self_similar_distance(
@@ -349,9 +356,10 @@ def self_similar_distance(
     x_lo, x_hi = window
     if not 0.0 < x_lo < x_hi:
         raise WindowError("window must satisfy 0 < x_lo < x_hi")
-    t = field.t
-    beta = profile.params.beta
-    scale = t**beta
+    try:
+        scale, density_scale = similarity_factors(field.t, field.gamma, profile.params.beta)
+    except OverflowError:
+        raise WindowError(f"the rescaled window at t = {field.t:g} overflows") from None
     xi = field.xi_grid
     if scale * x_lo < xi[0] or scale * x_hi > xi[-1]:
         raise WindowError(
@@ -363,7 +371,7 @@ def self_similar_distance(
     inside = (x >= x_lo) & (x <= x_hi)
     if not np.any(inside):
         raise WindowError("window holds no grid node")
-    rescaled = t ** (1.0 + (1.0 + field.gamma) * beta) * field.f_values[inside]
+    rescaled = density_scale * field.f_values[inside]
     g_ref = np.asarray(profile.g_at(x[inside]), dtype=float)
     return float(np.max(np.abs(rescaled - g_ref) / g_ref))
 
@@ -414,7 +422,7 @@ def simulate_collapse(
     Raises ``DomainError`` before any work on a bad ``t_end`` (as ``evolve``),
     and before evolving when ``beta`` or the kernel gamma differs from the profile's.
     """
-    times = _output_times(field, t_end, n_outputs)
+    times = output_times(field, t_end, n_outputs)
     window = default_window(field, beta, t_end)
     ref = profile.params
     if not (same_value(beta, ref.beta) and same_value(field.gamma, ref.gamma)):

@@ -2,7 +2,15 @@
 
 
 class DiagcoagError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``x``, when known, is where the failure happened (for a march, the last
+    node it reached or the node it failed at); None otherwise.
+    """
+
+    def __init__(self, message: str, x: float | None = None):
+        super().__init__(message)
+        self.x = x
 
 
 class DomainError(DiagcoagError, ValueError):
@@ -14,15 +22,7 @@ class BracketError(DiagcoagError, RuntimeError):
 
 
 class ConvergenceError(DiagcoagError, RuntimeError):
-    """An iteration failed to converge or left its trust region.
-
-    ``x``, when known, is where the iteration stopped (the last node a march
-    reached).
-    """
-
-    def __init__(self, message: str, x: float | None = None):
-        super().__init__(message)
-        self.x = x
+    """An iteration failed to converge or left its trust region."""
 
 
 class IterationLimitError(ConvergenceError):
@@ -32,17 +32,9 @@ class IterationLimitError(ConvergenceError):
 class MonotonicityError(DiagcoagError, RuntimeError):
     """A computed profile failed to be strictly decreasing."""
 
-    def __init__(self, message: str, x: float | None = None):
-        super().__init__(message)
-        self.x = x
-
 
 class PositivityError(DiagcoagError, RuntimeError):
     """A computed profile or density lost positivity."""
-
-    def __init__(self, message: str, x: float | None = None):
-        super().__init__(message)
-        self.x = x
 
 
 class RangeError(DiagcoagError, RuntimeError):

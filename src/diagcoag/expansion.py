@@ -436,19 +436,17 @@ def h_from_expansion(grid: ExpansionGrid) -> Profile:
     h_half[m:] = h[:-m]
     low = x[:m] / 2.0
     h_half[:m] = limit + low**mu * (j1 * (low / x1) ** mu - c)
-    # dh/dtau = x dh/dx, with x the profile's own nodes exp(tau), not the grid's.
-    tau0 = float(np.log(x[0]))
-    dh = rhs(x, h, h_half, params) * np.exp(tau0 + (_LN2 / m) * np.arange(len(x)))
-
+    dh = rhs(x, h, h_half, params)
     seed = Profile(
         params=params,
         m=m,
-        tau0=tau0,
+        tau0=float(np.log(x[0])),
         h_values=h,
         dh_values=dh,
         c=float(c),
         z=grid.z,
         normalized=False,
     )
+    dh *= seed.x_values  # dh/dtau = x dh/dx on the profile's own nodes exp(tau), not the grid's
     check_profile_invariants(seed)  # monotonicity failure here means: z too large
     return seed

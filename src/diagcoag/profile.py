@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tail
-from ._quad import hermite_eval
+from ._quad import hermite_cubic, hermite_eval
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -76,12 +76,8 @@ class Profile:
         return _LN2 / self.m
 
     @property
-    def tau_grid(self) -> np.ndarray:
-        return self.tau0 + self.dtau * np.arange(len(self.h_values))
-
-    @property
     def x_values(self) -> np.ndarray:
-        return np.exp(self.tau_grid)
+        return np.exp(self.tau0 + self.dtau * np.arange(len(self.h_values)))
 
     @property
     def x_min(self) -> float:
@@ -243,7 +239,7 @@ def integrate(seed: Profile, x_max: float | None = None) -> Profile:
                     tau_half = _half_tau(h[:n], hd[:n], seed.tau0, dtau)
                     tau0_normal = seed.tau0 - math.log(math.exp(tau_half))
                 x = math.exp(tau0_normal + dtau * (n - 1))
-                need = tail.target_octaves(beta, x ** (1.0 / beta) * hn) - math.log2(x)
+                need = tail.target_octaves(beta, tail.compensated(x, hn, beta)) - math.log2(x)
             if n >= n_first and (not strict or (hn < 0.45 and need <= 0.0)):
                 break
             # stored octaves + needed; the error names the last node, in the seed's gauge
@@ -355,20 +351,9 @@ def _half_tau(h: np.ndarray, dh: np.ndarray, tau0: float, dtau: float) -> float:
     hi = tau0 + dtau * (k + 1)
     h0, h1 = h[k:k + 2].tolist()
     d0, d1 = dh[k:k + 2].tolist()
-
-    def eval_h(tau: float) -> float:
-        s = (tau - tau0) / dtau - k
-        s2 = s * s
-        s3 = s2 * s
-        return (
-            h0 * (1.0 - 3.0 * s2 + 2.0 * s3)
-            + h1 * (3.0 * s2 - 2.0 * s3)
-            + dtau * (d0 * (s - 2.0 * s2 + s3) + d1 * (s3 - s2))
-        )
-
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = eval_h(mid)
+        val = hermite_cubic((mid - tau0) / dtau - k, h0, h1, d0, d1, dtau)
         if abs(val - 0.5) <= NORMALIZE_TOL:
             lo = hi = mid
             break

@@ -60,9 +60,14 @@ class TailReport:
     max_residual_sss4b: float
 
 
+def compensated(x, h, beta: float):
+    """The compensated tail p = x**(1/beta) h, of floats or of arrays alike."""
+    return x ** (1.0 / beta) * h
+
+
 def p_of(profile: Profile) -> np.ndarray:
     """Compensated tail function p = x**(1/beta) h on the profile grid."""
-    return profile.x_values ** (1.0 / profile.params.beta) * profile.h_values
+    return compensated(profile.x_values, profile.h_values, profile.params.beta)
 
 
 def estimate_d(profile: Profile) -> tuple[float, float]:
@@ -78,7 +83,7 @@ def estimate_d(profile: Profile) -> tuple[float, float]:
         raise DomainError("estimate_d requires x_max >= 2")
     beta = profile.params.beta
     try:
-        d = float(profile.x_max ** (1.0 / beta) * profile.h_values[-1])
+        d = float(compensated(profile.x_max, profile.h_values[-1], beta))
     except OverflowError as exc:
         raise RangeError(
             f"x_max = {profile.x_max:g} is out of floating-point range: "

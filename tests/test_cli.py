@@ -293,6 +293,16 @@ def test_simulate_stationary_power_law(tmp_path, capsys):
     assert code == 0
 
 
+def test_simulate_single_snapshot_is_at_t_end(tmp_path, capsys):
+    # one snapshot lands at --t-end, with the bytes of the last of two
+    for n, prefix in (("1", "one"), ("2", "two")):
+        assert run(["simulate", *_CANON, "--t-end", "4", "--snapshots", n,
+                    "--octaves", "20", "--out", str(tmp_path / prefix)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("one.*")) == ["one.t4.csv"]
+    assert (tmp_path / "one.t4.csv").read_bytes() == (tmp_path / "two.t4.csv").read_bytes()
+    assert "wrote 1 snapshots" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("init", ["pulse", "powerlaw"])
 def test_simulate_snapshots_are_savetxt_bytes(init, tmp_path, capsys):
     # 40 octaves at md 16: 641 rows, one full chunk of the writer and a partial one
@@ -583,6 +593,24 @@ _INVALID_INPUTS = {
     "config m float": (["profile", *_CANON, "--config", "m_float.json"], "m = 64.5"),
     "config z text": (["profile", *_CANON, "--config", "z_text.json"], "z = 'small'"),
     "config xmax list": (["profile", *_CANON, "--config", "xmax_list.json"], "xmax = [1]"),
+    # an --out that cannot be written names the path, and no command writes a file
+    "profile --out missing dir": (["profile", *_CANON, "--out", "no/p.csv"], "'no/p.csv'"),
+    "mu --out missing dir": (["mu", *_CANON, "--out", "no/mu.json"], "'no/mu.json'"),
+    "sweep --out missing dir": (
+        ["sweep", "--gammas", "0", "--rhos", "0.5", "--out", "no/s.csv"], "'no/s.csv'"
+    ),
+    "simulate --out missing dir": (
+        ["simulate", *_CANON, "--t-end", "2", "--snapshots", "2", "--out", "no/s"],
+        "'no/s.t1.csv'",
+    ),
+    # snapshot names agree where output times agree to 6 digits; refused before evolving
+    "simulate --t-end 1 --snapshots 2": (
+        ["simulate", *_CANON, "--t-end", "1", "--snapshots", "2"], "written to sim.t1.csv"
+    ),
+    "simulate --t-end 1.000001 --snapshots 3": (
+        ["simulate", *_CANON, "--t-end", "1.000001", "--snapshots", "3", "--out", "near"],
+        "written to near.t1.csv",
+    ),
 }
 # The config files the cases above read.
 _CONFIG_FILES = {
@@ -647,6 +675,26 @@ def test_every_package_error_has_its_exit_code(error, code, monkeypatch, capsys)
     monkeypatch.setattr(cli, "cmd_mu", raise_it)
     assert run(["mu", "--gamma", "0", "--beta", "2"]) == code
     assert capsys.readouterr().err == "boom\n"
+
+
+def _package_errors(base=errors.DiagcoagError):
+    for error in base.__subclasses__():
+        yield error
+        yield from _package_errors(error)
+
+
+def test_every_package_error_carries_an_optional_x():
+    assert errors.DomainError("outside", x=1.0).x == 1.0
+    for error in (errors.DiagcoagError, *_package_errors()):
+        assert error("boom").x is None
+
+
+def test_verify_unwritable_out_exits_2_writing_nothing(saved_profile, tmp_path, capsys):
+    out = tmp_path / "missing" / "v.json"
+    assert run(["verify", str(saved_profile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(out) in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.parent.exists()
 
 
 # -- sweep -----------------------------------------------------------------------

@@ -165,6 +165,16 @@ def test_evolve_outputs_at_geometric_times(canon):
     assert np.array_equal(fields[-1].f_values, dy.evolve(fields[-2], 2.0, 2)[-1].f_values)
 
 
+def test_evolve_single_output_is_at_the_end(canon):
+    # n >= 2 outputs are np.geomspace's; a single one is t_end, not the start
+    field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
+    assert np.array_equal(dy.output_times(field, 2.0, 5), np.geomspace(1.0, 2.0, 5))
+    assert dy.output_times(field, 2.0, 1).tolist() == [2.0]
+    (only,) = dy.evolve(field, 2.0, 1)
+    assert only.t == pytest.approx(2.0, rel=1e-14)
+    assert np.array_equal(only.f_values, dy.evolve(field, 2.0, 2)[-1].f_values)
+
+
 def test_evolve_refuses_an_end_before_the_start(canon):
     field = dy.pulse_field(canon.gamma, 320)
     with pytest.raises(DomainError, match="t_end = 0.5 is before the field's time t = 1"):
@@ -483,6 +493,10 @@ def test_distance_constant_solution_any_beta(canon):
 def test_distance_window_validation(canonical_field, canonical_profile, canon):
     with pytest.raises(WindowError):
         dy.self_similar_distance(canonical_field, canonical_profile, (1e30, 1e40))
+    # t**(1+(1+gamma)beta) overflows at t = 1e110 (beta = 2), t**beta too at 1e160
+    for t in (1e110, 1e160):
+        with pytest.raises(WindowError, match="at t = 1e[+]1[16]0 overflows"):
+            dy.self_similar_distance(replace(canonical_field, t=t), canonical_profile, (1.0, 2.0))
     # a field that is zero on the window is at relative distance one
     zero = dy.make_field(canon.gamma, np.zeros(641))
     assert dy.self_similar_distance(zero, canonical_profile, (1e-2, 1e2)) == 1.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diagcoag import pipeline, profile as profile_mod, tail
-from diagcoag._quad import hermite_eval
+from diagcoag._quad import hermite_cubic, hermite_eval
 from diagcoag.errors import DiagcoagError, DomainError, MonotonicityError, PositivityError, RangeError
 from diagcoag.expansion import DEFAULT_TOL, default_z, empty_grid, fixed_point, h_from_expansion
 from diagcoag.params import beta_star_of, make_params, params_from_rho
@@ -453,6 +453,20 @@ def test_normalize_idempotent(canonical_profile):
     again = normalize(canonical_profile)
     # the rescale factor is 1 within the bisection tolerance
     assert again.tau0 == pytest.approx(canonical_profile.tau0, abs=1e-11)
+
+
+def test_hermite_cubic_is_the_cell_cubic_of_hermite_eval(canonical_profile):
+    # the one cubic behind dense evaluation and normalize's scalar bisection
+    p = canonical_profile
+    k = len(p.h_values) // 2
+    h0, h1 = p.h_values[k:k + 2].tolist()
+    d0, d1 = p.dh_values[k:k + 2].tolist()
+    assert hermite_cubic(0.0, h0, h1, d0, d1, p.dtau) == h0
+    assert hermite_cubic(1.0, h0, h1, d0, d1, p.dtau) == h1
+    for s in (0.125, 0.5, 0.875):
+        tau = p.tau0 + p.dtau * (k + s)
+        want = hermite_eval(tau, p.tau0, p.dtau, p.h_values, p.dh_values)
+        assert hermite_cubic((tau - p.tau0) / p.dtau - k, h0, h1, d0, d1, p.dtau) == want
 
 
 def _reference_normalize(profile):

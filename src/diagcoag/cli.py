@@ -4,25 +4,28 @@ Subcommands: ``mu`` (bifurcation exponent), ``profile`` (full pipeline),
 ``verify`` (tail bound suite on saved profiles), ``simulate`` (direct
 time-dependent runs), ``sweep`` (family coverage table).
 
-Exit codes, mapped by ``main``: 0 success; 2 invalid input (``DomainError``
-or ``WindowError``: a parameter out of range at any stage, an unreadable
-``--config`` or sweep list, a config value its flag would refuse, a missing or
-malformed profile CSV or sidecar, a malformed or out-of-range ``--init`` or
-simulation grid, a ``--t-end`` below the start time 1, a gamma or beta that
-differs from the initial kernel's or the reference profile's, a collapse
-window off the grid or narrower than one octave, an initial density so large
-that its loss or boundary flux overflows, two snapshot times that name the
-same file) or an ``OSError`` (a file that cannot be written or read, such
-as an ``--out`` in a missing directory); 3 solver failure (every other
-package error); 4 failed verification bounds (``tail.bounds_hold``).
+Exit codes, mapped by ``main``: 0 success; 2 invalid input (``DomainError``:
+a parameter out of range at any stage, an unreadable ``--config`` or sweep
+list, a config value its flag would refuse, a missing or malformed profile
+CSV or sidecar, a malformed or out-of-range ``--init`` or simulation grid, a
+``--t-end`` below the start time 1, a gamma or beta that differs from the
+initial kernel's or the reference profile's, a collapse window off the grid
+or narrower than one octave, an initial density so large that its loss or
+boundary flux overflows, two snapshot times that name the same file) or an
+``OSError`` (a file that cannot be written or read, such as an ``--out`` in
+a missing directory, which every command refuses before it computes); 3
+solver failure (every other package error); 4 failed verification bounds
+(``tail.bounds_hold``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, expansion, pipeline, tail
-from .errors import DiagcoagError, DomainError, RangeError, WindowError
+from .errors import DiagcoagError, DomainError, RangeError
 from .mu import solve_mu
 from .params import beta_from_rho, make_params, same_value
 from .profile import read_profile_csv, write_profile_csv, write_table
@@ -90,6 +93,20 @@ def _resolve_beta(cfg: dict) -> tuple[float, float]:
     return gamma, beta
 
 
+def _check_out_dir(path: str | None) -> None:
+    """Refuse, before any computing, a file to write whose directory is missing or
+    not a directory: raise the ``OSError`` that writing it would raise (for a
+    missing one, ``FileNotFoundError``).  None writes nothing."""
+    if path is None:
+        return
+    try:
+        is_dir = stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if not is_dir:
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _print_json(obj, out: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if out:
@@ -100,6 +117,7 @@ def _print_json(obj, out: str | None) -> None:
 def cmd_mu(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     gamma, beta = _resolve_beta(cfg)
+    _check_out_dir(cfg.get("out"))
     report = solve_mu(gamma, beta)
     _print_json(dataclasses.asdict(report), cfg.get("out"))
     return EXIT_OK
@@ -115,6 +133,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "beta equals beta_star (degenerate, mass-conserving case); "
             "pass --allow-degenerate to proceed"
         )
+    out = cfg.get("out", "profile.csv")
+    _check_out_dir(out)
     profile = pipeline.build_profile(
         params,
         c=c,
@@ -122,7 +142,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         m=cfg.get("m", expansion.DEFAULT_NODES_PER_OCTAVE),
         x_max=cfg.get("xmax"),
     )
-    out = cfg.get("out", "profile.csv")
     write_profile_csv(profile, out)
     print(f"wrote {out} ({len(profile.h_values)} nodes, "
           f"x in [{profile.x_min:.3g}, {profile.x_max:.3g}])")
@@ -130,10 +149,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    profiles = [read_profile_csv(path) for path in args.profiles]
+    _check_out_dir(args.out)
     failures = []
     reports = {}
-    for path in args.profiles:
-        profile = read_profile_csv(path)
+    for path, profile in zip(args.profiles, profiles):
         try:
             report, details = tail.build_tail_report(profile)
         except (DomainError, RangeError) as exc:
@@ -202,12 +222,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if name == later:  # the times increase, so equal names are neighbours
             raise DomainError(f"two snapshot times would both be written to {name}; "
                               "change --t-end or --snapshots")
+    collapse_name = f"{out_prefix}.collapse.json"
+    first_file = collapse_name if profile is not None else (names[0] if names else None)
+    _check_out_dir(first_file)
     if profile is not None:
         report, fields = dynamics.simulate_collapse(
             field, profile, params.beta, args.t_end,
             n_outputs=args.snapshots, collect_fields=True,
         )
-        _print_json(dataclasses.asdict(report), f"{out_prefix}.collapse.json")
+        _print_json(dataclasses.asdict(report), collapse_name)
     else:
         fields = dynamics.evolve(field, args.t_end, args.snapshots)
 
@@ -249,6 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"sweep lists must hold numbers: {exc}") from None
     if not gammas or not rhos:
         raise DomainError("sweep needs nonempty gamma and rho lists")
+    _check_out_dir(args.out)
     cell_gammas, cell_rhos = zip(*[(g, r) for g in gammas for r in rhos])
     workers = min(_usable_cpus(), len(cell_gammas))
     if workers > 1:
@@ -349,7 +373,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def _exit_code(exc: DiagcoagError) -> int:
     """The documented exit code of a package error (module docstring)."""
-    if isinstance(exc, (DomainError, WindowError)):
+    if isinstance(exc, DomainError):
         return EXIT_INVALID
     return EXIT_SOLVER
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PositivityError, WindowError
+from .errors import DomainError, PositivityError
 from .params import check_gamma, same_value
 from .profile import Profile
 
@@ -355,22 +355,22 @@ def self_similar_distance(
         raise DomainError("distance defined for t >= 1")
     x_lo, x_hi = window
     if not 0.0 < x_lo < x_hi:
-        raise WindowError("window must satisfy 0 < x_lo < x_hi")
+        raise DomainError("window must satisfy 0 < x_lo < x_hi")
     try:
         scale, density_scale = similarity_factors(field.t, field.gamma, profile.params.beta)
     except OverflowError:
-        raise WindowError(f"the rescaled window at t = {field.t:g} overflows") from None
+        raise DomainError(f"the rescaled window at t = {field.t:g} overflows") from None
     xi = field.xi_grid
     if scale * x_lo < xi[0] or scale * x_hi > xi[-1]:
-        raise WindowError(
+        raise DomainError(
             f"rescaled window [{scale * x_lo:g}, {scale * x_hi:g}] leaves the size grid"
         )
     if x_lo < profile.x_min or x_hi > profile.x_max:
-        raise WindowError("window leaves the profile domain")
+        raise DomainError("window leaves the profile domain")
     x = xi / scale
     inside = (x >= x_lo) & (x <= x_hi)
     if not np.any(inside):
-        raise WindowError("window holds no grid node")
+        raise DomainError("window holds no grid node")
     rescaled = density_scale * field.f_values[inside]
     g_ref = np.asarray(profile.g_at(x[inside]), dtype=float)
     return float(np.max(np.abs(rescaled - g_ref) / g_ref))
@@ -392,17 +392,17 @@ def default_window(
 
     Intersecting the rescaled domains at the initial and final times excludes
     the boundary-contaminated nodes at both ends.  A window narrower than one
-    octave (fewer than ``nodes_per_octave`` nodes) raises ``WindowError``:
+    octave (fewer than ``nodes_per_octave`` nodes) raises ``DomainError``:
     D would rest on a handful of nodes.
     """
     xi = field.xi_grid
     lo = math.log(xi[0] / field.t**beta)
     hi = math.log(xi[-1] / t_end**beta)
     if hi <= lo:
-        raise WindowError("rescaled domains do not overlap; grid too short")
+        raise DomainError("rescaled domains do not overlap; grid too short")
     span = hi - lo
     if 0.5 * span < _LN2:
-        raise WindowError(
+        raise DomainError(
             f"collapse window spans {0.5 * span / _LN2:.3g} octaves, less than one "
             f"({field.nodes_per_octave} nodes); add octaves or lower t_end"
         )

@@ -39,7 +39,3 @@ class PositivityError(DiagcoagError, RuntimeError):
 
 class RangeError(DiagcoagError, RuntimeError):
     """A target value is not attained inside the stored domain."""
-
-
-class WindowError(DiagcoagError, ValueError):
-    """A requested evaluation window leaves the stored grid."""

@@ -145,8 +145,8 @@ class _TPlan:
 
         gamma, beta, mu = params.gamma, params.beta, params.mu
         self.mu = mu
-        self.two_a = 2.0 / (1.0 - params.theta)
-        self.lam = (1.0 - gamma) * (beta - params.beta_star)
+        self.two_a = 2.0 * params.limit  # == 2/(1-theta): doubling commutes with rounding
+        self.lam = params.lam
         # exponents of the linear and square integrands (with jacobian)
         e1 = 1.0 - gamma + mu
         e2 = 1.0 - gamma + 2.0 * mu
@@ -330,7 +330,9 @@ def default_z(params: SimilarityParams, c: float = 1.0) -> float:
     second branch keeps the rule solvable when kappa itself exceeds 0.95,
     which happens for beta >> beta_star where mu is small), plus the
     locality condition c*z**mu <= (1/4)/(1-theta) so the bifurcation term
-    stays a perturbation of the constant at the hand-off point.
+    stays a perturbation of the constant at the hand-off point.  That limit
+    is formed as 0.25/((1-theta) c), not from ``params.limit``: the other
+    grouping rounds differently and could move z, and with it d.
     """
     check_amplitude(c)
     mu = params.mu
@@ -424,7 +426,7 @@ def h_from_expansion(grid: ExpansionGrid) -> Profile:
     m = grid.nodes_per_octave
     params = grid.params
     mu = params.mu
-    limit = 1.0 / (1.0 - params.theta)
+    limit = params.limit
     c = grid.c
     h = limit + x**mu * (j - c)
 

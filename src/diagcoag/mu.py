@@ -23,6 +23,8 @@ RESIDUAL_TOL = 1e-13
 
 
 def _F(gamma: float, mu_arg: float) -> float:
+    """F(mu_arg), divided by 1-theta rather than times ``SimilarityParams.limit``:
+    the two round differently, and mu, z and d are pinned to this rounding."""
     theta = theta_of(gamma)
     return (1.0 - 2.0 ** (gamma - 1.0 - mu_arg)) / (1.0 - theta)
 
@@ -32,6 +34,7 @@ def _G(gamma: float, beta: float, mu_arg: float) -> float:
 
 
 def _G_prime(gamma: float, beta: float, mu_arg: float) -> float:
+    """G'(mu_arg); F' is divided by 1-theta as in ``_F``, for the same reason."""
     theta = theta_of(gamma)
     f_prime = _LN2 * 2.0 ** (gamma - 1.0 - mu_arg) / (1.0 - theta)
     return 0.5 * beta - f_prime

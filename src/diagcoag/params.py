@@ -4,11 +4,13 @@ The kernel merges equal-size clusters only, at rate ``xi**(1+gamma)`` with
 homogeneity ``gamma < 1``.  A family member is fixed by gamma and beta, and
 everything downstream is controlled by constants derived from them here:
 
-* ``theta = 2**(gamma-1)``, in (0, 1); the constant profile is ``1/(1-theta)``.
+* ``theta = 2**(gamma-1)``, in (0, 1); the constant profile is ``limit = 1/(1-theta)``.
 * ``beta_star = 1/(1-gamma)``, the unique similarity exponent compatible with
   mass conservation.
 * ``rho = gamma + 1/beta``, the algebraic tail index; fat-tail profiles exist
   for ``beta > beta_star``, equivalently ``rho`` in ``(gamma, 1)``.
+* ``lam = (1-gamma)(beta-beta_star)``, the memory coefficient of the integral
+  equation, exactly 0 at the degenerate beta == beta_star.
 * ``mu``, the positive bifurcation exponent governing the leading correction
   to the constant profile near zero (solved in :mod:`diagcoag.mu`).
 
@@ -78,7 +80,7 @@ def beta_from_rho(gamma: float, rho: float) -> float:
 class SimilarityParams:
     """One self-similar solution family member: gamma, beta and its mu.
 
-    theta, beta_star and rho derive from gamma and beta.  Immutable; share freely.
+    theta, beta_star, rho, limit and lam derive from gamma and beta.  Immutable; share freely.
     """
 
     gamma: float
@@ -96,6 +98,16 @@ class SimilarityParams:
     @property
     def rho(self) -> float:
         return rho_from_beta(self.gamma, self.beta)
+
+    @property
+    def limit(self) -> float:
+        """The constant profile 1/(1-theta), the limit of h at x = 0."""
+        return 1.0 / (1.0 - self.theta)
+
+    @property
+    def lam(self) -> float:
+        """The memory coefficient (1-gamma)(beta-beta_star); 0.0 when degenerate."""
+        return (1.0 - self.gamma) * (self.beta - self.beta_star)
 
     @property
     def degenerate(self) -> bool:

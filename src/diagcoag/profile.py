@@ -135,7 +135,7 @@ def check_invariants(profile: Profile) -> None:
     expansion region for large mu).  Node x is formed only to name a failure.
     """
     h = profile.h_values
-    limit = 1.0 / (1.0 - profile.params.theta)
+    limit = profile.params.limit
     bad = np.nonzero(~(h > 0.0))[0]
     if bad.size:
         x = float(profile.x_values[bad[0]])

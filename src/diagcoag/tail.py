@@ -2,11 +2,11 @@
 
 On a normalized profile (h(1) = 1/2) the compensated function
 p(x) = x**(1/beta) h(x) has a positive limit d, with the a-priori rate
-|p(x) - p(x0)| <= 2 x0**(-1/beta) for x >= x0 >= 2.  The module sets how
-far a profile must reach for its tail to be resolved (``target_octaves``:
-where that rate is small against d over the slope window), and evaluates d
-with that rigorous error bound, the supersolution bound
-h <= 1/(1+x**(1/beta)), the lower-bound chain through
+|p(x) - p(x0)| <= C x0**(-1/beta) for x >= x0 >= 2, C = ``RATE_CONSTANT``.
+The module sets how far a profile must reach for its tail to be resolved
+(``target_octaves``: where that rate is small against d over the slope
+window), and evaluates d with that rigorous error bound, the supersolution
+bound h <= 1/(1+x**(1/beta)), the lower-bound chain through
 Phi(x) = int_0^x s**(-gamma) h ds, and the residual of the integral form of
 the profile equation
 
@@ -35,6 +35,8 @@ if TYPE_CHECKING:  # annotations only: ``profile`` imports this module
     from .profile import Profile
 
 BOUND_SLACK = 1e-9
+# The theorem's rate constant: |p(x) - p(x0)| <= RATE_CONSTANT * x0**(-1/beta).
+RATE_CONSTANT = 2.0
 # An estimate of d is converged when its error bound is at most this share of d.
 D_CONVERGED_SHARE = 0.1
 # The slope window's lower edge as a fraction of x_max: four decades down.
@@ -73,7 +75,7 @@ def p_of(profile: Profile) -> np.ndarray:
 def estimate_d(profile: Profile) -> tuple[float, float]:
     """Tail constant estimate p(x_max) with its rigorous error bound.
 
-    The bound 2*x_max**(-1/beta) is theorem-backed for normalized profiles; an
+    The bound RATE_CONSTANT*x_max**(-1/beta) is theorem-backed for normalized profiles; an
     estimate is converged when the bound is at most ``D_CONVERGED_SHARE`` of it.
     Raises ``RangeError`` when x_max**(1/beta) overflows.
     """
@@ -89,7 +91,7 @@ def estimate_d(profile: Profile) -> tuple[float, float]:
             f"x_max = {profile.x_max:g} is out of floating-point range: "
             f"x_max**(1/beta) overflows (beta = {beta:g})"
         ) from exc
-    return d, 2.0 * profile.x_max ** (-1.0 / beta)
+    return d, RATE_CONSTANT * profile.x_max ** (-1.0 / beta)
 
 
 def target_octaves(beta: float, d: float) -> float:
@@ -97,14 +99,14 @@ def target_octaves(beta: float, d: float) -> float:
     ``SLOPE_EDGE_SHARE * d`` at the slope window's lower edge, and so below
     ``D_CONVERGED_SHARE * d`` at x_max (d floored at ``TARGET_D_FLOOR``); falls as d grows."""
     d = max(d, TARGET_D_FLOOR)
-    return beta * math.log2(2.0 / (SLOPE_EDGE_SHARE * d)) - math.log2(SLOPE_WINDOW_FRACTION)
+    octaves = beta * math.log2(RATE_CONSTANT / (SLOPE_EDGE_SHARE * d))
+    return octaves - math.log2(SLOPE_WINDOW_FRACTION)
 
 
 def _head_integral(profile: Profile, y: float, weight: float | np.ndarray = 1.0):
     """int_0^y s**(-gamma) weight h ds below the grid, where h sits at 1/(1-theta)."""
     gamma = profile.params.gamma
-    limit = 1.0 / (1.0 - profile.params.theta)
-    return weight * limit * y ** (1.0 - gamma) / (1.0 - gamma)
+    return weight * profile.params.limit * y ** (1.0 - gamma) / (1.0 - gamma)
 
 
 def _cumulative(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +133,8 @@ def _cumulative(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     dphi[0] *= w
     dphi[1] *= phi[0]
     cumtrapz_corrected(phi, dphi, profile.dtau, cum)
-    limit = 1.0 / (1.0 - profile.params.theta)
-    cum += _head_integral(profile, profile.x_min, weight=np.array([[1.0], [limit]]))
+    weight = np.array([[1.0], [profile.params.limit]])
+    cum += _head_integral(profile, profile.x_min, weight=weight)
     return cum, phi
 
 
@@ -203,13 +205,12 @@ def _bounds(profile: Profile, cum: np.ndarray, c0: float) -> tuple[bool, bool, d
     # The chain of inequalities actually yields the constant
     # (1-gamma)(beta-beta_star) * c0/beta; the stated bound drops that factor
     # and can fail for beta < 2*beta_star.  Both margins are reported.
-    lam = (1.0 - gamma) * (beta - params.beta_star)
-    chain_const = lam * c0 / beta
+    chain_const = params.lam * c0 / beta
     chain_margin = float(np.min(hs - chain_const / xb))
     details["lower_margin_chain"] = chain_margin
     details["lower_chain_ok"] = chain_margin >= -BOUND_SLACK
 
-    hineq_margin = float(np.min(beta * xs ** (1.0 - gamma) * hs - lam * cum[0, start:]))
+    hineq_margin = float(np.min(beta * xs ** (1.0 - gamma) * hs - params.lam * cum[0, start:]))
     details["hineq_margin"] = hineq_margin
     details["hineq_ok"] = hineq_margin > -BOUND_SLACK
 
@@ -249,9 +250,9 @@ def _residual(profile: Profile, cum: np.ndarray, samples) -> float:
     delayed = cum[1, i] - cum[1, np.maximum(i - profile.m, 0)]
     # In the first octave x/2 lies below the grid, where h sits at its limit.
     first = i < profile.m
-    head = _head_integral(profile, x[first] / 2.0, weight=1.0 / (1.0 - params.theta))
+    head = _head_integral(profile, x[first] / 2.0, weight=params.limit)
     delayed[first] = cum[1, i[first]] - head
-    rhs = delayed + (1.0 - gamma) * (beta - params.beta_star) * cum[0, i]
+    rhs = delayed + params.lam * cum[0, i]
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
 
 
@@ -277,7 +278,7 @@ def default_slope_window(profile: Profile) -> tuple[float, float]:
 
 
 def cauchy_violation(profile: Profile) -> float:
-    """Worst violation of |p(x) - p(x0)| <= 2 x0**(-1/beta) over grid pairs.
+    """Worst violation of |p(x) - p(x0)| <= RATE_CONSTANT x0**(-1/beta) over grid pairs.
 
     Scans every x0 >= 2 against all x >= x0 using suffix extrema (O(N)).
     Nonpositive return means the bound holds everywhere.
@@ -293,7 +294,7 @@ def cauchy_violation(profile: Profile) -> float:
     suff_max = np.maximum.accumulate(ps[::-1])[::-1]
     suff_min = np.minimum.accumulate(ps[::-1])[::-1]
     spread = np.maximum(suff_max - ps, ps - suff_min)
-    return float(np.max(spread - 2.0 * xs ** (-1.0 / beta)))
+    return float(np.max(spread - RATE_CONSTANT * xs ** (-1.0 / beta)))
 
 
 def build_tail_report(profile: Profile) -> tuple[TailReport, dict]:

@@ -654,7 +654,6 @@ def test_profile_has_no_tol_option(capsys):
 # Every package error and the exit code the cli docstring documents for it.
 _ERROR_CODES = [
     (errors.DomainError, 2),
-    (errors.WindowError, 2),
     (errors.BracketError, 3),
     (errors.ConvergenceError, 3),
     (errors.MonotonicityError, 3),
@@ -695,6 +694,58 @@ def test_verify_unwritable_out_exits_2_writing_nothing(saved_profile, tmp_path, 
     captured = capsys.readouterr()
     assert str(out) in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and not out.parent.exists()
+
+
+# Each writing command with an --out in a missing directory: its --out, the file
+# it would write first, and the computations it must not reach.
+_SIMULATE = ["simulate", *_CANON, "--t-end", "2", "--snapshots", "2"]
+_EVOLVING = [(dynamics, "evolve"), (dynamics, "simulate_collapse")]
+_OUT_IN_MISSING_DIR = {
+    "mu": (["mu", *_CANON], "mu.json", "mu.json", [(cli, "solve_mu")]),
+    "profile": (["profile", *_CANON], "p.csv", "p.csv", [(pipeline, "build_profile")]),
+    "verify": (["verify", "{profile}"], "v.json", "v.json", [(tail, "build_tail_report")]),
+    "sweep": (
+        ["sweep", "--gammas", "0", "--rhos", "0.5"], "s.csv", "s.csv", [(pipeline, "sweep_row")]
+    ),
+    "simulate": (_SIMULATE, "s", "s.t1.csv", _EVOLVING),
+    "simulate --profile": (
+        [*_SIMULATE, "--profile", "{profile}"], "s", "s.collapse.json", _EVOLVING
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _OUT_IN_MISSING_DIR)
+def test_out_in_missing_dir_exits_2_before_computing(
+    case, saved_profile, tmp_path, capsys, monkeypatch
+):
+    argv, out, first_file, computations = _OUT_IN_MISSING_DIR[case]
+    for module, name in computations:
+        def computed(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran before the --out directory was checked")
+
+        monkeypatch.setattr(module, name, computed)
+    missing = tmp_path / "missing"
+    argv = [a.format(profile=saved_profile) for a in argv] + ["--out", str(missing / out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "cannot write or read a file: [Errno 2] No such file or directory: "
+        f"{str(missing / first_file)!r}\n"
+    )
+    assert captured.out == "" and not missing.exists()
+
+
+def test_out_under_a_file_exits_2_before_computing(tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("sweep_row ran before the --out directory was checked")
+
+    monkeypatch.setattr(pipeline, "sweep_row", computed)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "s.csv"
+    assert run(["sweep", "--gammas", "0", "--rhos", "0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot write or read a file: [Errno 20] Not a directory: {str(out)!r}\n"
+    )
 
 
 # -- sweep -----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from diagcoag import dynamics as dy
 from diagcoag import pipeline, tail
-from diagcoag.errors import DomainError, PositivityError, WindowError
+from diagcoag.errors import DomainError, PositivityError
 from diagcoag.params import make_params
 
 @pytest.fixture(scope="module")
@@ -491,11 +491,11 @@ def test_distance_constant_solution_any_beta(canon):
 
 
 def test_distance_window_validation(canonical_field, canonical_profile, canon):
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError):
         dy.self_similar_distance(canonical_field, canonical_profile, (1e30, 1e40))
     # t**(1+(1+gamma)beta) overflows at t = 1e110 (beta = 2), t**beta too at 1e160
     for t in (1e110, 1e160):
-        with pytest.raises(WindowError, match="at t = 1e[+]1[16]0 overflows"):
+        with pytest.raises(DomainError, match="at t = 1e[+]1[16]0 overflows"):
             dy.self_similar_distance(replace(canonical_field, t=t), canonical_profile, (1.0, 2.0))
     # a field that is zero on the window is at relative distance one
     zero = dy.make_field(canon.gamma, np.zeros(641))
@@ -518,14 +518,14 @@ def test_window_under_one_octave_raises_before_evolving(canonical_field, canon, 
     lo, hi = dy.default_window(canonical_field, canon.beta, 1e5)
     x = canonical_field.xi_grid / 1e5**canon.beta
     assert np.count_nonzero((x >= lo) & (x <= hi)) >= canonical_field.nodes_per_octave
-    with pytest.raises(WindowError, match="less than one"):
+    with pytest.raises(DomainError, match="less than one"):
         dy.default_window(canonical_field, canon.beta, 1e6)
 
     def no_evolve(*args, **kwargs):
         raise AssertionError("evolved before the window was checked")
 
     monkeypatch.setattr(dy, "evolve", no_evolve)
-    with pytest.raises(WindowError, match="less than one"):
+    with pytest.raises(DomainError, match="less than one"):
         dy.simulate_collapse(canonical_field, None, canon.beta, 1e6)
 
 

@@ -12,6 +12,7 @@ from diagcoag.params import (
     beta_from_rho,
     beta_star_of,
     make_params,
+    params_from_rho,
     rho_from_beta,
     theta_of,
 )
@@ -105,6 +106,26 @@ def test_derived_constants_are_the_public_functions(gamma, frac):
     assert p.theta == theta_of(gamma)
     assert p.beta_star == beta_star_of(gamma)
     assert p.rho == rho_from_beta(gamma, p.beta)
+
+
+_OWNER_GAMMAS = (-5.0, -1.0, 0.0, 0.5, 0.99)
+
+
+@pytest.mark.parametrize("gamma", _OWNER_GAMMAS)
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+def test_limit_and_lam_are_the_paper_constants(gamma, frac):
+    p = params_from_rho(gamma, gamma + frac * (1.0 - gamma))
+    assert p.limit == 1.0 / (1.0 - p.theta)
+    assert 2.0 * p.limit == 2.0 / (1.0 - p.theta)  # doubling commutes with rounding
+    assert p.lam == (1.0 - gamma) * (p.beta - p.beta_star)
+    assert p.lam > 0.0
+
+
+@pytest.mark.parametrize("gamma", _OWNER_GAMMAS)
+def test_lam_vanishes_at_the_degenerate_beta(gamma):
+    p = make_params(gamma, beta_star_of(gamma))
+    assert p.degenerate and p.lam == 0.0
+    assert p.limit == 1.0 / (1.0 - p.theta)
 
 
 @given(gamma=gammas)

@@ -6,16 +6,16 @@ time-dependent runs), ``sweep`` (family coverage table).
 
 Exit codes, mapped by ``main``: 0 success; 2 invalid input (``DomainError``:
 a parameter out of range at any stage, an unreadable ``--config`` or sweep
-list, a config value its flag would refuse, a missing or malformed profile
-CSV or sidecar, a malformed or out-of-range ``--init`` or simulation grid, a
-``--t-end`` below the start time 1, a gamma or beta that differs from the
-initial kernel's or the reference profile's, a collapse window off the grid
-or narrower than one octave, an initial density so large that its loss or
-boundary flux overflows, two snapshot times that name the same file) or an
-``OSError`` (a file that cannot be written or read, such as an ``--out`` in
-a missing directory, which every command refuses before it computes); 3
-solver failure (every other package error); 4 failed verification bounds
-(``tail.bounds_hold``).
+list, a config key no command takes or a config value its flag would refuse,
+a missing or malformed profile CSV or sidecar, a malformed or out-of-range
+``--init`` or simulation grid, a ``--t-end`` below the start time 1, a gamma
+or beta that differs from the initial kernel's or the reference profile's, a
+collapse window off the grid or narrower than one octave, an initial density
+so large that its loss or boundary flux overflows, two snapshot times that
+name the same file) or an ``OSError`` (a file that cannot be written or read,
+such as an ``--out`` in a missing directory, which every command refuses
+before it computes); 3 solver failure (every other package error); 4 failed
+verification bounds (``tail.bounds_hold``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """The options the command registers: explicit flags, else config-file values.
 
     A config value is converted as its flag converts the value's text; one
-    that its flag would refuse raises ``DomainError``.  JSON null is unset.
+    that its flag would refuse raises ``DomainError``, as does a key no command
+    takes.  A key only another command takes is ignored.  JSON null is unset.
     """
     config: dict = {}
     if getattr(args, "config", None):
@@ -65,6 +66,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise DomainError(f"cannot read config file {args.config!r}: {exc}") from None
         if not isinstance(config, dict):
             raise DomainError(f"config file {args.config!r} does not hold a JSON object")
+        for key in config:
+            if key not in _OPTION_TYPES:
+                raise DomainError(f"config file {args.config!r} sets unknown key {key!r}; "
+                                  f"a config may set {', '.join(_OPTION_TYPES)}")
     merged: dict = {}
     for key in (k for k in _OPTION_TYPES if hasattr(args, k)):
         val = getattr(args, key)
@@ -247,9 +252,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SWEEP_COLUMNS = ["gamma", "rho", "beta", "mu", "kappa", *pipeline.TAIL_COLUMNS, "status"]
-
-
 def _sweep_cell(row: dict, key: str) -> str:
     val = row.get(key, "")
     if isinstance(val, float):
@@ -280,9 +282,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows = list(pool.map(pipeline.sweep_row, cell_gammas, cell_rhos))
     else:
         rows = list(map(pipeline.sweep_row, cell_gammas, cell_rhos))
-    lines = [",".join(_SWEEP_COLUMNS)]
+    lines = [",".join(pipeline.SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_sweep_cell(row, k) for k in _SWEEP_COLUMNS))
+        lines.append(",".join(_sweep_cell(row, k) for k in pipeline.SWEEP_COLUMNS))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

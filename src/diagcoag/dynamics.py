@@ -207,14 +207,20 @@ def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray
         raise DomainError(f"smallest size xi_min must be positive and normal; got {xi_min:g}")
     if nodes_per_octave < 1:
         raise DomainError(f"nodes per octave must be at least 1; got {nodes_per_octave}")
+    span = (n_nodes - 1) / nodes_per_octave
     if n_nodes < 1:
-        raise DomainError(f"negative size grid span: {(n_nodes - 1) / nodes_per_octave:g} octaves")
+        raise DomainError(f"negative size grid span: {span:g} octaves")
+    overflow = f"size grid overflows: xi_min * 2**{span:g}"
+    # Refused before the grid is allocated: an octave past the double range
+    # overflows whatever the rounding; the grid's top node decides the last octave.
+    if math.log2(xi_min) + span >= np.finfo(float).maxexp + 1:
+        raise DomainError(overflow)
     # an exact power of two per whole octave keeps xi_{k-m_d} == xi_k / 2 exact for any m_d
     octave, node = np.divmod(np.arange(n_nodes), nodes_per_octave)
     with np.errstate(over="ignore"):
         xi = xi_min * np.exp2(octave) * np.exp2(node / nodes_per_octave)
     if not np.isfinite(xi[-1]):
-        raise DomainError(f"size grid overflows: xi_min * 2**{(n_nodes - 1) / nodes_per_octave:g}")
+        raise DomainError(overflow)
     return xi
 
 

@@ -20,13 +20,7 @@ from .expansion import (
     h_from_expansion,
 )
 from .params import SimilarityParams, params_from_rho
-from .profile import (
-    Profile,
-    _check_nodes_per_octave,
-    _check_octaves,
-    integrate,
-    normalize,
-)
+from .profile import Profile, check_nodes_per_octave, check_octaves, integrate, normalize
 from . import tail
 
 # A sweep row's tail summary, from the tail report and its details, in column order.
@@ -35,6 +29,8 @@ TAIL_COLUMNS = (
     "lower_margin", "lower_margin_chain", "hineq_margin", "cauchy_max_violation",
     "max_residual_sss4b",
 )
+# The sweep table's header: the keys ``sweep_row`` fills, in column order.
+SWEEP_COLUMNS = ("gamma", "rho", "beta", "mu", "kappa", *TAIL_COLUMNS, "status")
 
 
 def build_profile(
@@ -61,11 +57,11 @@ def build_profile(
     target exceed it (beta > ~65.6), else in the march.
     """
     check_amplitude(c)
-    _check_nodes_per_octave(m)
+    check_nodes_per_octave(m)
     if x_max is None and c != 0.0 and not params.degenerate:
         # The march's first budget check, at the seed's end: the seed spans
         # DEFAULT_OCTAVES and h > 1/2 there, so the target at d = 1 is still needed.
-        _check_octaves(params, DEFAULT_OCTAVES + tail.target_octaves(params.beta, 1.0))
+        check_octaves(params, DEFAULT_OCTAVES + tail.target_octaves(params.beta, 1.0))
     if z is None and c > 0.0:
         if x_max is not None:
             try:
@@ -83,8 +79,8 @@ def build_profile(
 
 
 def sweep_row(gamma: float, rho: float) -> dict:
-    """One sweep entry: parameters, contraction margin and ``TAIL_COLUMNS`` (NaN
-    for a margin the details lack); ``status`` is ``ok`` when ``tail.bounds_hold`` passes."""
+    """One sweep entry keyed by ``SWEEP_COLUMNS`` (NaN for a margin the details lack);
+    ``status`` is ``ok`` when ``tail.bounds_hold`` passes; a row ended early holds its ``error``."""
     row: dict = {"gamma": gamma, "rho": rho}
     try:
         params = params_from_rho(gamma, rho)

@@ -155,13 +155,13 @@ def check_invariants(profile: Profile) -> None:
             raise DomainError("constant-branch profile drifted from 1/(1-theta)")
 
 
-def _check_nodes_per_octave(m: int) -> None:
+def check_nodes_per_octave(m: int) -> None:
     """Raise ``DomainError`` unless the march's grid has at least 32 nodes per octave."""
     if m < 32:
         raise DomainError(f"octave density m must be >= 32 nodes per octave; got {m}")
 
 
-def _check_octaves(params: SimilarityParams, octaves: float, x: float | None = None) -> None:
+def check_octaves(params: SimilarityParams, octaves: float, x: float | None = None) -> None:
     """Raise ``ConvergenceError`` when a profile needs more than ``MAX_OCTAVES``.
 
     ``x`` is the node a march has reached, carried by the error.
@@ -200,7 +200,7 @@ def integrate(seed: Profile, x_max: float | None = None) -> Profile:
     ends the march there.
     """
     m = seed.m
-    _check_nodes_per_octave(m)
+    check_nodes_per_octave(m)
     n_have = len(seed.h_values)
     if n_have < m + 1:
         raise DomainError("seed history shorter than one delay interval")
@@ -243,7 +243,7 @@ def integrate(seed: Profile, x_max: float | None = None) -> Profile:
             if n >= n_first and (not strict or (hn < 0.45 and need <= 0.0)):
                 break
             # stored octaves + needed; the error names the last node, in the seed's gauge
-            _check_octaves(seed.params, (n - 1) / m + need, math.exp(seed.tau0 + dtau * (n - 1)))
+            check_octaves(seed.params, (n - 1) / m + need, math.exp(seed.tau0 + dtau * (n - 1)))
         # One delay interval: its steps read only nodes written before it.
         steps = min(m, n_first - n) if n < n_first else m
         if n + steps > len(h):

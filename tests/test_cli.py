@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diagcoag
 from diagcoag import cli, dynamics, errors, pipeline, tail
 from diagcoag.params import make_params
 from diagcoag.profile import read_profile_csv
@@ -50,12 +51,17 @@ def test_mu_needs_exactly_one_of_beta_rho(capsys):
 
 
 def test_config_values_convert_as_their_flags(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": "0", "rho": 0.5, "beta": None}))
-    assert run(["mu", "--config", str(cfg)]) == 0
-    from_config = capsys.readouterr().out
     assert run(["mu", "--gamma", "0", "--rho", "0.5"]) == 0
-    assert from_config == capsys.readouterr().out
+    from_flags = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    # the second file also serves profile: mu ignores the keys only profile takes
+    for config in (
+        {"gamma": "0", "rho": 0.5, "beta": None},
+        {"gamma": 0, "rho": 0.5, "m": 64, "c": 1, "z": 0.01, "xmax": 1e9},
+    ):
+        cfg.write_text(json.dumps(config))
+        assert run(["mu", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flags
 
 
 # -- profile ---------------------------------------------------------------------
@@ -105,11 +111,12 @@ def test_profile_deterministic(tmp_path, capsys):
 
 def test_profile_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": 0.0, "rho": 0.5, "m": 64}))
+    cfg.write_text(json.dumps({"gamma": 0.0, "rho": 0.5, "m": 32}))
     out = tmp_path / "from_config.csv"
-    # flag overrides config: rho 0.5 in config, but we pass beta via flag only
-    assert run(["profile", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.exists()
+    # the flag overrides the config's rho 0.5; gamma and m (not the default 64) come from it
+    assert run(["profile", "--config", str(cfg), "--rho", "0.25", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "from_config.meta.json").read_text())
+    assert (meta["gamma"], meta["beta"], meta["m"]) == (0.0, 4.0, 32)
 
 
 # -- verify ----------------------------------------------------------------------
@@ -405,6 +412,31 @@ def test_verify_malformed_profile_exits_2(case, saved_profile, tmp_path, capsys,
     assert not recwarn.list
 
 
+# Sidecars that contradict a sound table: (edit of the sidecar text, message).
+_CONTRADICTING_SIDECARS = {
+    "m 32 over a 64-node table": (
+        lambda text: text.replace('"m": 64', '"m": 32'),
+        "profile CSV grid is not uniform in log x at spacing ln2/m",
+    ),
+    "c 0 over a fat tail": (
+        lambda text: re.sub(r'"c": [^,]+,', '"c": 0.0,', text),
+        "constant-branch profile drifted from 1/(1-theta)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _CONTRADICTING_SIDECARS)
+def test_verify_sidecar_contradicting_its_table_exits_2(case, saved_profile, tmp_path, capsys):
+    edit, named = _CONTRADICTING_SIDECARS[case]
+    meta = saved_profile.with_name(saved_profile.stem + ".meta.json").read_text()
+    assert edit(meta) != meta
+    path = tmp_path / "bad.csv"
+    path.write_text(saved_profile.read_text())
+    (tmp_path / "bad.meta.json").write_text(edit(meta))
+    assert run(["verify", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_simulate_profile_with_a_negative_h_exits_2(saved_profile, tmp_path, capsys):
     path = tmp_path / "neg.csv"
     path.write_text(_middle_h(lambda rows: "-0.1")(saved_profile.read_text()))
@@ -537,6 +569,13 @@ _INVALID_INPUTS = {
     "profile --z -1": (["profile", *_CANON, "--z", "-1"], "z must be positive; got -1"),
     "profile --c -1": (["profile", *_CANON, "--c", "-1"], "c must be nonnegative; got -1"),
     "sweep --gammas abc": (["sweep", "--gammas", "abc", "--rhos", "0.5"], "'abc'"),
+    "mu without gamma": (["mu", "--beta", "2"], "gamma is required"),
+    "simulate --init profile": (
+        ["simulate", *_CANON, "--init", "profile"], "initial data 'profile' needs a profile CSV path"
+    ),
+    "simulate --init foo": (
+        ["simulate", *_CANON, "--init", "foo:1"], "unknown initial data spec: 'foo:1'"
+    ),
     "config missing": (["profile", "--config", "nofile.json"], "'nofile.json'"),
     "config not JSON": (["profile", "--config", "text.json"], "'text.json': Expecting value"),
     "config array": (["profile", "--config", "array.json"], "'array.json' does not hold"),
@@ -553,6 +592,9 @@ _INVALID_INPUTS = {
         ["simulate", *_CANON, "--t-end", "inf", "--snapshots", "2"], "got inf and 2"
     ),
     "simulate --octaves 2000": (["simulate", *_CANON, "--octaves", "2000"], "xi_min * 2**2000"),
+    "simulate --octaves 1e15": (
+        ["simulate", *_CANON, "--octaves", str(10**15)], "size grid overflows: xi_min * 2**1e+15"
+    ),
     "simulate --xi-min 1e-320": (
         ["simulate", *_CANON, "--xi-min", "1e-320"], "xi_min must be positive and normal"
     ),
@@ -593,6 +635,12 @@ _INVALID_INPUTS = {
     "config m float": (["profile", *_CANON, "--config", "m_float.json"], "m = 64.5"),
     "config z text": (["profile", *_CANON, "--config", "z_text.json"], "z = 'small'"),
     "config xmax list": (["profile", *_CANON, "--config", "xmax_list.json"], "xmax = [1]"),
+    # a key no command takes is refused before computing, naming the keys a config may set
+    "config typo key": (
+        ["mu", "--config", "typo.json"],
+        "sets unknown key 'gama'; a config may set gamma, beta, rho, c, z, m, xmax, out",
+    ),
+    "config t_end": (["simulate", "--config", "t_end.json"], "sets unknown key 't_end'"),
     # an --out that cannot be written names the path, and no command writes a file
     "profile --out missing dir": (["profile", *_CANON, "--out", "no/p.csv"], "'no/p.csv'"),
     "mu --out missing dir": (["mu", *_CANON, "--out", "no/mu.json"], "'no/mu.json'"),
@@ -622,6 +670,8 @@ _CONFIG_FILES = {
     "m_float.json": '{"m": 64.5}',
     "z_text.json": '{"z": "small"}',
     "xmax_list.json": '{"xmax": [1]}',
+    "typo.json": '{"gama": 0, "beta": 2}',
+    "t_end.json": '{"gamma": 0, "rho": 0.5, "t_end": 100, "snapshots": 2}',
 }
 
 
@@ -851,6 +901,12 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
             argv = shlex.split(line)[1:]
             codes.append((argv[0], run(argv)))
     assert codes == [("mu", 0), ("profile", 0), ("verify", 0), ("simulate", 0), ("sweep", 4)]
+
+
+def test_package_root_exports_the_readme_library_api():
+    imported = re.search(r"^from diagcoag import (.+)$", _readme_python(), re.M).group(1)
+    assert diagcoag.__all__ == [name.strip() for name in imported.split(",")]
+    assert all(hasattr(diagcoag, name) for name in diagcoag.__all__)
 
 
 def test_readme_library_example_runs_as_written(canonical_profile, capsys):

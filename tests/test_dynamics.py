@@ -193,8 +193,10 @@ def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
     [
         ({"octaves": 2000}, r"overflows: xi_min \* 2\*\*2000"),
         ({"xi_min": math.inf}, r"overflows: xi_min \* 2\*\*40"),
+        # a 114 PiB grid: refused from its span, before any allocation is tried
+        ({"octaves": 10**15}, r"overflows: xi_min \* 2\*\*1e\+15"),
     ],
-    ids=["octaves 2000", "xi_min inf"],
+    ids=["octaves 2000", "xi_min inf", "octaves 1e15"],
 )
 def test_size_grid_with_an_infinite_top_node_is_refused(canon, kwargs, named):
     with pytest.raises(DomainError, match=named):
@@ -500,6 +502,36 @@ def test_distance_window_validation(canonical_field, canonical_profile, canon):
     # a field that is zero on the window is at relative distance one
     zero = dy.make_field(canon.gamma, np.zeros(641))
     assert dy.self_similar_distance(zero, canonical_profile, (1e-2, 1e2)) == 1.0
+
+
+def _cut_below(profile, x):
+    """The profile cut to its nodes below x."""
+    n = int(np.searchsorted(profile.x_values, x))
+    return replace(profile, h_values=profile.h_values[:n], dh_values=profile.dh_values[:n])
+
+
+# One input per check of the distance's arguments: (field t, profile cut at x, window).
+_UNMEASURABLE = {
+    "t below one": (0.5, None, (1.0, 2.0), "distance defined for t >= 1"),
+    "reversed window": (1.0, None, (2.0, 1.0), "window must satisfy 0 < x_lo < x_hi"),
+    "past a truncated profile": (1.0, 1.5, (1.0, 2.0), "window leaves the profile domain"),
+    # the grid's nodes 1 and 2**(1/16) bracket the window
+    "between two nodes": (1.0, None, (1.001, 1.002), "window holds no grid node"),
+}
+
+
+@pytest.mark.parametrize("case", _UNMEASURABLE)
+def test_distance_refuses_a_window_it_cannot_measure(case, canonical_field, canonical_profile):
+    t, cut, window, named = _UNMEASURABLE[case]
+    profile = canonical_profile if cut is None else _cut_below(canonical_profile, cut)
+    with pytest.raises(DomainError, match=named):
+        dy.self_similar_distance(replace(canonical_field, t=t), profile, window)
+
+
+def test_field_from_a_profile_that_misses_the_grid_is_refused(canonical_profile):
+    assert canonical_profile.x_min > 1e-300
+    with pytest.raises(DomainError, match="profile does not cover the requested size grid"):
+        dy.field_from_profile(canonical_profile, xi_min=1e-300)
 
 
 def test_collapse_report_roundtrip(canonical_field, canonical_profile, canon):

@@ -116,6 +116,22 @@ def test_estimate_d_requires_normalized(constant_profile):
         tail.estimate_d(constant_profile)
 
 
+def _first_nodes(profile, n):
+    return replace(profile, h_values=profile.h_values[:n], dh_values=profile.dh_values[:n])
+
+
+def test_estimate_d_requires_x_max_at_least_two(canonical_profile):
+    below_two = int(np.searchsorted(canonical_profile.x_values, 2.0))
+    with pytest.raises(DomainError, match="estimate_d requires x_max >= 2"):
+        tail.estimate_d(_first_nodes(canonical_profile, below_two))
+
+
+def test_cauchy_check_needs_two_nodes_past_two(canonical_profile):
+    one_past_two = int(np.searchsorted(canonical_profile.x_values, 2.0)) + 1
+    with pytest.raises(DomainError, match="profile too short for the Cauchy check"):
+        tail.cauchy_violation(_first_nodes(canonical_profile, one_past_two))
+
+
 _TARGET_BETAS = (0.5, 1.0, 2.0, 5.0, 20.0, 40.0, 67.0)
 _TARGET_DS = (1e-3, 0.01, 0.1, 0.5, 0.99)
 
@@ -199,6 +215,18 @@ def test_check_bounds_canonical(canonical_profile):
     assert details["hineq_ok"]
     assert details["lower_chain_ok"]
     assert details["upper_margin"] > 0.0
+
+
+def test_check_bounds_names_the_worst_upper_node(canonical_profile):
+    # one h raised 1e-3 above 1/(1 + x**(1/beta)) at x ~ 10
+    x = canonical_profile.x_values
+    i = int(np.searchsorted(x, 10.0))
+    h = canonical_profile.h_values.copy()
+    h[i] = 1.0 / (1.0 + x[i] ** (1.0 / canonical_profile.params.beta)) + 1e-3
+    upper_ok, lower_ok, details = tail.check_bounds(replace(canonical_profile, h_values=h))
+    assert not upper_ok and lower_ok
+    assert details["upper_margin"] < -1e-4
+    assert details["upper_worst_x"] == x[i]
 
 
 def test_check_bounds_chain_constant_all_sweep(sweep_profiles):

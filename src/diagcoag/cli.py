@@ -7,15 +7,18 @@ time-dependent runs), ``sweep`` (family coverage table).
 Exit codes, mapped by ``main``: 0 success; 2 invalid input (``DomainError``:
 a parameter out of range at any stage, an unreadable ``--config`` or sweep
 list, a config key no command takes or a config value its flag would refuse,
-a missing or malformed profile CSV or sidecar, a malformed or out-of-range
-``--init`` or simulation grid, a ``--t-end`` below the start time 1, a gamma
-or beta that differs from the initial kernel's or the reference profile's, a
-collapse window off the grid or narrower than one octave, an initial density
-so large that its loss or boundary flux overflows, two snapshot times that
-name the same file) or an ``OSError`` (a file that cannot be written or read,
-such as an ``--out`` in a missing directory, which every command refuses
-before it computes); 3 solver failure (every other package error); 4 failed
-verification bounds (``tail.bounds_hold``).
+a missing or malformed profile CSV or sidecar, a ``verify`` profile that fails
+the tail suite's preconditions, a malformed or out-of-range ``--init`` or
+simulation grid, a ``--t-end`` below the start time 1, a gamma or beta that
+differs from the initial kernel's or the reference profile's, a collapse
+window off the grid or narrower than one octave, an initial density so large
+that its loss or boundary flux overflows, two snapshot times that name the
+same file (a ``--snapshots`` count too large for its ``--t-end`` is refused
+before the times are allocated), a ``--t-end`` whose similarity factors
+overflow, refused before evolving) or an ``OSError`` (a file that cannot be
+written or read, such as an ``--out`` in a missing directory, which every
+command refuses before it computes); 3 solver failure (every other package
+error); 4 failed verification bounds (``tail.bounds_hold``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import dataclasses
 import errno
 import json
+import math
 import os
 import stat
 import sys
@@ -162,8 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             report, details = tail.build_tail_report(profile)
         except (DomainError, RangeError) as exc:
-            print(f"{path}: precondition failed: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise DomainError(f"{path}: precondition failed: {exc}") from None
         reports[str(path)] = {**dataclasses.asdict(report), "details": details}
         if not tail.bounds_hold(report, details):
             failures.append(str(path))
@@ -221,12 +224,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profile = read_profile_csv(args.profile)
 
     out_prefix = cfg.get("out", "sim")
-    times = dynamics.output_times(field, args.t_end, args.snapshots)
+    # The times rise geometrically from field.t = 1; when the second, ~t_end**(1/(n-1)),
+    # is below 1.0000049 it is named t1 too, so two t1 stand in before any is allocated.
+    crowded = 1.0 <= args.t_end and math.log(args.t_end) / math.log(1.0000049) < args.snapshots - 1
+    times = [field.t] * 2 if crowded else dynamics.output_times(field, args.t_end, args.snapshots)
     names = [f"{out_prefix}.t{t:.6g}.csv" for t in times]
     for name, later in zip(names, names[1:]):
         if name == later:  # the times increase, so equal names are neighbours
             raise DomainError(f"two snapshot times would both be written to {name}; "
                               "change --t-end or --snapshots")
+    if names:  # the writer rescales every snapshot, so refuse before evolving
+        dynamics.similarity_factors(args.t_end, params.gamma, params.beta)
     collapse_name = f"{out_prefix}.collapse.json"
     first_file = collapse_name if profile is not None else (names[0] if names else None)
     _check_out_dir(first_file)
@@ -373,20 +381,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser().parse_args(_attach_negative_lists(argv))
 
 
-def _exit_code(exc: DiagcoagError) -> int:
-    """The documented exit code of a package error (module docstring)."""
-    if isinstance(exc, DomainError):
-        return EXIT_INVALID
-    return EXIT_SOLVER
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return args.func(args)
     except DiagcoagError as exc:
         print(str(exc), file=sys.stderr)
-        return _exit_code(exc)
+        return EXIT_INVALID if isinstance(exc, DomainError) else EXIT_SOLVER
     except OSError as exc:  # a file the command cannot write (or read); str names it
         print(f"cannot write or read a file: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -345,8 +345,13 @@ def evolve(
 
 def similarity_factors(t: float, gamma: float, beta: float) -> tuple[float, float]:
     """(t**beta, t**(1+(1+gamma)beta)): at time t, size xi = t**beta x and density
-    f = g(x) / t**(1+(1+gamma)beta) of a self-similar solution with profile g."""
-    return t**beta, t ** (1.0 + (1.0 + gamma) * beta)
+    f = g(x) / t**(1+(1+gamma)beta) of a self-similar solution with profile g;
+    ``DomainError`` when either factor overflows."""
+    t, gamma, beta = float(t), float(gamma), float(beta)  # numpy scalars would give inf
+    try:
+        return t**beta, t ** (1.0 + (1.0 + gamma) * beta)
+    except OverflowError:
+        raise DomainError(f"the self-similar rescaling at t = {t:g} overflows") from None
 
 
 def self_similar_distance(
@@ -362,10 +367,7 @@ def self_similar_distance(
     x_lo, x_hi = window
     if not 0.0 < x_lo < x_hi:
         raise DomainError("window must satisfy 0 < x_lo < x_hi")
-    try:
-        scale, density_scale = similarity_factors(field.t, field.gamma, profile.params.beta)
-    except OverflowError:
-        raise DomainError(f"the rescaled window at t = {field.t:g} overflows") from None
+    scale, density_scale = similarity_factors(field.t, field.gamma, profile.params.beta)
     xi = field.xi_grid
     if scale * x_lo < xi[0] or scale * x_hi > xi[-1]:
         raise DomainError(
@@ -402,8 +404,8 @@ def default_window(
     D would rest on a handful of nodes.
     """
     xi = field.xi_grid
-    lo = math.log(xi[0] / field.t**beta)
-    hi = math.log(xi[-1] / t_end**beta)
+    lo = math.log(xi[0] / similarity_factors(field.t, field.gamma, beta)[0])
+    hi = math.log(xi[-1] / similarity_factors(t_end, field.gamma, beta)[0])
     if hi <= lo:
         raise DomainError("rescaled domains do not overlap; grid too short")
     span = hi - lo

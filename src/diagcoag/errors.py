@@ -17,12 +17,8 @@ class DomainError(DiagcoagError, ValueError):
     """A parameter lies outside its admissible domain."""
 
 
-class BracketError(DiagcoagError, RuntimeError):
-    """Root bracketing failed; should be impossible for valid inputs."""
-
-
 class ConvergenceError(DiagcoagError, RuntimeError):
-    """An iteration failed to converge or left its trust region."""
+    """An iteration failed to converge, to bracket its root, or left its trust region."""
 
 
 class IterationLimitError(ConvergenceError):

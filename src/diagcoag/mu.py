@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BracketError, DomainError
+from .errors import ConvergenceError, DomainError
 from .params import SimilarityParams, check_beta, theta_of
 
 _LN2 = math.log(2.0)
@@ -82,7 +82,7 @@ def solve_mu(gamma: float, beta: float) -> MuSolveReport:
         g_hi = _G(gamma, beta, hi)
         iterations += 1
         if hi > 2.0**80:
-            raise BracketError(
+            raise ConvergenceError(
                 f"failed to bracket mu for gamma={gamma}, beta={beta}: "
                 f"G({hi}) = {g_hi}"
             )
@@ -120,7 +120,7 @@ def solve_mu(gamma: float, beta: float) -> MuSolveReport:
 
     residual = abs(_G(gamma, beta, mu))
     if residual > RESIDUAL_TOL:
-        raise BracketError(
+        raise ConvergenceError(
             f"mu polish stalled for gamma={gamma}, beta={beta}: residual={residual:g}"
         )
     return MuSolveReport(

@@ -477,6 +477,28 @@ def test_simulate_window_off_grid_exits_2(saved_profile, tmp_path, capsys):
     assert "do not overlap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--init", "pulse", "--snapshots", "1"], ["--init", "profile:{canon}"]],
+    ids=["pulse", "profile"],
+)
+def test_simulate_t_end_whose_rescaling_overflows_exits_2(
+    flags, saved_profile, tmp_path, capsys, monkeypatch
+):
+    # t_end**beta = 1e400 at beta = 2: the snapshots cannot be rescaled, so the
+    # run is refused before it evolves, with a reference profile or without
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolved before t_end was checked")
+
+    monkeypatch.setattr(dynamics, "evolve", no_evolve)
+    flags = [flag.format(canon=saved_profile) for flag in flags]
+    code = run(["simulate", "--gamma", "0", "--rho", "0.5", *flags,
+                "--t-end", "1e200", "--out", str(tmp_path / "far")])
+    assert code == 2
+    assert "at t = 1e+200 overflows" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_window_under_one_octave_exits_2(saved_profile, tmp_path, capsys):
     # 40 octaves at md = 16 leave about one node in the window at t = 1e6
     code = run(
@@ -659,6 +681,10 @@ _INVALID_INPUTS = {
         ["simulate", *_CANON, "--t-end", "1.000001", "--snapshots", "3", "--out", "near"],
         "written to near.t1.csv",
     ),
+    # a count whose first two times both read t1 is refused before the times are allocated
+    "simulate --snapshots 1e15": (
+        ["simulate", *_CANON, "--snapshots", str(10**15)], "written to sim.t1.csv"
+    ),
 }
 # The config files the cases above read.
 _CONFIG_FILES = {
@@ -704,7 +730,6 @@ def test_profile_has_no_tol_option(capsys):
 # Every package error and the exit code the cli docstring documents for it.
 _ERROR_CODES = [
     (errors.DomainError, 2),
-    (errors.BracketError, 3),
     (errors.ConvergenceError, 3),
     (errors.MonotonicityError, 3),
     (errors.PositivityError, 3),

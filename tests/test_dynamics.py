@@ -195,8 +195,10 @@ def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
         ({"xi_min": math.inf}, r"overflows: xi_min \* 2\*\*40"),
         # a 114 PiB grid: refused from its span, before any allocation is tried
         ({"octaves": 10**15}, r"overflows: xi_min \* 2\*\*1e\+15"),
+        # passes the pre-allocation bound (log2 of the top node is 1024), yet rounds to inf
+        ({"octaves": 1044}, r"overflows: xi_min \* 2\*\*1044"),
     ],
-    ids=["octaves 2000", "xi_min inf", "octaves 1e15"],
+    ids=["octaves 2000", "xi_min inf", "octaves 1e15", "octaves 1044"],
 )
 def test_size_grid_with_an_infinite_top_node_is_refused(canon, kwargs, named):
     with pytest.raises(DomainError, match=named):
@@ -502,6 +504,23 @@ def test_distance_window_validation(canonical_field, canonical_profile, canon):
     # a field that is zero on the window is at relative distance one
     zero = dy.make_field(canon.gamma, np.zeros(641))
     assert dy.self_similar_distance(zero, canonical_profile, (1e-2, 1e2)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "t, named",
+    [(1e110, r"at t = 1e\+110 overflows"), (1e200, r"at t = 1e\+200 overflows")],
+    ids=["density factor", "both factors"],
+)
+def test_similarity_factors_refuse_an_overflow(t, named, canonical_field):
+    # at beta = 2, t**3 overflows from t = 1e110 on and t**2 from 1e160 on
+    with pytest.raises(DomainError, match=named):
+        dy.similarity_factors(t, 0.0, 2.0)
+    with pytest.raises(DomainError, match=named):
+        dy.default_window(canonical_field, 2.0, t)
+    # numpy scalars overflow to inf where Python floats raise; they are refused alike
+    with pytest.raises(DomainError, match=named):
+        dy.default_window(canonical_field, np.float64(2.0), np.float64(t))
+    assert dy.similarity_factors(1e100, 0.0, 2.0) == (1e100**2.0, 1e100**3.0)
 
 
 def _cut_below(profile, x):

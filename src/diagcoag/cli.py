@@ -4,21 +4,9 @@ Subcommands: ``mu`` (bifurcation exponent), ``profile`` (full pipeline),
 ``verify`` (tail bound suite on saved profiles), ``simulate`` (direct
 time-dependent runs), ``sweep`` (family coverage table).
 
-Exit codes, mapped by ``main``: 0 success; 2 invalid input (``DomainError``:
-a parameter out of range at any stage, an unreadable ``--config`` or sweep
-list, a config key no command takes or a config value its flag would refuse,
-a missing or malformed profile CSV or sidecar, a ``verify`` profile that fails
-the tail suite's preconditions, a malformed or out-of-range ``--init`` or
-simulation grid, a ``--t-end`` below the start time 1, a gamma or beta that
-differs from the initial kernel's or the reference profile's, a collapse
-window off the grid or narrower than one octave, an initial density so large
-that its loss or boundary flux overflows, two snapshot times that name the
-same file (a ``--snapshots`` count too large for its ``--t-end`` is refused
-before the times are allocated), a ``--t-end`` whose similarity factors
-overflow, refused before evolving) or an ``OSError`` (a file that cannot be
-written or read, such as an ``--out`` in a missing directory, which every
-command refuses before it computes); 3 solver failure (every other package
-error); 4 failed verification bounds (``tail.bounds_hold``).
+Exit codes, mapped by ``main``: 0 success; 2 ``DomainError`` or ``OSError``;
+3 any other package error; 4 a failed ``tail.bounds_hold``.  The README's
+exit-code list names the inputs each command refuses with exit 2.
 """
 
 from __future__ import annotations

@@ -136,22 +136,19 @@ class _Kernel:
         return out
 
     def stable_dt(self, f: np.ndarray) -> float:
-        """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale.
-
-        Leaves loss * f in ``loss_f`` for stage k1 of a step from f.
-        """
+        """dt <= ETA / max(xi**(1+gamma) f), leaving loss * f in ``loss_f`` for ``step``."""
         scale = float(np.multiply(self.loss, f, out=self.loss_f).max())
         if scale == 0.0:
             return math.inf
         return ETA / scale
 
-    def step(self, f0: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float]:
-        """One Runge-Kutta step of dt from f0 at time t: (f_new, escaped mass).
+    def step(self, f0: np.ndarray, t: float, dt_max: float) -> tuple[np.ndarray, float, float]:
+        """One Runge-Kutta step from f0 at time t: (f_new, dt, escaped mass).
 
-        Call it right after ``stable_dt(f0)``, which leaves loss * f0 in
-        ``loss_f``, with 0 < dt <= that bound.  The escaped mass comes from the
-        same stages.
+        dt is the smaller of ``stable_dt(f0)`` and dt_max.  The escaped mass
+        comes from the same stages.
         """
+        dt = min(self.stable_dt(f0), dt_max)
         rhs = self.rhs
         k1, k2, k3, k4 = self.rates
         f1, f2, f3 = self.stages
@@ -170,7 +167,7 @@ class _Kernel:
         # min and max propagate NaN: (f_new >= 0).all() and isfinite(f_new).all()
         if not (f_new.min() >= 0.0 and f_new.max() < math.inf):
             raise PositivityError(f"density lost positivity or finiteness at t = {t:g}")
-        return f_new, (dt / 6.0) * self._flux_sum(f0)
+        return f_new, dt, (dt / 6.0) * self._flux_sum(f0)
 
     def _flux_sum(self, f0: np.ndarray) -> float:
         """F0 + 2 (F1 + F2) + F3: the boundary fluxes of f0 and the current stage states.
@@ -188,15 +185,23 @@ class _Kernel:
     def advance(self, field: NumberDensityField, t_target: float) -> NumberDensityField:
         """March the field to t_target with the adaptive step bound.
 
-        Returns the field itself when no step is due.
+        Returns the field itself when no step is due.  A step that leaves f
+        unchanged, with no escaped mass, at the dt of the step before, would
+        repeat itself up to t_target (every rate has underflowed, or its change
+        falls below f's resolution): the state is stationary under the scheme,
+        so the march goes to t_target at once.  Only a repeated dt compares f.
         """
         t_stop = t_target * (1.0 - 1e-15)
         if not field.t < t_stop:
             return field
         f, t, escaped_mass = field.f_values, field.t, field.escaped_mass
+        last_dt = math.nan
         while t < t_stop:
-            dt = min(self.stable_dt(f), t_target - t)
-            f, escaped = self.step(f, dt, t)
+            f_new, dt, escaped = self.step(f, t, t_target - t)
+            if dt == last_dt and escaped == 0.0 and np.array_equal(f_new, f):
+                t = t_target
+                break
+            f, last_dt = f_new, dt
             t = t + dt
             escaped_mass = escaped_mass + escaped
         return replace(field, f_values=f, t=t, escaped_mass=escaped_mass)
@@ -312,7 +317,7 @@ def step(field: NumberDensityField, dt: float) -> NumberDensityField:
     bound = kernel.stable_dt(field.f_values)
     if not 0.0 < dt <= bound:
         raise DomainError(f"dt = {dt:g} is outside (0, stable_dt] = (0, {bound:g}]")
-    f, escaped = kernel.step(field.f_values, dt, field.t)
+    f, dt, escaped = kernel.step(field.f_values, field.t, dt)
     return replace(field, f_values=f, t=field.t + dt, escaped_mass=field.escaped_mass + escaped)
 
 

@@ -60,8 +60,8 @@ def epsilon_of(params: SimilarityParams) -> float:
 class ExpansionGrid:
     """Correction j for one parameter set, sampled on a geometric grid over (0, z].
 
-    The nodes span ``DEFAULT_OCTAVES`` octaves at ``nodes_per_octave``; they and the
-    weighted norm of j are derived.  Construction checks z, the density and j.
+    The nodes span ``DEFAULT_OCTAVES`` octaves at ``nodes_per_octave`` and are
+    derived.  Construction checks z, the density and j.
     """
 
     params: SimilarityParams
@@ -95,11 +95,6 @@ class ExpansionGrid:
         nodes = np.exp(tau)
         nodes[-1] = self.z
         return nodes
-
-    @property
-    def weighted_norm(self) -> float:
-        """max x**(-epsilon) |j(x)| over the nodes."""
-        return float(np.max(np.abs(self.j_values) * self.nodes ** (-self.epsilon)))
 
 
 class _Head:

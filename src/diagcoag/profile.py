@@ -41,10 +41,6 @@ from .params import SimilarityParams, make_params
 
 _LN2 = math.log(2.0)
 
-# Below this value the amplitude c is treated as zero (constant branch):
-# monotonicity is then not required and equality with 1/(1-theta) is allowed.
-_C_ZERO = 1e-300
-
 NORMALIZE_TOL = 1e-12
 
 # Hard cap on the total integration span, as octaves of the stored domain.
@@ -140,7 +136,7 @@ def check_invariants(profile: Profile) -> None:
     if bad.size:
         x = float(profile.x_values[bad[0]])
         raise PositivityError(f"h <= 0 at x = {x:g}", x=x)
-    if profile.c > _C_ZERO:
+    if profile.c > 0.0:
         resolvable = _resolvable_decrement(profile)
         bad = np.nonzero((h > limit) | ((h == limit) & resolvable))[0]
         if bad.size:
@@ -210,7 +206,7 @@ def integrate(seed: Profile, x_max: float | None = None) -> Profile:
     dtau = seed.dtau
     theta = seed.params.theta
     beta = seed.params.beta
-    strict = seed.c > _C_ZERO
+    strict = seed.c > 0.0
     fat = x_max is None and strict and not seed.params.degenerate
     need = tail.target_octaves(beta, 1.0) if fat else 0.0  # since d < 1
     tau0_normal = None  # tau0 of the normalized gauge, once h crosses 1/2
@@ -308,8 +304,8 @@ def rescale(profile: Profile, a: float) -> Profile:
     The node values h and dh/dtau are unchanged; the grid, amplitude c and
     hand-off point z are re-expressed in the new gauge.  Raises
     ``DomainError`` unless a is finite and positive, and ``RangeError`` when
-    the new gauge leaves the double range: c must stay finite and on its side
-    of ``_C_ZERO`` (so the profile keeps its branch), z finite and normal.
+    the new gauge leaves the double range: c must stay finite and not underflow
+    to 0 (so the profile keeps its branch), z finite and normal.
     """
     if not 0.0 < a < math.inf:
         raise DomainError(f"rescale factor a must be finite and positive; got {a:g}")
@@ -321,7 +317,7 @@ def rescale(profile: Profile, a: float) -> Profile:
     except OverflowError:
         c = math.inf
     z = profile.z / a
-    same_branch = (c > _C_ZERO) == (profile.c > _C_ZERO)
+    same_branch = (c > 0.0) == (profile.c > 0.0)
     if not (c < math.inf and same_branch and np.finfo(float).tiny <= z < math.inf):
         raise RangeError(
             f"gauge factor a = {a:g} is out of floating-point range for this "

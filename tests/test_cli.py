@@ -195,6 +195,17 @@ def test_profile_diverging_amplitude_exits_3_without_a_warning(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("c", ["1e-299", "1e-310"])
+def test_profile_tiny_amplitude_marches_as_a_fat_tail(tmp_path, capsys, c):
+    # every c > 0, a subnormal one too, is the fat-tail branch: its first step
+    # past the seed cannot resolve the decrease that branch requires
+    out = tmp_path / "tiny_c.csv"
+    argv = ["profile", "--gamma", "0", "--beta", "2", "--c", c, "--z", "0.01", "--out", str(out)]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "h failed to decrease at x = 0.0101089\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("c", ["1e-14", "1e6"])
 def test_profile_amplitude_without_z_writes_the_unit_amplitude_profile(tmp_path, capsys, c):
     # c fixes only the gauge, which normalize removes: every c > 0 writes c = 1's bytes

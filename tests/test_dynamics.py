@@ -135,13 +135,13 @@ def test_step_refuses_a_dt_above_stable_dt(canon):
     assert dy.step(field, bound).t == field.t + bound
 
 
-def test_a_step_that_loses_positivity_raises_without_retrying(canon):
-    # the kernel's safety check; 40 stable steps at once drive the pulse negative
+def test_a_step_that_loses_positivity_raises_without_retrying(canon, monkeypatch):
+    # the kernel's safety check; a bound 40 times too large drives the pulse negative
     field = dy.pulse_field(canon.gamma, 320, amplitude=1e3)
     kernel = dy._Kernel(field)
-    dt = 40.0 * kernel.stable_dt(field.f_values)
+    monkeypatch.setattr(dy, "ETA", 40.0 * dy.ETA)
     with pytest.raises(PositivityError, match="lost positivity or finiteness at t = 1$"):
-        kernel.step(field.f_values, dt, field.t)
+        kernel.step(field.f_values, field.t, math.inf)
 
 
 def test_pulse_cascade(canon):
@@ -186,6 +186,33 @@ def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
     monkeypatch.setattr(dy, "_Kernel", None)  # an infinite end never returns
     with pytest.raises(DomainError, match="finite t_end > 0"):
         dy.evolve(field, math.inf, 2)
+
+
+def test_a_state_whose_rates_underflow_steps_straight_to_the_end(monkeypatch):
+    # gamma = -1: past t ~ 1e162 the density f ~ 1/t squares to 0, so no step
+    # changes it while the bounded dt stays near 1e161 and t runs to 1e200
+    field = dy.pulse_field(-1.0, 320)
+    step = dy._Kernel.step
+    seen = {"steps": 0, "escaped": field.escaped_mass}
+
+    def budgeted_step(kernel, f0, *args):
+        if seen["steps"] == 20_000:
+            raise AssertionError("no stationary state within 20,000 steps")
+        out = step(kernel, f0, *args)
+        f_new, escaped = out[0], out[-1]
+        seen["steps"] += 1
+        seen["escaped"] += escaped
+        if "first" not in seen and escaped == 0.0 and np.array_equal(f_new, f0):
+            seen["first"] = (seen["steps"], f_new, seen["escaped"])
+        return out
+
+    monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
+    (end,) = dy.evolve(field, 1e200, 1)
+    first, f_first, escaped_first = seen["first"]
+    assert seen["steps"] == first + 1  # the step after the first stationary one ends the march
+    assert np.array_equal(end.f_values, f_first)
+    assert end.escaped_mass == escaped_first
+    assert end.t == pytest.approx(1e200, rel=1e-15)
 
 
 @pytest.mark.parametrize(

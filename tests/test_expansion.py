@@ -13,6 +13,7 @@ from diagcoag.expansion import (
     DEFAULT_TOL,
     ExpansionGrid,
     _quadratic_coefficients,
+    _TPlan,
     apply_T,
     ball_radius,
     contraction_margin,
@@ -49,7 +50,7 @@ def test_apply_T_on_zero_without_amplitude(canon):
     grid = empty_grid(canon, 1e-2, c=0.0)
     out = apply_T(grid)
     assert np.all(out.j_values == 0.0)
-    assert out.weighted_norm == 0.0
+    assert weighted_norm(out.nodes, out.j_values, out.epsilon) == 0.0
 
 
 def test_apply_T_power_input_matches_analytic_reduction(canon):
@@ -141,11 +142,10 @@ def test_fixed_point_failure_messages(canon, c, z, message):
 def test_fixed_point_stays_inside_ball(canon):
     z, eps = 1e-2, 0.5
     grid = fixed_point(canon, c=1.0, z=z)
-    assert grid.weighted_norm <= ball_radius(grid)
-    # weighted norm is what it claims to be
-    assert grid.weighted_norm == pytest.approx(
-        weighted_norm(grid.nodes, grid.j_values, eps), rel=1e-12
-    )
+    norm = weighted_norm(grid.nodes, grid.j_values, eps)
+    assert norm <= ball_radius(grid)
+    # the norm fixed_point iterates is this one, bit for bit
+    assert _TPlan(grid).norm(grid.j_values) == norm
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-8, 1e-12])
@@ -259,9 +259,8 @@ def test_constant_branch_is_constant(canon):
 
 def test_weighted_norm_bounds_j(canon):
     grid = fixed_point(canon, c=1.0, z=1e-2)
-    assert np.all(
-        np.abs(grid.j_values) <= grid.weighted_norm * grid.nodes**grid.epsilon * (1 + 1e-12)
-    )
+    norm = _TPlan(grid).norm(grid.j_values)
+    assert np.all(np.abs(grid.j_values) <= norm * grid.nodes**grid.epsilon * (1 + 1e-12))
 
 
 def test_bifurcation_order(canon):
@@ -291,7 +290,7 @@ def test_default_z_has_margin(canon):
     z = default_z(canon, 1.0)
     assert z == 0.125
     grid = fixed_point(canon, c=1.0, z=z)
-    assert grid.weighted_norm < 1.0
+    assert weighted_norm(grid.nodes, grid.j_values, grid.epsilon) < 1.0
 
 
 # -- bit-identity of the planned operator -------------------------------------
@@ -360,7 +359,7 @@ def test_apply_T_bit_identical_to_unplanned_evaluation(gamma, frac):
         new = apply_T(grid)
         ref_j, ref_norm = apply_T_from_scratch(grid)
         assert np.array_equal(new.j_values, ref_j)
-        assert new.weighted_norm == ref_norm
+        assert weighted_norm(new.nodes, new.j_values, new.epsilon) == ref_norm
         grid = new
 
 
@@ -374,7 +373,7 @@ def test_apply_T_bit_identical_on_grids_moved_off_a_fixed_point(canon):
         ref_j, ref_norm = apply_T_from_scratch(moved)
         out = apply_T(moved)
         assert np.array_equal(out.j_values, ref_j)
-        assert out.weighted_norm == ref_norm
+        assert weighted_norm(out.nodes, out.j_values, out.epsilon) == ref_norm
 
 
 @pytest.mark.parametrize("gamma,frac", BIT_IDENTITY_CELLS)
@@ -390,7 +389,6 @@ def test_fixed_point_bit_identical_to_public_apply_T_loop(gamma, frac):
         if change <= DEFAULT_TOL:
             break
     assert np.array_equal(result.j_values, grid.j_values)
-    assert result.weighted_norm == grid.weighted_norm
 
 
 @pytest.mark.parametrize("gamma,frac", BIT_IDENTITY_CELLS)

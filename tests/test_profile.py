@@ -110,7 +110,7 @@ def _whole_history_integrate(seed, params, x_max):
     dtau = seed.dtau
     theta = params.theta
     beta = params.beta
-    strict = seed.c > 1e-300
+    strict = seed.c > 0.0
 
     tau_last = seed.tau0 + dtau * (n_have - 1)
     n_new = int(math.ceil((math.log(x_max) - tau_last) / dtau - 1e-12))
@@ -426,8 +426,7 @@ def test_rescale_overflowing_gauge_factor_is_range_error(canonical_profile):
 @pytest.mark.parametrize(
     "a, named",
     [
-        (5e-324, "c = 4.94066e-323, z = inf"),  # z overflows; c drops to the constant branch
-        (1e-302, "c = 1.04737e-301, z = 1.19346e+300"),  # c alone drops below _C_ZERO
+        (5e-324, "c = 4.94066e-323, z = inf"),  # z overflows
         (1e308, "c = inf, z = 1.19346e-310"),  # c overflows; z is subnormal
     ],
 )
@@ -438,6 +437,17 @@ def test_rescale_refuses_a_gauge_out_of_double_range(canonical_profile, a, named
     assert str(err.value) == (
         f"gauge factor a = {a:g} is out of floating-point range for this profile: "
         f"{named} (mu = 1)"
+    )
+
+
+def test_rescale_refuses_a_gauge_whose_c_underflows_to_zero(canonical_profile):
+    # c alone leaves the fat-tail branch: a**mu underflows to 0 at mu = 2.37734
+    prof = replace(canonical_profile, params=make_params(0.0, 1.1))
+    with pytest.raises(RangeError) as err:
+        rescale(prof, 1e-150)
+    assert str(err.value) == (
+        "gauge factor a = 1e-150 is out of floating-point range for this profile: "
+        "c = 0, z = 1.19346e+148 (mu = 2.37734)"
     )
 
 

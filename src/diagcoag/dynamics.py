@@ -18,8 +18,11 @@ scheme to plain density arrays: it holds the f-independent weights (the loss
 weight xi**(1+gamma) and the boundary-flux weight of the top octave), and
 ``evolve`` marches on arrays with it, making one field per output time.  The
 kernel also owns a step's scratch (stage rates and states, loss products,
-the top-octave flux block), which every step reuses; each density a step
-returns is a fresh array, so every field owns its data.
+the top-octave flux block) and every slice of it that a stage reads or
+writes, all built once, since on a few thousand nodes numpy's per-call
+dispatch costs about as much as an array pass; each density a step returns
+is a fresh array, so every field owns its data.  Nodes whose rates are
+exactly 0 for good (frozen nodes, see ``_Kernel``) leave the step bound.
 
 The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
 in its window, so data with empty nodes (a pulse) can be measured against a
@@ -78,69 +81,121 @@ def _boundary_weight(field: NumberDensityField) -> np.ndarray:
 class _Kernel:
     """The scheme on one grid and kernel, applied to plain density arrays.
 
-    The f-independent weights are built once, and so is the scratch: the
+    Everything that does not depend on f is built once, in ``__init__``: the
+    loss and boundary weights, the scratch that every step overwrites (the
     four stage rates, the three stage states, the loss*f product, the loss
-    density and the top-octave flux block are buffers that every step
-    overwrites.  The densities ``step`` returns are fresh arrays that no
-    later step touches, so each field made from them owns its data.  Every
-    expression keeps the operands and rounding of the field-by-field form.
+    density and the top-octave flux block), and every slice of that scratch
+    a stage reads or writes.  A step on a few thousand nodes spends about as
+    long in numpy's call dispatch as in some of its array passes, so it makes
+    no view of its own apart from f0's top octave, passes outputs
+    positionally and reduces with the ufuncs' ``reduce``.  The densities
+    ``step`` returns are fresh arrays that no later step touches, so each
+    field made from them owns its data.  Every expression keeps the operands
+    and rounding of the field-by-field form.
 
-    Why one attempt per step keeps f >= 0: ``stable_dt`` bounds
-    dt * xi**(1+gamma) f by ETA = 0.1 at every node, so a stage's loss takes
-    at most a tenth of f_k, and its gain, (1/4) dt xi_{k-m}**(1+gamma)
-    f_{k-m}**2 <= (ETA/4) f_{k-m}, raises f_k by only a small share of
-    f_{k-m}.  Every stage state thus stays near that bound, where RK4 on
-    df/dt = -a f**2 with a dt f <= ETA keeps f positive.  The mass never
-    grows, and it moves up to sizes where the same mass gives a smaller loss
-    and flux, so the kernel checks once, when it is built, that the loss and
-    the boundary flux of the initial density are finite.  A step that still
-    leaves a negative or non-finite density raises ``PositivityError``; no
-    step is retried.
+    Why one attempt per step keeps f >= 0.  Call a node *frozen* when its
+    loss product xi**(1+gamma) f**2 is exactly 0 and the node one octave
+    down is frozen or lies below the grid.  Its gain, (1/4) of that lower
+    node's loss product, is then exactly 0 too, so its rate is exactly 0; at
+    any finite dt each stage state repeats f there bit for bit, so its four
+    stage rates and its step are exactly 0, and its f stays as it is.  A
+    frozen node in the top octave thus moves no mass out either, so the step
+    gives it a boundary-flux weight of 0, and the mass balance stays exact
+    however long the step is.
+    ``stable_dt`` bounds dt * xi**(1+gamma) f by ETA = 0.1 at every node that
+    is not frozen, or leaves dt to dt_max when every node is.  At such a
+    node a stage's loss takes at most a tenth of f_k, and its gain, (1/4) dt
+    xi_{k-m}**(1+gamma) f_{k-m}**2 <= (ETA/4) f_{k-m}, raises f_k by only a
+    small share of f_{k-m} (or by nothing, when node k-m is frozen).  Every
+    stage state thus stays near that bound, where RK4 on df/dt = -a f**2
+    with a dt f <= ETA keeps f positive.  The mass never grows, and it moves
+    up to sizes where the same mass gives a smaller loss and flux, so the
+    kernel checks once, when it is built, that the loss and the boundary
+    flux of the initial density are finite.  A step that still leaves a
+    negative or non-finite density raises ``PositivityError``; no step is
+    retried.
     """
 
-    __slots__ = ("m", "loss", "boundary", "loss_f", "density", "rates", "stages", "top")
+    __slots__ = (
+        "m", "loss", "boundary", "flux_weight", "loss_f", "density", "density_low",
+        "density_below", "density_upper", "rates", "rate_views", "stages", "stage_tops",
+        "top", "top_stages",
+    )
 
     def __init__(self, field: NumberDensityField):
         n = len(field.xi_grid)
-        self.m = field.nodes_per_octave
+        m = self.m = field.nodes_per_octave
         self.loss = field.xi_grid ** (1.0 + field.gamma)
         self.boundary = _boundary_weight(field)
         f = field.f_values
         with np.errstate(over="ignore"):  # an overflow is refused below
             loss_max = (self.loss * f * f).max()
-            flux = (self.boundary * f[-self.m :] ** 2).sum()
+            flux = (self.boundary * f[-m:] ** 2).sum()
         for name, value in (("loss xi**(1+gamma) f**2", loss_max), ("boundary flux", flux)):
             if not value < math.inf:
                 raise DomainError(f"number density too large: its {name} overflows")
         self.loss_f = np.empty(n)
-        self.density = np.empty(n)
+        density = self.density = np.empty(n)
+        # the loss density of the first octave, of the nodes feeding a gain, and of the rest
+        self.density_low, self.density_below, self.density_upper = (
+            density[:m], density[:-m], density[m:]
+        )
         self.rates = np.empty((4, n))
+        self.rate_views = tuple((k[:m], k[m:]) for k in self.rates)
         self.stages = np.empty((3, n))
+        self.stage_tops = self.stages[:, -m:]
         self.top = np.empty((4, len(self.boundary)))
+        self.top_stages = self.top[1:]
+        self.flux_weight = self.boundary
 
-    def rhs(self, f: np.ndarray, out: np.ndarray, loss_f: np.ndarray | None = None) -> np.ndarray:
-        """df/dt per node into ``out``; indices below the grid contribute nothing.
+    def rhs(
+        self, f: np.ndarray, low: np.ndarray, upper: np.ndarray, loss_f: np.ndarray | None = None
+    ) -> None:
+        """df/dt per node into the rate's first octave ``low`` and the rest ``upper``.
 
-        ``loss_f``, when given, is loss * f already formed.
+        Indices below the grid contribute nothing.  ``loss_f``, when given,
+        is loss * f already formed.
         """
-        m = self.m
         density = self.density
         if loss_f is None:
-            loss_f = np.multiply(self.loss, f, out=density)
-        np.multiply(loss_f, f, out=density)
-        np.negative(density[:m], out=out[:m])
+            loss_f = np.multiply(self.loss, f, density)
+        np.multiply(loss_f, f, density)
+        np.negative(self.density_low, low)
         # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m};
         # gain - loss is -loss + gain exactly
-        np.multiply(density[:-m], 0.25, out=out[m:])
-        np.subtract(out[m:], density[m:], out=out[m:])
-        return out
+        np.multiply(self.density_below, 0.25, upper)
+        np.subtract(upper, self.density_upper, upper)
 
     def stable_dt(self, f: np.ndarray) -> float:
-        """dt <= ETA / max(xi**(1+gamma) f), leaving loss * f in ``loss_f`` for ``step``."""
-        scale = float(np.multiply(self.loss, f, out=self.loss_f).max())
+        """dt <= ETA / max(xi**(1+gamma) f) over the nodes that are not frozen.
+
+        Leaves loss * f in ``loss_f`` and the top octave's boundary weights,
+        0 at its frozen nodes, in ``flux_weight``, for ``step``.  Only when
+        the largest loss * f sits at a node whose loss product is 0 are the
+        frozen nodes sought.
+        """
+        loss_f = np.multiply(self.loss, f, self.loss_f)
+        k = loss_f.argmax()
+        scale = loss_f.item(k)
+        self.flux_weight = self.boundary
+        if scale * f.item(k) == 0.0:
+            scale = self._unfrozen_scale(f)
         if scale == 0.0:
             return math.inf
         return ETA / scale
+
+    def _unfrozen_scale(self, f: np.ndarray) -> float:
+        """max(loss * f) over the nodes that are not frozen, 0 when every node is;
+        sets ``flux_weight`` to 0 at the frozen nodes."""
+        m, loss_f = self.m, self.loss_f
+        unfrozen = loss_f * f != 0.0
+        n = len(unfrozen)
+        # a node is unfrozen when its loss product is not 0 or its lower node is unfrozen
+        for lo in range(m, n, m):
+            hi = min(lo + m, n)
+            unfrozen[lo:hi] |= unfrozen[lo - m : hi - m]
+        self.flux_weight = np.where(unfrozen[-m:], self.boundary, 0.0)
+        return float(np.maximum.reduce(loss_f[unfrozen], initial=0.0))
 
     def step(self, f0: np.ndarray, t: float, dt_max: float) -> tuple[np.ndarray, float, float]:
         """One Runge-Kutta step from f0 at time t: (f_new, dt, escaped mass).
@@ -149,47 +204,50 @@ class _Kernel:
         comes from the same stages.
         """
         dt = min(self.stable_dt(f0), dt_max)
-        rhs = self.rhs
+        half = 0.5 * dt
+        rhs, multiply, add = self.rhs, np.multiply, np.add
         k1, k2, k3, k4 = self.rates
+        (lo1, up1), (lo2, up2), (lo3, up3), (lo4, up4) = self.rate_views
         f1, f2, f3 = self.stages
-        rhs(f0, k1, self.loss_f)
+        rhs(f0, lo1, up1, self.loss_f)
         # each stage state c*k + f0, which is f0 + c*k exactly
-        rhs(np.add(np.multiply(k1, 0.5 * dt, out=f1), f0, out=f1), k2)
-        rhs(np.add(np.multiply(k2, 0.5 * dt, out=f2), f0, out=f2), k3)
-        rhs(np.add(np.multiply(k3, dt, out=f3), f0, out=f3), k4)
+        rhs(add(multiply(k1, half, f1), f0, f1), lo2, up2)
+        rhs(add(multiply(k2, half, f2), f0, f2), lo3, up3)
+        rhs(add(multiply(k3, dt, f3), f0, f3), lo4, up4)
         # k1 + 2 (k2 + k3) + k4, gathered in k2
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= dt / 6.0
-        f_new = f0 + k2
+        add(k2, k3, k2)
+        multiply(k2, 2.0, k2)
+        add(k2, k1, k2)
+        add(k2, k4, k2)
+        multiply(k2, dt / 6.0, k2)
+        f_new = add(f0, k2)
         # min and max propagate NaN: (f_new >= 0).all() and isfinite(f_new).all()
-        if not (f_new.min() >= 0.0 and f_new.max() < math.inf):
+        if not (np.minimum.reduce(f_new) >= 0.0 and np.maximum.reduce(f_new) < math.inf):
             raise PositivityError(f"density lost positivity or finiteness at t = {t:g}")
         return f_new, dt, (dt / 6.0) * self._flux_sum(f0)
 
     def _flux_sum(self, f0: np.ndarray) -> float:
         """F0 + 2 (F1 + F2) + F3: the boundary fluxes of f0 and the current stage states.
 
-        Each flux is a row sum of the block, (boundary * f[-m:]**2).sum() of its state.
+        Each flux is a row sum of the block, (flux_weight * f[-m:]**2).sum() of its state.
         """
         top = self.top
-        m = len(top[0])
-        np.square(f0[-m:], out=top[0])
-        np.square(self.stages[:, -m:], out=top[1:])
-        top *= self.boundary
-        s0, s1, s2, s3 = top.sum(axis=1).tolist()
+        np.square(f0[-self.m :], top[0])
+        np.square(self.stage_tops, self.top_stages)
+        np.multiply(top, self.flux_weight, top)
+        s0, s1, s2, s3 = np.add.reduce(top, 1).tolist()
         return s0 + 2.0 * (s1 + s2) + s3
 
     def advance(self, field: NumberDensityField, t_target: float) -> NumberDensityField:
         """March the field to t_target with the adaptive step bound.
 
-        Returns the field itself when no step is due.  A step that leaves f
-        unchanged, with no escaped mass, at the dt of the step before, would
-        repeat itself up to t_target (every rate has underflowed, or its change
-        falls below f's resolution): the state is stationary under the scheme,
-        so the march goes to t_target at once.  Only a repeated dt compares f.
+        Returns the field itself when no step is due.  A state whose nodes
+        are all frozen takes one step to t_target (see ``_Kernel``).  A step
+        that leaves f unchanged, with no escaped mass, at the dt of the step
+        before, would repeat itself up to t_target too (a node that is not
+        frozen can still have rates too small to change f): the state is
+        stationary under the scheme, so the march goes to t_target at once.
+        Only a repeated dt compares f.
         """
         t_stop = t_target * (1.0 - 1e-15)
         if not field.t < t_stop:
@@ -292,7 +350,10 @@ def pulse_field(
 
 def coag_rhs(field: NumberDensityField) -> np.ndarray:
     """df/dt per node for the field's density."""
-    return _Kernel(field).rhs(field.f_values, np.empty(len(field.f_values)))
+    out = np.empty(len(field.f_values))
+    m = field.nodes_per_octave
+    _Kernel(field).rhs(field.f_values, out[:m], out[m:])
+    return out
 
 
 def moments(field: NumberDensityField) -> tuple[float, float, float]:
@@ -322,7 +383,8 @@ def step(field: NumberDensityField, dt: float) -> NumberDensityField:
 
 
 def stable_dt(field: NumberDensityField) -> float:
-    """dt <= ETA / max(xi**(1+gamma) f): the loss term's stiffness scale."""
+    """dt <= ETA / max(xi**(1+gamma) f) over the nodes that are not frozen: the
+    loss term's stiffness scale; inf when every node is frozen."""
     return _Kernel(field).stable_dt(field.f_values)
 
 

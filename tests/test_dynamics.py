@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -190,7 +191,8 @@ def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
 
 def test_a_state_whose_rates_underflow_steps_straight_to_the_end(monkeypatch):
     # gamma = -1: past t ~ 1e162 the density f ~ 1/t squares to 0, so no step
-    # changes it while the bounded dt stays near 1e161 and t runs to 1e200
+    # changes it; bounded by those nodes, dt would stay near 1e161 while t runs
+    # to 1e200, but every node is then frozen and leaves the bound
     field = dy.pulse_field(-1.0, 320)
     step = dy._Kernel.step
     seen = {"steps": 0, "escaped": field.escaped_mass}
@@ -209,10 +211,59 @@ def test_a_state_whose_rates_underflow_steps_straight_to_the_end(monkeypatch):
     monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
     (end,) = dy.evolve(field, 1e200, 1)
     first, f_first, escaped_first = seen["first"]
-    assert seen["steps"] == first + 1  # the step after the first stationary one ends the march
+    assert seen["steps"] == first  # the first step that changes nothing goes to t_end
     assert np.array_equal(end.f_values, f_first)
     assert end.escaped_mass == escaped_first
     assert end.t == pytest.approx(1e200, rel=1e-15)
+
+
+def _budgeted_steps(monkeypatch, budget):
+    """Count ``_Kernel.step`` calls, raising past ``budget`` so that a creeping march fails."""
+    step = dy._Kernel.step
+    steps = []
+
+    def budgeted_step(kernel, *args):
+        if len(steps) == budget:
+            raise AssertionError(f"t_end not reached within {budget:,} steps")
+        steps.append(None)
+        return step(kernel, *args)
+
+    monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
+    return steps
+
+
+def test_a_frozen_node_leaves_the_step_bound(monkeypatch):
+    # gamma = -5: from t ~ 3e162 the node with the largest xi**(1+gamma) f has a
+    # loss product xi**(1+gamma) f**2 that underflows to 0 while nodes with a smaller
+    # loss weight still decay; bounded by it, dt would stay near 7e160 while t runs
+    # to 1e300.  A frozen node in the top octave keeps its f and moves no mass out.
+    field = dy.pulse_field(-5.0, 320)
+    steps = _budgeted_steps(monkeypatch, 10_000)
+    (end,) = dy.evolve(field, 1e300, 1)
+    assert len(steps) > 1000
+    assert np.all(end.f_values >= 0.0)
+    assert np.count_nonzero(end.f_values[-field.nodes_per_octave :]) > 0
+    mass0 = dy.moments(field)[1]
+    assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
+    assert end.t == pytest.approx(1e300, rel=1e-15)
+
+
+def test_a_stationary_state_that_is_not_frozen_steps_straight_to_the_end(monkeypatch):
+    # one lattice (m_d = 1, gamma = 0) from xi = 2**-1000 to 1: the bottom node's loss
+    # product is the least subnormal, a quarter of which, its gain above, rounds to 0,
+    # so the top node is not frozen yet does not change.  It sets dt = 1e199, under
+    # which the bottom node's change falls below its resolution: each step repeats.
+    f = np.zeros(1001)
+    f[0] = math.sqrt(5e-324 / 2.0**-1000)
+    f[-1] = 1e-200
+    field = dy.make_field(0.0, f, xi_min=2.0**-1000, nodes_per_octave=1)
+    assert dy.stable_dt(field) == dy.ETA / 1e-200
+    steps = _budgeted_steps(monkeypatch, 10)
+    (end,) = dy.evolve(field, 1e300, 1)
+    assert len(steps) == 2  # the second step repeats the first and ends the march
+    assert np.array_equal(end.f_values, f)
+    assert end.escaped_mass == 0.0
+    assert end.t == pytest.approx(1e300, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -332,6 +383,28 @@ def test_step_matches_reference_bit_for_bit(canonical_profile, kind):
         _assert_same_field(field, ref)
     if kind != "pulse":
         assert field.escaped_mass > 0.0
+
+
+@pytest.mark.parametrize("kind", ["profile", "power_law", "pulse"])
+def test_rhs_and_stable_dt_match_reference_bit_for_bit(canonical_profile, kind):
+    # coag_rhs takes the first-stage path with a fresh output and no loss * f formed
+    field = _initial_field(kind, canonical_profile)
+    assert np.array_equal(dy.coag_rhs(field), _reference_rhs(field))
+    assert dy.stable_dt(field) == _reference_stable_dt(field)
+
+
+def test_a_step_allocates_only_the_density_it_returns(canonical_profile):
+    # the collapse field, 2,561 nodes: a warmed kernel reuses its scratch
+    field = dy.field_from_profile(canonical_profile, nodes_per_octave=64)
+    kernel = dy._Kernel(field)
+    f, dt, _ = kernel.step(field.f_values, field.t, math.inf)
+    tracemalloc.start()
+    try:
+        kernel.step(f, field.t + dt, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * f.nbytes
 
 
 def _evolve_input(kind, profile):

@@ -19,7 +19,6 @@ import math
 import os
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +273,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cell_gammas, cell_rhos = zip(*[(g, r) for g in gammas for r in rhos])
     workers = min(_usable_cpus(), len(cell_gammas))
     if workers > 1:
+        # imported here: concurrent.futures.process loads multiprocessing, which
+        # every other command would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(pipeline.sweep_row, cell_gammas, cell_rhos))
     else:

@@ -15,11 +15,11 @@ Runge-Kutta stages, which makes the discrete mass balance exact to rounding.
 
 A private kernel, built once per run from the grid and gamma, applies the
 scheme to plain density arrays: it holds the f-independent weights (the loss
-weight xi**(1+gamma) and the boundary-flux weight of the top octave), and
-``evolve`` marches on arrays with it, making one field per output time.  The
-kernel also owns a step's scratch (stage rates and states, loss products,
-the top-octave flux block) and every slice of it that a stage reads or
-writes, all built once, since on a few thousand nodes numpy's per-call
+weight xi**(1+gamma) and the mass weight of the top octave), and ``evolve``
+marches on arrays with it, making one field per output time.  The kernel
+also owns a step's scratch (stage rates and states, loss products, one loss
+density per stage, the top-octave flux block) and every slice of it that a
+stage reads or writes, all built once, since on a few thousand nodes numpy's per-call
 dispatch costs about as much as an array pass; each density a step returns
 is a fresh array, so every field owns its data.  Nodes whose rates are
 exactly 0 for good (frozen nodes, see ``_Kernel``) leave the step bound.
@@ -68,40 +68,46 @@ class NumberDensityField:
         return _LN2 / self.nodes_per_octave
 
 
-def _boundary_weight(field: NumberDensityField) -> np.ndarray:
-    """Weight of f**2 in the mass flux through the truncated upper boundary.
+def _boundary_flux(
+    mass_weight: np.ndarray, loss_density: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Mass flux out through the truncated upper boundary, per row of top-octave
+    loss densities xi**(1+gamma) f**2: their sum in the top octave's mass
+    weights (xi * dlog) * xi.
 
-    Loss at the top m_d nodes has its gain above the grid; in the uniform log
-    weights xi * dlog of the mass moment this is its exact compensator.
+    Loss at the top m_d nodes has its gain above the grid; in the weights of
+    the mass moment of ``moments`` this is its exact compensator, and a node
+    whose loss is 0 moves no mass out.
     """
-    top = field.xi_grid[-field.nodes_per_octave :]
-    return (top * field.dlog) * top ** (2.0 + field.gamma)
+    return np.add.reduce(np.multiply(mass_weight, loss_density, out), -1)
 
 
 class _Kernel:
     """The scheme on one grid and kernel, applied to plain density arrays.
 
     Everything that does not depend on f is built once, in ``__init__``: the
-    loss and boundary weights, the scratch that every step overwrites (the
-    four stage rates, the three stage states, the loss*f product, the loss
-    density and the top-octave flux block), and every slice of that scratch
-    a stage reads or writes.  A step on a few thousand nodes spends about as
-    long in numpy's call dispatch as in some of its array passes, so it makes
-    no view of its own apart from f0's top octave, passes outputs
+    loss weight and the top octave's mass weight, the scratch that every step
+    overwrites (the four stage rates, the three stage states, the loss*f
+    product, one loss density per stage and the top-octave flux block), and
+    every slice of that scratch a stage reads or writes.  A step on a few
+    thousand nodes spends about as long in numpy's call dispatch as in some
+    of its array passes, so it makes no view of its own, passes outputs
     positionally and reduces with the ufuncs' ``reduce``.  The densities
     ``step`` returns are fresh arrays that no later step touches, so each
     field made from them owns its data.  Every expression keeps the operands
     and rounding of the field-by-field form.
+
+    A stage's boundary flux is ``_boundary_flux`` of the loss density its
+    rate was formed from, so the escaped mass is the mass the stages take out
+    of the grid: a node whose loss is 0 moves no mass out, whatever its f.
 
     Why one attempt per step keeps f >= 0.  Call a node *frozen* when its
     loss product xi**(1+gamma) f**2 is exactly 0 and the node one octave
     down is frozen or lies below the grid.  Its gain, (1/4) of that lower
     node's loss product, is then exactly 0 too, so its rate is exactly 0; at
     any finite dt each stage state repeats f there bit for bit, so its four
-    stage rates and its step are exactly 0, and its f stays as it is.  A
-    frozen node in the top octave thus moves no mass out either, so the step
-    gives it a boundary-flux weight of 0, and the mass balance stays exact
-    however long the step is.
+    stage rates, its loss densities and its step are exactly 0, and its f
+    stays as it is.
     ``stable_dt`` bounds dt * xi**(1+gamma) f by ETA = 0.1 at every node that
     is not frozen, or leaves dt to dt_max when every node is.  At such a
     node a stage's loss takes at most a tenth of f_k, and its gain, (1/4) dt
@@ -117,67 +123,63 @@ class _Kernel:
     """
 
     __slots__ = (
-        "m", "loss", "boundary", "flux_weight", "loss_f", "density", "density_low",
-        "density_below", "density_upper", "rates", "rate_views", "stages", "stage_tops",
-        "top", "top_stages",
+        "m", "loss", "mass_weight", "loss_f", "rates", "stages", "stage_views",
+        "density_tops", "top",
     )
 
     def __init__(self, field: NumberDensityField):
         n = len(field.xi_grid)
         m = self.m = field.nodes_per_octave
         self.loss = field.xi_grid ** (1.0 + field.gamma)
-        self.boundary = _boundary_weight(field)
+        top = field.xi_grid[-m:]
+        self.mass_weight = top * field.dlog * top
         f = field.f_values
         with np.errstate(over="ignore"):  # an overflow is refused below
-            loss_max = (self.loss * f * f).max()
-            flux = (self.boundary * f[-m:] ** 2).sum()
+            density = self.loss * f * f
+            loss_max = density.max()
+            flux = _boundary_flux(self.mass_weight, density[-m:])
         for name, value in (("loss xi**(1+gamma) f**2", loss_max), ("boundary flux", flux)):
             if not value < math.inf:
                 raise DomainError(f"number density too large: its {name} overflows")
         self.loss_f = np.empty(n)
-        density = self.density = np.empty(n)
-        # the loss density of the first octave, of the nodes feeding a gain, and of the rest
-        self.density_low, self.density_below, self.density_upper = (
-            density[:m], density[:-m], density[m:]
-        )
+        densities = np.empty((4, n))
         self.rates = np.empty((4, n))
-        self.rate_views = tuple((k[:m], k[m:]) for k in self.rates)
+        # per stage: its loss density, that density's first octave, its nodes
+        # feeding a gain and the rest, and the stage rate's first octave and the rest
+        self.stage_views = tuple(
+            (d, d[:m], d[:-m], d[m:], k[:m], k[m:]) for d, k in zip(densities, self.rates)
+        )
         self.stages = np.empty((3, n))
-        self.stage_tops = self.stages[:, -m:]
-        self.top = np.empty((4, len(self.boundary)))
-        self.top_stages = self.top[1:]
-        self.flux_weight = self.boundary
+        self.density_tops = densities[:, -m:]
+        self.top = np.empty((4, m))
 
-    def rhs(
-        self, f: np.ndarray, low: np.ndarray, upper: np.ndarray, loss_f: np.ndarray | None = None
-    ) -> None:
-        """df/dt per node into the rate's first octave ``low`` and the rest ``upper``.
+    def rhs(self, f: np.ndarray, views: tuple, loss_f: np.ndarray | None = None) -> None:
+        """df/dt per node into the rate of a stage's ``views``, its loss
+        density into the stage's density row.
 
         Indices below the grid contribute nothing.  ``loss_f``, when given,
         is loss * f already formed.
         """
-        density = self.density
+        density, density_low, density_below, density_upper, low, upper = views
         if loss_f is None:
             loss_f = np.multiply(self.loss, f, density)
         np.multiply(loss_f, f, density)
-        np.negative(self.density_low, low)
+        np.negative(density_low, low)
         # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m};
         # gain - loss is -loss + gain exactly
-        np.multiply(self.density_below, 0.25, upper)
-        np.subtract(upper, self.density_upper, upper)
+        np.multiply(density_below, 0.25, upper)
+        np.subtract(upper, density_upper, upper)
 
     def stable_dt(self, f: np.ndarray) -> float:
         """dt <= ETA / max(xi**(1+gamma) f) over the nodes that are not frozen.
 
-        Leaves loss * f in ``loss_f`` and the top octave's boundary weights,
-        0 at its frozen nodes, in ``flux_weight``, for ``step``.  Only when
-        the largest loss * f sits at a node whose loss product is 0 are the
-        frozen nodes sought.
+        Leaves loss * f in ``loss_f`` for ``step``.  Only when the largest
+        loss * f sits at a node whose loss product is 0 are the frozen nodes
+        sought.
         """
         loss_f = np.multiply(self.loss, f, self.loss_f)
         k = loss_f.argmax()
         scale = loss_f.item(k)
-        self.flux_weight = self.boundary
         if scale * f.item(k) == 0.0:
             scale = self._unfrozen_scale(f)
         if scale == 0.0:
@@ -185,8 +187,7 @@ class _Kernel:
         return ETA / scale
 
     def _unfrozen_scale(self, f: np.ndarray) -> float:
-        """max(loss * f) over the nodes that are not frozen, 0 when every node is;
-        sets ``flux_weight`` to 0 at the frozen nodes."""
+        """max(loss * f) over the nodes that are not frozen, 0 when every node is."""
         m, loss_f = self.m, self.loss_f
         unfrozen = loss_f * f != 0.0
         n = len(unfrozen)
@@ -194,26 +195,26 @@ class _Kernel:
         for lo in range(m, n, m):
             hi = min(lo + m, n)
             unfrozen[lo:hi] |= unfrozen[lo - m : hi - m]
-        self.flux_weight = np.where(unfrozen[-m:], self.boundary, 0.0)
         return float(np.maximum.reduce(loss_f[unfrozen], initial=0.0))
 
     def step(self, f0: np.ndarray, t: float, dt_max: float) -> tuple[np.ndarray, float, float]:
         """One Runge-Kutta step from f0 at time t: (f_new, dt, escaped mass).
 
         dt is the smaller of ``stable_dt(f0)`` and dt_max.  The escaped mass
-        comes from the same stages.
+        is F0 + 2 (F1 + F2) + F3 times dt/6, from the boundary fluxes of the
+        four stages' loss densities.
         """
         dt = min(self.stable_dt(f0), dt_max)
         half = 0.5 * dt
         rhs, multiply, add = self.rhs, np.multiply, np.add
         k1, k2, k3, k4 = self.rates
-        (lo1, up1), (lo2, up2), (lo3, up3), (lo4, up4) = self.rate_views
+        v1, v2, v3, v4 = self.stage_views
         f1, f2, f3 = self.stages
-        rhs(f0, lo1, up1, self.loss_f)
+        rhs(f0, v1, self.loss_f)
         # each stage state c*k + f0, which is f0 + c*k exactly
-        rhs(add(multiply(k1, half, f1), f0, f1), lo2, up2)
-        rhs(add(multiply(k2, half, f2), f0, f2), lo3, up3)
-        rhs(add(multiply(k3, dt, f3), f0, f3), lo4, up4)
+        rhs(add(multiply(k1, half, f1), f0, f1), v2)
+        rhs(add(multiply(k2, half, f2), f0, f2), v3)
+        rhs(add(multiply(k3, dt, f3), f0, f3), v4)
         # k1 + 2 (k2 + k3) + k4, gathered in k2
         add(k2, k3, k2)
         multiply(k2, 2.0, k2)
@@ -224,19 +225,8 @@ class _Kernel:
         # min and max propagate NaN: (f_new >= 0).all() and isfinite(f_new).all()
         if not (np.minimum.reduce(f_new) >= 0.0 and np.maximum.reduce(f_new) < math.inf):
             raise PositivityError(f"density lost positivity or finiteness at t = {t:g}")
-        return f_new, dt, (dt / 6.0) * self._flux_sum(f0)
-
-    def _flux_sum(self, f0: np.ndarray) -> float:
-        """F0 + 2 (F1 + F2) + F3: the boundary fluxes of f0 and the current stage states.
-
-        Each flux is a row sum of the block, (flux_weight * f[-m:]**2).sum() of its state.
-        """
-        top = self.top
-        np.square(f0[-self.m :], top[0])
-        np.square(self.stage_tops, self.top_stages)
-        np.multiply(top, self.flux_weight, top)
-        s0, s1, s2, s3 = np.add.reduce(top, 1).tolist()
-        return s0 + 2.0 * (s1 + s2) + s3
+        s0, s1, s2, s3 = _boundary_flux(self.mass_weight, self.density_tops, self.top).tolist()
+        return f_new, dt, (dt / 6.0) * (s0 + 2.0 * (s1 + s2) + s3)
 
     def advance(self, field: NumberDensityField, t_target: float) -> NumberDensityField:
         """March the field to t_target with the adaptive step bound.
@@ -350,23 +340,26 @@ def pulse_field(
 
 def coag_rhs(field: NumberDensityField) -> np.ndarray:
     """df/dt per node for the field's density."""
-    out = np.empty(len(field.f_values))
-    m = field.nodes_per_octave
-    _Kernel(field).rhs(field.f_values, out[:m], out[m:])
-    return out
+    kernel = _Kernel(field)
+    kernel.rhs(field.f_values, kernel.stage_views[0])
+    return kernel.rates[0]
 
 
 def moments(field: NumberDensityField) -> tuple[float, float, float]:
     """(number N, mass M, boundary loss flux) in the uniform log weights xi * dlog.
 
-    The boundary flux compensates this M exactly, so M + escaped_mass is
-    conserved to rounding.
+    The flux is ``_boundary_flux`` of the top octave's loss density, the
+    mass that the scheme's rates take out of this M, so M + escaped_mass is
+    conserved to rounding; a state whose top octave has no loss has no flux.
     """
     xi = field.xi_grid
     f = field.f_values
+    m = field.nodes_per_octave
     w = xi * field.dlog
-    flux = float((_boundary_weight(field) * f[-field.nodes_per_octave :] ** 2).sum())
-    return float(np.sum(w * f)), float(np.sum(w * xi * f)), flux
+    mass_weight = w * xi
+    loss_density = xi ** (1.0 + field.gamma) * f * f
+    flux = float(_boundary_flux(mass_weight[-m:], loss_density[-m:]))
+    return float(np.sum(w * f)), float(np.sum(mass_weight * f)), flux
 
 
 def step(field: NumberDensityField, dt: float) -> NumberDensityField:

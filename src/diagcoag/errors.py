@@ -18,11 +18,8 @@ class DomainError(DiagcoagError, ValueError):
 
 
 class ConvergenceError(DiagcoagError, RuntimeError):
-    """An iteration failed to converge, to bracket its root, or left its trust region."""
-
-
-class IterationLimitError(ConvergenceError):
-    """An iteration used up its iteration budget without converging."""
+    """An iteration failed to converge within its budget, to bracket its root, or
+    left its trust region."""
 
 
 class MonotonicityError(DiagcoagError, RuntimeError):

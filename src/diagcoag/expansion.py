@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import cumtrapz_corrected
-from .errors import ConvergenceError, DomainError, IterationLimitError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError
 from .mu import F_of
 from .params import SimilarityParams
 from .profile import Profile, check_invariants as check_profile_invariants, rhs
@@ -367,10 +367,10 @@ def fixed_point(
     <= ``DEFAULT_TOL``.
 
     Raises ``ConvergenceError`` when an iterate diverges or leaves the
-    invariant ball (z too large for the parameters), and its subclass
-    ``IterationLimitError`` after ``DEFAULT_MAX_ITER`` iterations.  The rate
-    of convergence is the contraction margin, which does not depend on z, so
-    a smaller z cannot make up for too few iterations.
+    invariant ball (z too large for the parameters), or after
+    ``DEFAULT_MAX_ITER`` iterations.  The rate of convergence is the
+    contraction margin, which does not depend on z, so a smaller z cannot
+    make up for too few iterations.
     """
     check_amplitude(c)
     grid = empty_grid(params, z, c, nodes_per_octave)
@@ -401,9 +401,7 @@ def fixed_point(
             j = new
             if change <= DEFAULT_TOL:
                 return replace(grid, j_values=j)
-    raise IterationLimitError(
-        f"fixed point not reached in {DEFAULT_MAX_ITER} iterations at z={z:g}"
-    )
+    raise ConvergenceError(f"fixed point not reached in {DEFAULT_MAX_ITER} iterations at z={z:g}")
 
 
 def h_from_expansion(grid: ExpansionGrid) -> Profile:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import re
@@ -906,12 +907,12 @@ def test_sweep_pool_size_keeps_the_table(tmp_path, monkeypatch, capsys):
     line = next(ln for ln in _readme_commands() if ln.startswith("diagcoag sweep "))
     pools = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     outputs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)

@@ -45,7 +45,7 @@ def test_kernel_weights_are_built_bit_for_bit(gamma):
     m = field.nodes_per_octave
     assert np.array_equal(kernel.loss, xi ** (1.0 + gamma))
     w = xi * field.dlog
-    assert np.array_equal(kernel.boundary, w[-m:] * xi[-m:] ** (2.0 + gamma))
+    assert np.array_equal(kernel.mass_weight, w[-m:] * xi[-m:])
 
 
 def test_replace_with_another_kernel_rebuilds_weights(canon):
@@ -248,6 +248,17 @@ def test_a_frozen_node_leaves_the_step_bound(monkeypatch):
     assert end.t == pytest.approx(1e300, rel=1e-15)
 
 
+def test_a_frozen_state_has_no_boundary_flux():
+    # the gamma = -5 pulse at 1e300: every node is frozen, so no loss moves mass out,
+    # though the top octave still holds f > 0
+    field = dy.pulse_field(-5.0, 320)
+    (end,) = dy.evolve(field, 1e300, 1)
+    assert dy.stable_dt(end) == math.inf
+    assert dy.moments(end)[2] == 0.0
+    mass0 = dy.moments(field)[1]
+    assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
+
+
 def test_a_stationary_state_that_is_not_frozen_steps_straight_to_the_end(monkeypatch):
     # one lattice (m_d = 1, gamma = 0) from xi = 2**-1000 to 1: the bottom node's loss
     # product is the least subnormal, a quarter of which, its gain above, rounds to 0,
@@ -313,22 +324,24 @@ def test_make_field_refuses_a_non_finite_density(canon, value):
 # It is the reference the array-stage step must match bit for bit.
 
 
+def _reference_loss_density(field):
+    f = field.f_values
+    return field.xi_grid ** (1.0 + field.gamma) * f * f
+
+
 def _reference_rhs(field):
     m = field.nodes_per_octave
-    xi = field.xi_grid
-    f = field.f_values
-    loss_density = xi ** (1.0 + field.gamma) * f * f
+    loss_density = _reference_loss_density(field)
     rate = -loss_density
     rate[m:] += 0.25 * loss_density[:-m]
     return rate
 
 
 def _reference_flux(field):
+    # the top octave's loss density in its mass weights (xi * dlog) * xi
     m = field.nodes_per_octave
-    xi = field.xi_grid
-    f = field.f_values
-    w = xi * field.dlog
-    return float(np.sum(w[-m:] * xi[-m:] ** (2.0 + field.gamma) * f[-m:] ** 2))
+    xi = field.xi_grid[-m:]
+    return float(np.sum(xi * field.dlog * xi * _reference_loss_density(field)[-m:]))
 
 
 def _reference_stable_dt(field):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diagcoag import pipeline, tail
-from diagcoag.errors import ConvergenceError, DomainError, IterationLimitError, MonotonicityError
+from diagcoag.errors import ConvergenceError, DomainError, MonotonicityError
 from diagcoag.expansion import default_z, fixed_point, h_from_expansion
 from diagcoag.params import beta_star_of, make_params, params_from_rho
 from diagcoag.profile import MAX_OCTAVES, integrate
@@ -54,7 +54,7 @@ def test_exhausted_expansion_is_not_retried_at_a_smaller_z(monkeypatch):
     # kappa = 0.9959 does not depend on z: tol 1e-12 needs ~6,700 iterations
     params = make_params(-1.0, 60.0)
     calls = _record_calls(monkeypatch, "fixed_point")
-    with pytest.raises(IterationLimitError, match="not reached in 2000 iterations"):
+    with pytest.raises(ConvergenceError, match="not reached in 2000 iterations"):
         pipeline.build_profile(params)
     assert calls == ["fixed_point"]
 

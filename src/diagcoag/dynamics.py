@@ -26,7 +26,10 @@ exactly 0 for good (frozen nodes, see ``_Kernel``) leave the step bound.
 
 The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
 in its window, so data with empty nodes (a pulse) can be measured against a
-profile, and a field sampled from the profile has D = 0 at t = 1.
+profile, and a field sampled from the profile has D = 0 at t = 1.  Since
+mass only moves up, the nodes above the window's top at t_end never feed
+back into D, so ``simulate_collapse`` evolves the grid only up to the first
+node at or above it and books what crosses that node as escaped mass.
 """
 
 from __future__ import annotations
@@ -277,6 +280,26 @@ def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray
     return xi
 
 
+def _field(
+    gamma: float,
+    f_values: np.ndarray,
+    xi_min: float,
+    nodes_per_octave: int,
+    xi: np.ndarray | None = None,
+) -> NumberDensityField:
+    """Field at t = 1 on the grid xi, or, when xi is None, on the grid of
+    len(f_values) nodes from xi_min that is built once the density is checked."""
+    check_gamma(gamma)
+    f = np.asarray(f_values, dtype=float)
+    if not (np.isfinite(f).all() and (f >= 0.0).all()):
+        raise DomainError("number density must be finite and nonnegative")
+    if xi is None:
+        xi = _size_grid(len(f), xi_min, nodes_per_octave)
+    return NumberDensityField(
+        gamma=float(gamma), nodes_per_octave=nodes_per_octave, xi_grid=xi, f_values=f, t=1.0
+    )
+
+
 def make_field(
     gamma: float,
     f_values: np.ndarray,
@@ -284,14 +307,7 @@ def make_field(
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
     """Field at t = 1 for kernel exponent gamma, nodal densities from xi_min upward."""
-    check_gamma(gamma)
-    f = np.asarray(f_values, dtype=float)
-    if not (np.isfinite(f).all() and (f >= 0.0).all()):
-        raise DomainError("number density must be finite and nonnegative")
-    xi = _size_grid(len(f), xi_min, nodes_per_octave)
-    return NumberDensityField(
-        gamma=float(gamma), nodes_per_octave=nodes_per_octave, xi_grid=xi, f_values=f, t=1.0
-    )
+    return _field(gamma, f_values, xi_min, nodes_per_octave)
 
 
 def field_from_profile(
@@ -304,7 +320,7 @@ def field_from_profile(
     xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
     if xi[0] < profile.x_min or xi[-1] > profile.x_max:
         raise DomainError("profile does not cover the requested size grid")
-    return make_field(profile.params.gamma, profile.g_at(xi), xi_min, nodes_per_octave)
+    return _field(profile.params.gamma, profile.g_at(xi), xi_min, nodes_per_octave, xi)
 
 
 def power_law_field(
@@ -317,9 +333,9 @@ def power_law_field(
 ) -> NumberDensityField:
     """f = amplitude * xi**(-exponent); exponent (3+gamma)/2 is stationary."""
     xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
-    with np.errstate(over="ignore"):  # make_field rejects a density that overflows
+    with np.errstate(over="ignore"):  # _field rejects a density that overflows
         f = amplitude * xi ** (-exponent)
-    return make_field(gamma, f, xi_min, nodes_per_octave)
+    return _field(gamma, f, xi_min, nodes_per_octave, xi)
 
 
 def pulse_field(
@@ -331,11 +347,12 @@ def pulse_field(
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
     """Single occupied node (monomer-like pulse); ``node`` counts from xi_min."""
-    f = np.zeros_like(_size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave))
+    xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
+    f = np.zeros(len(xi))
     if not 0 <= node < len(f):
         raise DomainError(f"pulse node {node} is outside the grid's nodes 0..{len(f) - 1}")
     f[node] = amplitude
-    return make_field(gamma, f, xi_min, nodes_per_octave)
+    return _field(gamma, f, xi_min, nodes_per_octave, xi)
 
 
 def coag_rhs(field: NumberDensityField) -> np.ndarray:
@@ -459,7 +476,10 @@ def default_window(
     """Middle two quartiles (in log) of the rescaled domains over [t, t_end].
 
     Intersecting the rescaled domains at the initial and final times excludes
-    the boundary-contaminated nodes at both ends.  A window narrower than one
+    the boundary-contaminated nodes at both ends.  The sizes above the
+    window's top at t_end, the top quarter of the rescaled span there, lie
+    above the window at every t up to t_end, so ``simulate_collapse`` does
+    not evolve them.  A window narrower than one
     octave (fewer than ``nodes_per_octave`` nodes) raises ``DomainError``:
     D would rest on a handful of nodes.
     """
@@ -487,6 +507,13 @@ def simulate_collapse(
 ):
     """Evolve the field to t_end, recording D(t) at geometric output times.
 
+    The window is ``default_window`` of the given grid.  Only the nodes up to
+    the first one at or above the window's top at t_end, x_hi t**beta, are
+    evolved, with t one ulp past t_end since the last output's t can round
+    there: mass moves only upward, so larger sizes never reach D.  The fields
+    returned end at that node, and their ``escaped_mass`` includes the mass
+    that crossed it.
+
     Raises ``DomainError`` before any work on a bad ``t_end`` (as ``evolve``),
     and before evolving when ``beta`` or the kernel gamma differs from the profile's.
     """
@@ -498,7 +525,11 @@ def simulate_collapse(
             f"gamma = {field.gamma:g}, beta = {beta:g} do not match the "
             f"reference profile's gamma = {ref.gamma:g}, beta = {ref.beta:g}"
         )
-    fields = evolve(field, t_end, n_outputs)
+    # D's range check needs scale * x_hi <= xi[-1] at every output
+    scale = similarity_factors(np.nextafter(t_end, math.inf), field.gamma, beta)[0]
+    n = int(np.searchsorted(field.xi_grid, window[1] * scale, "left")) + 1
+    cut = replace(field, xi_grid=field.xi_grid[:n], f_values=field.f_values[:n])
+    fields = evolve(cut, t_end, n_outputs)
     report = CollapseReport(
         times=tuple(float(t) for t in times),
         distances=tuple(self_similar_distance(f, profile, window) for f in fields),

@@ -938,6 +938,14 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
             argv = shlex.split(line)[1:]
             codes.append((argv[0], run(argv)))
     assert codes == [("mu", 0), ("profile", 0), ("verify", 0), ("simulate", 0), ("sweep", 4)]
+    # the snapshots stop at the first node at or above x_hi t_end**beta: 498 of
+    # the 641 nodes of 40 octaves at md 16
+    x_hi = json.loads((tmp_path / "sim.collapse.json").read_text())["window"][1]
+    top = x_hi * 4.0**2.0
+    for snap in sorted(tmp_path.glob("sim.t*.csv")):
+        xi = np.loadtxt(snap, delimiter=",", skiprows=1, usecols=0)
+        assert len(xi) == 498
+        assert xi[-2] < top <= xi[-1] == 2.0**-20 * 2.0 ** (497 / 16)
 
 
 def test_package_root_exports_the_readme_library_api():

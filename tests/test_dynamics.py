@@ -729,3 +729,70 @@ def test_smooth_data_approaches_the_profile(canonical_profile, canon):
     distances = report.distances
     assert all(later < earlier for earlier, later in zip(distances, distances[1:]))
     assert distances[-1] <= distances[0] / 10.0
+
+
+# -- the collapse run's grid ----------------------------------------------------------
+
+
+def _bumped(field):
+    bump = 1.0 + 0.3 * np.exp(-((np.log(field.xi_grid) + 5.0) ** 2))
+    return replace(field, f_values=field.f_values * bump)
+
+
+# Initial data on md 64, the benchmark's collapse set-up, to t_end = 256.
+_COLLAPSE_DATA = {
+    "profile": lambda prof: dy.field_from_profile(prof, nodes_per_octave=64),
+    "profile with a bump": lambda prof: _bumped(dy.field_from_profile(prof, nodes_per_octave=64)),
+    "pulse 300": lambda prof: dy.pulse_field(prof.params.gamma, 300, nodes_per_octave=64),
+}
+
+
+def test_collapse_steps_the_grid_up_to_the_window_top_at_t_end(canonical_profile, canon):
+    field = _COLLAPSE_DATA["profile"](canonical_profile)
+    report, fields = dy.simulate_collapse(
+        field, canonical_profile, canon.beta, 256.0, n_outputs=9, collect_fields=True
+    )
+    # larger sizes never reach D: the grid ends at the first node at or above
+    # x_hi t_end**beta, 2,177 of the 2,561 nodes
+    top = report.window[1] * dy.similarity_factors(256.0, canon.gamma, canon.beta)[0]
+    xi = field.xi_grid[:2177]
+    assert xi[-2] < top <= xi[-1]
+    mass0 = dy.moments(replace(field, xi_grid=xi, f_values=field.f_values[:2177]))[1]
+    for out in fields:
+        assert np.array_equal(out.xi_grid, xi)
+        # what crosses the top is booked as escaped mass
+        assert abs(dy.moments(out)[1] + out.escaped_mass - mass0) <= 1e-14 * mass0
+    assert fields[-1].escaped_mass > 0.0
+
+
+@pytest.mark.parametrize("data", _COLLAPSE_DATA)
+def test_collapse_report_is_the_full_grids(data, canonical_profile, canon):
+    # mass moves only upward, so the nodes above the window's top never feed back
+    field = _COLLAPSE_DATA[data](canonical_profile)
+    report, _ = dy.simulate_collapse(field, canonical_profile, canon.beta, 256.0, n_outputs=9)
+    window = dy.default_window(field, canon.beta, 256.0)
+    full = dy.evolve(field, 256.0, 9)
+    assert report == dy.CollapseReport(
+        times=tuple(float(t) for t in dy.output_times(field, 256.0, 9)),
+        distances=tuple(dy.self_similar_distance(f, canonical_profile, window) for f in full),
+        window=window,
+    )
+
+
+def test_collapse_grid_holds_the_window_when_the_last_output_rounds_past_t_end(
+    canonical_profile, canon
+):
+    # A zero field is frozen everywhere, so each output is one step, and the last
+    # lands one ulp past t_end.  There x_hi t**beta passes node 502, the first
+    # node at or above x_hi t_end**beta, so the grid keeps node 503 too.
+    t_end = 6.727171322029698
+    field = dy.make_field(canon.gamma, np.zeros(641), xi_min=2.0**-20 * (1.0 + 9 * 2.0**-52))
+    x_hi = dy.default_window(field, canon.beta, t_end)[1]
+    assert field.xi_grid[501] < x_hi * t_end**canon.beta <= field.xi_grid[502]
+    report, fields = dy.simulate_collapse(
+        field, canonical_profile, canon.beta, t_end, n_outputs=3, collect_fields=True
+    )
+    assert fields[-1].t == np.nextafter(t_end, math.inf)
+    assert x_hi * fields[-1].t ** canon.beta > field.xi_grid[502]
+    assert len(fields[-1].xi_grid) == 504
+    assert report.distances == (1.0, 1.0, 1.0)

@@ -8,21 +8,30 @@ the gain term at node k reads the state exactly m_d nodes back:
 
 with f = 0 below the grid (no influx from under the domain).  The grid is
 xi_k = xi_min 2**q 2**(r/m_d) for k = q m_d + r, so xi_{k-m_d} == xi_k / 2
-holds exactly in floating point for any m_d and a normal xi_min.  Explicit
-4-stage Runge-Kutta advances the system, one attempt per step at the dt that
-``stable_dt`` bounds.  The escaped-mass budget is accumulated with the same
-Runge-Kutta stages, which makes the discrete mass balance exact to rounding.
+holds exactly in floating point for any m_d and a normal xi_min.
+
+The scheme steps H = t xi**(1+gamma) f, which stays of order one where f
+falls like 1/t (below the front it settles at 1/(1-theta)), so its square
+does not underflow at any time a double can hold.  A step from t_n sets
+u = H and tau = t/t_n, takes one explicit 4-stage Runge-Kutta attempt at
+the tau-step that ``stable_dt`` bounds on
+
+    du_k/dtau = theta u_{k-m_d}**2 - u_k**2,    theta = 2**(gamma-1),
+
+and sets H = (t_{n+1}/t_n) u.  The mass is linear in u, so the escaped mass,
+accumulated with the same Runge-Kutta stages, keeps the discrete mass
+balance exact to rounding.
 
 A private kernel, built once per run from the grid and gamma, applies the
-scheme to plain density arrays: it holds the f-independent weights (the loss
-weight xi**(1+gamma) and the mass weight of the top octave), and ``evolve``
-marches on arrays with it, making one field per output time.  The kernel
-also owns a step's scratch (stage rates and states, loss products, one loss
-density per stage, the top-octave flux block) and every slice of it that a
-stage reads or writes, all built once, since on a few thousand nodes numpy's per-call
-dispatch costs about as much as an array pass; each density a step returns
-is a fresh array, so every field owns its data.  Nodes whose rates are
-exactly 0 for good (frozen nodes, see ``_Kernel``) leave the step bound.
+scheme to plain arrays of H: it holds the H-independent weights (the loss
+weight xi**(1+gamma) that turns f into H, theta and the flux weight of the
+top octave), and ``evolve`` marches on arrays with it, forming H from each
+field it starts an output interval from and making one field of f per
+output time.  The kernel also owns a step's scratch (stage rates and
+states, one loss density per stage, the top-octave flux block) and every
+slice of it that a stage reads or writes, all built once, since on a few
+thousand nodes numpy's per-call dispatch costs about as much as an array
+pass; each array a step returns is a fresh one, so every field owns its data.
 
 The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
 in its window, so data with empty nodes (a pulse) can be measured against a
@@ -40,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PositivityError
-from .params import check_gamma, same_value
+from .params import check_gamma, same_value, theta_of
 from .profile import Profile
 
 _LN2 = math.log(2.0)
@@ -71,80 +80,73 @@ class NumberDensityField:
         return _LN2 / self.nodes_per_octave
 
 
+def _flux_weight(field: NumberDensityField) -> np.ndarray:
+    """The top octave's flux weights xi**(1-gamma) dlog."""
+    return field.xi_grid[-field.nodes_per_octave :] ** (1.0 - field.gamma) * field.dlog
+
+
 def _boundary_flux(
-    mass_weight: np.ndarray, loss_density: np.ndarray, out: np.ndarray | None = None
+    flux_weight: np.ndarray, loss_density: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Mass flux out through the truncated upper boundary, per row of top-octave
-    loss densities xi**(1+gamma) f**2: their sum in the top octave's mass
-    weights (xi * dlog) * xi.
+    loss densities u**2: their sum in the flux weights xi**(1-gamma) dlog.
 
     Loss at the top m_d nodes has its gain above the grid; in the weights of
-    the mass moment of ``moments`` this is its exact compensator, and a node
-    whose loss is 0 moves no mass out.
+    the mass M = sum xi**(1-gamma) dlog u / t of u = t xi**(1+gamma) f this
+    is its exact compensator, and a node whose loss is 0 moves no mass out.
     """
-    return np.add.reduce(np.multiply(mass_weight, loss_density, out), -1)
+    return np.add.reduce(np.multiply(flux_weight, loss_density, out), -1)
 
 
 class _Kernel:
-    """The scheme on one grid and kernel, applied to plain density arrays.
+    """The scheme on one grid and kernel, applied to plain arrays of H.
 
-    Everything that does not depend on f is built once, in ``__init__``: the
-    loss weight and the top octave's mass weight, the scratch that every step
-    overwrites (the four stage rates, the three stage states, the loss*f
-    product, one loss density per stage and the top-octave flux block), and
-    every slice of that scratch a stage reads or writes.  A step on a few
+    Everything that does not depend on the state is built once, in
+    ``__init__``: the loss weight, theta and the top octave's flux weight,
+    the scratch that every step overwrites (the four stage rates, the three
+    stage states, one loss density per stage and the top-octave flux block),
+    and every slice of that scratch a stage reads or writes.  A step on a few
     thousand nodes spends about as long in numpy's call dispatch as in some
     of its array passes, so it makes no view of its own, passes outputs
-    positionally and reduces with the ufuncs' ``reduce``.  The densities
-    ``step`` returns are fresh arrays that no later step touches, so each
+    positionally and reduces with the ufuncs' ``reduce``.  The arrays
+    ``step`` returns are fresh ones that no later step touches, so each
     field made from them owns its data.  Every expression keeps the operands
     and rounding of the field-by-field form.
 
     A stage's boundary flux is ``_boundary_flux`` of the loss density its
     rate was formed from, so the escaped mass is the mass the stages take out
-    of the grid: a node whose loss is 0 moves no mass out, whatever its f.
+    of the grid.
 
-    Why one attempt per step keeps f >= 0.  Call a node *frozen* when its
-    loss product xi**(1+gamma) f**2 is exactly 0 and the node one octave
-    down is frozen or lies below the grid.  Its gain, (1/4) of that lower
-    node's loss product, is then exactly 0 too, so its rate is exactly 0; at
-    any finite dt each stage state repeats f there bit for bit, so its four
-    stage rates, its loss densities and its step are exactly 0, and its f
-    stays as it is.
-    ``stable_dt`` bounds dt * xi**(1+gamma) f by ETA = 0.1 at every node that
-    is not frozen, or leaves dt to dt_max when every node is.  At such a
-    node a stage's loss takes at most a tenth of f_k, and its gain, (1/4) dt
-    xi_{k-m}**(1+gamma) f_{k-m}**2 <= (ETA/4) f_{k-m}, raises f_k by only a
-    small share of f_{k-m} (or by nothing, when node k-m is frozen).  Every
-    stage state thus stays near that bound, where RK4 on df/dt = -a f**2
-    with a dt f <= ETA keeps f positive.  The mass never grows, and it moves
-    up to sizes where the same mass gives a smaller loss and flux, so the
-    kernel checks once, when it is built, that the loss and the boundary
-    flux of the initial density are finite.  A step that still leaves a
-    negative or non-finite density raises ``PositivityError``; no step is
-    retried.
+    Why one attempt per step keeps H >= 0.  ``stable_dt`` bounds the tau-step
+    by dtau * u_k <= ETA = 0.1 at every node.  A stage's loss thus takes at
+    most a tenth of u_k, and its gain, theta dtau u_{k-m}**2 <= theta ETA
+    u_{k-m}, raises u_k by only a small share of u_{k-m}.  Every stage state
+    stays near that bound, where RK4 on du/dtau = -u**2 with dtau u <= ETA
+    keeps u positive, and t_{n+1}/t_n > 0 keeps the sign.  The mass never
+    grows, and it moves up to sizes where the same mass gives a smaller u,
+    so the kernel checks once, when it is built, that the square and the
+    boundary flux of the initial H are finite.  A step that still leaves a
+    negative or non-finite H raises ``PositivityError``; no step is retried.
     """
 
     __slots__ = (
-        "m", "loss", "mass_weight", "loss_f", "rates", "stages", "stage_views",
-        "density_tops", "top",
+        "loss", "theta", "flux_weight", "rates", "stages", "stage_views", "density_tops", "top",
     )
 
     def __init__(self, field: NumberDensityField):
         n = len(field.xi_grid)
-        m = self.m = field.nodes_per_octave
+        m = field.nodes_per_octave
         self.loss = field.xi_grid ** (1.0 + field.gamma)
-        top = field.xi_grid[-m:]
-        self.mass_weight = top * field.dlog * top
-        f = field.f_values
+        self.theta = theta_of(field.gamma)
+        self.flux_weight = _flux_weight(field)
         with np.errstate(over="ignore"):  # an overflow is refused below
-            density = self.loss * f * f
-            loss_max = density.max()
-            flux = _boundary_flux(self.mass_weight, density[-m:])
-        for name, value in (("loss xi**(1+gamma) f**2", loss_max), ("boundary flux", flux)):
+            h = self.state(field)
+            square = np.multiply(h, h, h)
+            flux = _boundary_flux(self.flux_weight, square[-m:])
+            square_max = np.maximum.reduce(square)
+        for name, value in (("loss (t xi**(1+gamma) f)**2", square_max), ("boundary flux", flux)):
             if not value < math.inf:
                 raise DomainError(f"number density too large: its {name} overflows")
-        self.loss_f = np.empty(n)
         densities = np.empty((4, n))
         self.rates = np.empty((4, n))
         # per stage: its loss density, that density's first octave, its nodes
@@ -156,106 +158,84 @@ class _Kernel:
         self.density_tops = densities[:, -m:]
         self.top = np.empty((4, m))
 
-    def rhs(self, f: np.ndarray, views: tuple, loss_f: np.ndarray | None = None) -> None:
-        """df/dt per node into the rate of a stage's ``views``, its loss
-        density into the stage's density row.
+    def state(self, field: NumberDensityField) -> np.ndarray:
+        """H = xi**(1+gamma) f t of the field, a fresh array."""
+        h = np.multiply(self.loss, field.f_values)
+        return np.multiply(h, field.t, h)
 
-        Indices below the grid contribute nothing.  ``loss_f``, when given,
-        is loss * f already formed.
+    def density(self, h: np.ndarray, t: float) -> np.ndarray:
+        """f = H / t / xi**(1+gamma), a fresh array; t xi**(1+gamma) alone can overflow."""
+        f = np.divide(h, t)
+        return np.divide(f, self.loss, f)
+
+    def rhs(self, u: np.ndarray, views: tuple) -> None:
+        """du/dtau per node into the rate of a stage's ``views``, its loss
+        density u**2 into the stage's density row.
+
+        Indices below the grid contribute nothing.
         """
         density, density_low, density_below, density_upper, low, upper = views
-        if loss_f is None:
-            loss_f = np.multiply(self.loss, f, density)
-        np.multiply(loss_f, f, density)
+        np.multiply(u, u, density)
         np.negative(density_low, low)
-        # gain at node k: (1/4) (xi_k/2)**(1+gamma) f_{k-m}^2, and xi_k/2 == xi_{k-m};
-        # gain - loss is -loss + gain exactly
-        np.multiply(density_below, 0.25, upper)
+        # gain at node k: theta u_{k-m}**2; gain - loss is -loss + gain exactly
+        np.multiply(density_below, self.theta, upper)
         np.subtract(upper, density_upper, upper)
 
-    def stable_dt(self, f: np.ndarray) -> float:
-        """dt <= ETA / max(xi**(1+gamma) f) over the nodes that are not frozen.
+    def stable_dt(self, u: np.ndarray, t: float) -> float:
+        """t dtau with dtau <= ETA / max u, the bound dt <= ETA /
+        max(xi**(1+gamma) f) written in H; inf for an all-zero u."""
+        scale = np.maximum.reduce(u).item()
+        return t * (ETA / scale) if scale > 0.0 else math.inf
 
-        Leaves loss * f in ``loss_f`` for ``step``.  Only when the largest
-        loss * f sits at a node whose loss product is 0 are the frozen nodes
-        sought.
+    def step(self, u0: np.ndarray, t: float, dt_max: float) -> tuple[np.ndarray, float, float]:
+        """One Runge-Kutta step from H = u0 at time t: (H_new, dt, escaped mass).
+
+        dt is the smaller of ``stable_dt(u0, t)`` and dt_max, and the tau-step
+        is dt / t.  The escaped mass is F0 + 2 (F1 + F2) + F3 times dtau/6 / t,
+        from the boundary fluxes of the four stages' loss densities.
         """
-        loss_f = np.multiply(self.loss, f, self.loss_f)
-        k = loss_f.argmax()
-        scale = loss_f.item(k)
-        if scale * f.item(k) == 0.0:
-            scale = self._unfrozen_scale(f)
-        if scale == 0.0:
-            return math.inf
-        return ETA / scale
-
-    def _unfrozen_scale(self, f: np.ndarray) -> float:
-        """max(loss * f) over the nodes that are not frozen, 0 when every node is."""
-        m, loss_f = self.m, self.loss_f
-        unfrozen = loss_f * f != 0.0
-        n = len(unfrozen)
-        # a node is unfrozen when its loss product is not 0 or its lower node is unfrozen
-        for lo in range(m, n, m):
-            hi = min(lo + m, n)
-            unfrozen[lo:hi] |= unfrozen[lo - m : hi - m]
-        return float(np.maximum.reduce(loss_f[unfrozen], initial=0.0))
-
-    def step(self, f0: np.ndarray, t: float, dt_max: float) -> tuple[np.ndarray, float, float]:
-        """One Runge-Kutta step from f0 at time t: (f_new, dt, escaped mass).
-
-        dt is the smaller of ``stable_dt(f0)`` and dt_max.  The escaped mass
-        is F0 + 2 (F1 + F2) + F3 times dt/6, from the boundary fluxes of the
-        four stages' loss densities.
-        """
-        dt = min(self.stable_dt(f0), dt_max)
-        half = 0.5 * dt
+        dt = min(self.stable_dt(u0, t), dt_max)
+        dtau = dt / t
+        half = 0.5 * dtau
         rhs, multiply, add = self.rhs, np.multiply, np.add
         k1, k2, k3, k4 = self.rates
         v1, v2, v3, v4 = self.stage_views
-        f1, f2, f3 = self.stages
-        rhs(f0, v1, self.loss_f)
-        # each stage state c*k + f0, which is f0 + c*k exactly
-        rhs(add(multiply(k1, half, f1), f0, f1), v2)
-        rhs(add(multiply(k2, half, f2), f0, f2), v3)
-        rhs(add(multiply(k3, dt, f3), f0, f3), v4)
+        u1, u2, u3 = self.stages
+        rhs(u0, v1)
+        # each stage state c*k + u0, which is u0 + c*k exactly
+        rhs(add(multiply(k1, half, u1), u0, u1), v2)
+        rhs(add(multiply(k2, half, u2), u0, u2), v3)
+        rhs(add(multiply(k3, dtau, u3), u0, u3), v4)
         # k1 + 2 (k2 + k3) + k4, gathered in k2
         add(k2, k3, k2)
         multiply(k2, 2.0, k2)
         add(k2, k1, k2)
         add(k2, k4, k2)
-        multiply(k2, dt / 6.0, k2)
-        f_new = add(f0, k2)
-        # min and max propagate NaN: (f_new >= 0).all() and isfinite(f_new).all()
-        if not (np.minimum.reduce(f_new) >= 0.0 and np.maximum.reduce(f_new) < math.inf):
+        multiply(k2, dtau / 6.0, k2)
+        h = add(u0, k2)
+        multiply(h, (t + dt) / t, h)
+        # min and max propagate NaN: (h >= 0).all() and isfinite(h).all()
+        if not (np.minimum.reduce(h) >= 0.0 and np.maximum.reduce(h) < math.inf):
             raise PositivityError(f"density lost positivity or finiteness at t = {t:g}")
-        s0, s1, s2, s3 = _boundary_flux(self.mass_weight, self.density_tops, self.top).tolist()
-        return f_new, dt, (dt / 6.0) * (s0 + 2.0 * (s1 + s2) + s3)
+        s0, s1, s2, s3 = _boundary_flux(self.flux_weight, self.density_tops, self.top).tolist()
+        return h, dt, (dtau / 6.0) * (s0 + 2.0 * (s1 + s2) + s3) / t
 
     def advance(self, field: NumberDensityField, t_target: float) -> NumberDensityField:
         """March the field to t_target with the adaptive step bound.
 
-        Returns the field itself when no step is due.  A state whose nodes
-        are all frozen takes one step to t_target (see ``_Kernel``).  A step
-        that leaves f unchanged, with no escaped mass, at the dt of the step
-        before, would repeat itself up to t_target too (a node that is not
-        frozen can still have rates too small to change f): the state is
-        stationary under the scheme, so the march goes to t_target at once.
-        Only a repeated dt compares f.
+        Returns the field itself when no step is due.  H is formed from the
+        field and f from the last H, so evolving on from an output repeats
+        the march that reached the next one.
         """
         t_stop = t_target * (1.0 - 1e-15)
         if not field.t < t_stop:
             return field
-        f, t, escaped_mass = field.f_values, field.t, field.escaped_mass
-        last_dt = math.nan
+        h, t, escaped_mass = self.state(field), field.t, field.escaped_mass
         while t < t_stop:
-            f_new, dt, escaped = self.step(f, t, t_target - t)
-            if dt == last_dt and escaped == 0.0 and np.array_equal(f_new, f):
-                t = t_target
-                break
-            f, last_dt = f_new, dt
+            h, dt, escaped = self.step(h, t, t_target - t)
             t = t + dt
             escaped_mass = escaped_mass + escaped
-        return replace(field, f_values=f, t=t, escaped_mass=escaped_mass)
+        return replace(field, f_values=self.density(h, t), t=t, escaped_mass=escaped_mass)
 
 
 def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray:
@@ -356,27 +336,27 @@ def pulse_field(
 
 
 def coag_rhs(field: NumberDensityField) -> np.ndarray:
-    """df/dt per node for the field's density."""
+    """df/dt per node for the field's density: du/dtau / t / t / xi**(1+gamma)."""
     kernel = _Kernel(field)
-    kernel.rhs(field.f_values, kernel.stage_views[0])
-    return kernel.rates[0]
+    kernel.rhs(kernel.state(field), kernel.stage_views[0])
+    return kernel.density(kernel.rates[0] / field.t, field.t)
 
 
 def moments(field: NumberDensityField) -> tuple[float, float, float]:
     """(number N, mass M, boundary loss flux) in the uniform log weights xi * dlog.
 
-    The flux is ``_boundary_flux`` of the top octave's loss density, the
-    mass that the scheme's rates take out of this M, so M + escaped_mass is
-    conserved to rounding; a state whose top octave has no loss has no flux.
+    The flux is ``_boundary_flux`` of the top octave's loss density
+    (xi**(1+gamma) f)**2, the mass per unit time that the scheme's rates
+    take out of this M, so M + escaped_mass is conserved to rounding; a
+    state whose top octave has no loss has no flux.
     """
     xi = field.xi_grid
     f = field.f_values
     m = field.nodes_per_octave
     w = xi * field.dlog
-    mass_weight = w * xi
-    loss_density = xi ** (1.0 + field.gamma) * f * f
-    flux = float(_boundary_flux(mass_weight[-m:], loss_density[-m:]))
-    return float(np.sum(w * f)), float(np.sum(mass_weight * f)), flux
+    top = xi[-m:] ** (1.0 + field.gamma) * f[-m:]
+    flux = float(_boundary_flux(_flux_weight(field), top * top))
+    return float(np.sum(w * f)), float(np.sum(w * xi * f)), flux
 
 
 def step(field: NumberDensityField, dt: float) -> NumberDensityField:
@@ -385,17 +365,22 @@ def step(field: NumberDensityField, dt: float) -> NumberDensityField:
     Accumulates the escaped-mass budget from the same stages.
     """
     kernel = _Kernel(field)
-    bound = kernel.stable_dt(field.f_values)
+    h = kernel.state(field)
+    bound = kernel.stable_dt(h, field.t)
     if not 0.0 < dt <= bound:
         raise DomainError(f"dt = {dt:g} is outside (0, stable_dt] = (0, {bound:g}]")
-    f, dt, escaped = kernel.step(field.f_values, field.t, dt)
-    return replace(field, f_values=f, t=field.t + dt, escaped_mass=field.escaped_mass + escaped)
+    h, dt, escaped = kernel.step(h, field.t, dt)
+    t = field.t + dt
+    return replace(
+        field, f_values=kernel.density(h, t), t=t, escaped_mass=field.escaped_mass + escaped
+    )
 
 
 def stable_dt(field: NumberDensityField) -> float:
-    """dt <= ETA / max(xi**(1+gamma) f) over the nodes that are not frozen: the
-    loss term's stiffness scale; inf when every node is frozen."""
-    return _Kernel(field).stable_dt(field.f_values)
+    """dt <= ETA / max(xi**(1+gamma) f), the loss term's stiffness scale, taken
+    as t dtau with dtau <= ETA / max H; inf for an all-zero field."""
+    kernel = _Kernel(field)
+    return kernel.stable_dt(kernel.state(field), field.t)
 
 
 def output_times(field: NumberDensityField, t_end: float, n_outputs: int) -> np.ndarray:

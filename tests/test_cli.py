@@ -654,14 +654,14 @@ _INVALID_INPUTS = {
         ["simulate", *_CANON, "--t-end", "0.5", "--snapshots", "2"],
         "t_end = 0.5 is before the field's time t = 1",
     ),
-    # refused before the first step, whose flux (1e150) or loss (1e200) would overflow
-    "simulate powerlaw:1e150,0": (
-        ["simulate", *_CANON, "--init", "powerlaw:1e150,0", "--t-end", "2"],
+    # refused before the first step, whose flux (1e147) or square of t xi f (1e150) would overflow
+    "simulate powerlaw:1e147,0": (
+        ["simulate", *_CANON, "--init", "powerlaw:1e147,0", "--t-end", "2"],
         "number density too large: its boundary flux overflows",
     ),
-    "simulate powerlaw:1e200,0": (
-        ["simulate", *_CANON, "--init", "powerlaw:1e200,0", "--t-end", "2"],
-        "number density too large: its loss xi**(1+gamma) f**2 overflows",
+    "simulate powerlaw:1e150,0": (
+        ["simulate", *_CANON, "--init", "powerlaw:1e150,0", "--t-end", "2"],
+        "number density too large: its loss (t xi**(1+gamma) f)**2 overflows",
     ),
     "config gamma abc": (["mu", "--config", "gamma_abc.json"], "gamma = 'abc'"),
     "config rho text": (["profile", "--config", "rho_text.json"], "rho = 'half'"),

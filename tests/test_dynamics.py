@@ -44,14 +44,18 @@ def test_kernel_weights_are_built_bit_for_bit(gamma):
     xi = field.xi_grid
     m = field.nodes_per_octave
     assert np.array_equal(kernel.loss, xi ** (1.0 + gamma))
-    w = xi * field.dlog
-    assert np.array_equal(kernel.mass_weight, w[-m:] * xi[-m:])
+    assert kernel.theta == 2.0 ** (gamma - 1.0)
+    assert np.array_equal(kernel.flux_weight, xi[-m:] ** (1.0 - gamma) * field.dlog)
 
 
 def test_replace_with_another_kernel_rebuilds_weights(canon):
     field = dy.pulse_field(canon.gamma, 100)
     moved = replace(field, gamma=0.5)
-    assert np.array_equal(dy._Kernel(moved).loss, field.xi_grid ** 1.5)
+    kernel = dy._Kernel(moved)
+    m = field.nodes_per_octave
+    assert np.array_equal(kernel.loss, field.xi_grid ** 1.5)
+    assert kernel.theta == 2.0**-0.5
+    assert np.array_equal(kernel.flux_weight, field.xi_grid[-m:] ** 0.5 * field.dlog)
     dt = _reference_stable_dt(moved)
     assert dy.stable_dt(moved) == dt
     _assert_same_field(dy.step(moved, dt), _reference_step(moved, dt))
@@ -142,7 +146,7 @@ def test_a_step_that_loses_positivity_raises_without_retrying(canon, monkeypatch
     kernel = dy._Kernel(field)
     monkeypatch.setattr(dy, "ETA", 40.0 * dy.ETA)
     with pytest.raises(PositivityError, match="lost positivity or finiteness at t = 1$"):
-        kernel.step(field.f_values, field.t, math.inf)
+        kernel.step(kernel.state(field), field.t, math.inf)
 
 
 def test_pulse_cascade(canon):
@@ -189,92 +193,46 @@ def test_evolve_refuses_an_infinite_end(canon, monkeypatch):
         dy.evolve(field, math.inf, 2)
 
 
-def test_a_state_whose_rates_underflow_steps_straight_to_the_end(monkeypatch):
-    # gamma = -1: past t ~ 1e162 the density f ~ 1/t squares to 0, so no step
-    # changes it; bounded by those nodes, dt would stay near 1e161 while t runs
-    # to 1e200, but every node is then frozen and leaves the bound
-    field = dy.pulse_field(-1.0, 320)
-    step = dy._Kernel.step
-    seen = {"steps": 0, "escaped": field.escaped_mass}
-
-    def budgeted_step(kernel, f0, *args):
-        if seen["steps"] == 20_000:
-            raise AssertionError("no stationary state within 20,000 steps")
-        out = step(kernel, f0, *args)
-        f_new, escaped = out[0], out[-1]
-        seen["steps"] += 1
-        seen["escaped"] += escaped
-        if "first" not in seen and escaped == 0.0 and np.array_equal(f_new, f0):
-            seen["first"] = (seen["steps"], f_new, seen["escaped"])
-        return out
-
-    monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
-    (end,) = dy.evolve(field, 1e200, 1)
-    first, f_first, escaped_first = seen["first"]
-    assert seen["steps"] == first  # the first step that changes nothing goes to t_end
-    assert np.array_equal(end.f_values, f_first)
-    assert end.escaped_mass == escaped_first
-    assert end.t == pytest.approx(1e200, rel=1e-15)
-
-
-def _budgeted_steps(monkeypatch, budget):
-    """Count ``_Kernel.step`` calls, raising past ``budget`` so that a creeping march fails."""
-    step = dy._Kernel.step
-    steps = []
-
-    def budgeted_step(kernel, *args):
-        if len(steps) == budget:
-            raise AssertionError(f"t_end not reached within {budget:,} steps")
-        steps.append(None)
-        return step(kernel, *args)
-
-    monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
-    return steps
-
-
-def test_a_frozen_node_leaves_the_step_bound(monkeypatch):
-    # gamma = -5: from t ~ 3e162 the node with the largest xi**(1+gamma) f has a
-    # loss product xi**(1+gamma) f**2 that underflows to 0 while nodes with a smaller
-    # loss weight still decay; bounded by it, dt would stay near 7e160 while t runs
-    # to 1e300.  A frozen node in the top octave keeps its f and moves no mass out.
-    field = dy.pulse_field(-5.0, 320)
-    steps = _budgeted_steps(monkeypatch, 10_000)
-    (end,) = dy.evolve(field, 1e300, 1)
-    assert len(steps) > 1000
-    assert np.all(end.f_values >= 0.0)
-    assert np.count_nonzero(end.f_values[-field.nodes_per_octave :]) > 0
-    mass0 = dy.moments(field)[1]
-    assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
-    assert end.t == pytest.approx(1e300, rel=1e-15)
-
-
-def test_a_frozen_state_has_no_boundary_flux():
-    # the gamma = -5 pulse at 1e300: every node is frozen, so no loss moves mass out,
-    # though the top octave still holds f > 0
-    field = dy.pulse_field(-5.0, 320)
-    (end,) = dy.evolve(field, 1e300, 1)
-    assert dy.stable_dt(end) == math.inf
-    assert dy.moments(end)[2] == 0.0
-    mass0 = dy.moments(field)[1]
-    assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
-
-
-def test_a_stationary_state_that_is_not_frozen_steps_straight_to_the_end(monkeypatch):
-    # one lattice (m_d = 1, gamma = 0) from xi = 2**-1000 to 1: the bottom node's loss
-    # product is the least subnormal, a quarter of which, its gain above, rounds to 0,
-    # so the top node is not frozen yet does not change.  It sets dt = 1e199, under
-    # which the bottom node's change falls below its resolution: each step repeats.
+def _md1_lattice():
+    # one lattice (m_d = 1, gamma = 0) from xi = 2**-1000 to 1: the bottom node's
+    # t xi f starts at 2**-1037 = 6.8e-313, whose square underflows, and the top node's at 1e-200
     f = np.zeros(1001)
     f[0] = math.sqrt(5e-324 / 2.0**-1000)
     f[-1] = 1e-200
-    field = dy.make_field(0.0, f, xi_min=2.0**-1000, nodes_per_octave=1)
-    assert dy.stable_dt(field) == dy.ETA / 1e-200
-    steps = _budgeted_steps(monkeypatch, 10)
-    (end,) = dy.evolve(field, 1e300, 1)
-    assert len(steps) == 2  # the second step repeats the first and ends the march
-    assert np.array_equal(end.f_values, f)
-    assert end.escaped_mass == 0.0
-    assert end.t == pytest.approx(1e300, rel=1e-15)
+    return dy.make_field(0.0, f, xi_min=2.0**-1000, nodes_per_octave=1)
+
+
+# (initial field, t_end, steps the march takes); f ~ 1/t squares to 0 near
+# t ~ 1e160, while H = t xi**(1+gamma) f, which the step squares, stays of order one
+_LONG_HORIZONS = {
+    "gamma -1 pulse to 1e200": (lambda: dy.pulse_field(-1.0, 320), 1e200, 6_353),
+    "gamma -5 pulse to 1e300": (lambda: dy.pulse_field(-5.0, 320), 1e300, 7_356),
+    "gamma 0.5 pulse to 1e300": (lambda: dy.pulse_field(0.5, 320), 1e300, 23_482),
+    "power law 1.5 to 1e300": (lambda: dy.power_law_field(0.0, 1.0, 1.5), 1e300, 14_277),
+    "md 1 lattice to 1e300": (_md1_lattice, 1e300, 2_417),
+}
+
+
+@pytest.mark.parametrize("case", _LONG_HORIZONS)
+def test_a_long_horizon_ends_within_its_step_budget(case, monkeypatch):
+    make, t_end, steps = _LONG_HORIZONS[case]
+    field = make()
+    budget = 3 * steps // 2
+    step = dy._Kernel.step
+    taken = []
+
+    def budgeted_step(kernel, *args):
+        if len(taken) == budget:
+            raise AssertionError(f"t_end not reached within {budget:,} steps")
+        taken.append(None)
+        return step(kernel, *args)
+
+    monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
+    (end,) = dy.evolve(field, t_end, 1)
+    assert end.t == pytest.approx(t_end, rel=1e-15)
+    assert np.all(end.f_values >= 0.0) and np.all(np.isfinite(end.f_values))
+    mass0 = dy.moments(field)[1]
+    assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
 
 
 @pytest.mark.parametrize(
@@ -319,56 +277,82 @@ def test_make_field_refuses_a_non_finite_density(canon, value):
         dy.make_field(canon.gamma, [1.0, value, 1.0])
 
 
-# The step as it was written before the kernel weights were built once per
-# grid: every stage is a field of its own, and every call rebuilds its weights.
-# It is the reference the array-stage step must match bit for bit.
+# The H step written field by field: H = t xi**(1+gamma) f is formed on each
+# call, every stage is an array of its own, and every call rebuilds its
+# weights.  It is the reference the kernel's buffered step must match bit for bit.
 
 
-def _reference_loss_density(field):
-    f = field.f_values
-    return field.xi_grid ** (1.0 + field.gamma) * f * f
+def _reference_h(field):
+    return field.xi_grid ** (1.0 + field.gamma) * field.f_values * field.t
 
 
-def _reference_rhs(field):
+def _reference_f(field, h, t):
+    return h / t / field.xi_grid ** (1.0 + field.gamma)
+
+
+def _reference_rate(field, u):
+    # du/dtau = theta u_{k-m}**2 - u_k**2
     m = field.nodes_per_octave
-    loss_density = _reference_loss_density(field)
-    rate = -loss_density
-    rate[m:] += 0.25 * loss_density[:-m]
+    square = u * u
+    rate = -square
+    rate[m:] += 2.0 ** (field.gamma - 1.0) * square[:-m]
     return rate
 
 
-def _reference_flux(field):
-    # the top octave's loss density in its mass weights (xi * dlog) * xi
+def _reference_rhs(field):
+    # df/dt = du/dtau / t / t / xi**(1+gamma)
+    return _reference_f(field, _reference_rate(field, _reference_h(field)) / field.t, field.t)
+
+
+def _reference_flux(field, u):
+    # the top octave's loss density u**2 in its flux weights xi**(1-gamma) dlog
     m = field.nodes_per_octave
     xi = field.xi_grid[-m:]
-    return float(np.sum(xi * field.dlog * xi * _reference_loss_density(field)[-m:]))
+    return float(np.sum(xi ** (1.0 - field.gamma) * field.dlog * (u * u)[-m:]))
+
+
+def _reference_bound(u, t):
+    scale = float(np.max(u))
+    return math.inf if scale == 0.0 else t * (dy.ETA / scale)
 
 
 def _reference_stable_dt(field):
-    xi = field.xi_grid
-    scale = float(np.max(xi ** (1.0 + field.gamma) * field.f_values))
-    return math.inf if scale == 0.0 else dy.ETA / scale
+    return _reference_bound(_reference_h(field), field.t)
+
+
+def _reference_h_step(field, u0, t, dt):
+    """One step from H = u0 at t: (H at t + dt, escaped mass)."""
+    dtau = dt / t
+    k1 = _reference_rate(field, u0)
+    u1 = u0 + 0.5 * dtau * k1
+    k2 = _reference_rate(field, u1)
+    u2 = u0 + 0.5 * dtau * k2
+    k3 = _reference_rate(field, u2)
+    u3 = u0 + dtau * k3
+    k4 = _reference_rate(field, u3)
+    h = (u0 + (dtau / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) * ((t + dt) / t)
+    assert np.all(h >= 0.0) and np.all(np.isfinite(h))
+    fluxes = [_reference_flux(field, u) for u in (u0, u1, u2, u3)]
+    escaped = (dtau / 6.0) * (fluxes[0] + 2.0 * (fluxes[1] + fluxes[2]) + fluxes[3]) / t
+    return h, escaped
 
 
 def _reference_step(field, dt):
-    f0 = field.f_values
-    k1 = _reference_rhs(field)
-    s1 = replace(field, f_values=f0 + 0.5 * dt * k1)
-    k2 = _reference_rhs(s1)
-    s2 = replace(field, f_values=f0 + 0.5 * dt * k2)
-    k3 = _reference_rhs(s2)
-    s3 = replace(field, f_values=f0 + dt * k3)
-    k4 = _reference_rhs(s3)
-    f_new = f0 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    assert np.all(f_new >= 0.0) and np.all(np.isfinite(f_new))
-    escaped = (dt / 6.0) * (
-        _reference_flux(field)
-        + 2.0 * (_reference_flux(s1) + _reference_flux(s2))
-        + _reference_flux(s3)
-    )
+    h, escaped = _reference_h_step(field, _reference_h(field), field.t, dt)
+    t = field.t + dt
     return replace(
-        field, f_values=f_new, t=field.t + dt, escaped_mass=field.escaped_mass + escaped
+        field, f_values=_reference_f(field, h, t), t=t, escaped_mass=field.escaped_mass + escaped
     )
+
+
+def _reference_advance(field, t_out):
+    """The march to t_out: H is formed from the field, stepped, and turned into f at t_out."""
+    h, t, escaped_mass = _reference_h(field), field.t, field.escaped_mass
+    while t < t_out * (1.0 - 1e-15):
+        dt = min(_reference_bound(h, t), t_out - t)
+        h, escaped = _reference_h_step(field, h, t, dt)
+        t, escaped_mass = t + dt, escaped_mass + escaped
+    return replace(field, f_values=_reference_f(field, h, t), t=t, escaped_mass=escaped_mass)
 
 
 def _assert_same_field(out, ref):
@@ -400,7 +384,7 @@ def test_step_matches_reference_bit_for_bit(canonical_profile, kind):
 
 @pytest.mark.parametrize("kind", ["profile", "power_law", "pulse"])
 def test_rhs_and_stable_dt_match_reference_bit_for_bit(canonical_profile, kind):
-    # coag_rhs takes the first-stage path with a fresh output and no loss * f formed
+    # coag_rhs takes the first-stage path and turns du/dtau into df/dt in a fresh array
     field = _initial_field(kind, canonical_profile)
     assert np.array_equal(dy.coag_rhs(field), _reference_rhs(field))
     assert dy.stable_dt(field) == _reference_stable_dt(field)
@@ -410,14 +394,14 @@ def test_a_step_allocates_only_the_density_it_returns(canonical_profile):
     # the collapse field, 2,561 nodes: a warmed kernel reuses its scratch
     field = dy.field_from_profile(canonical_profile, nodes_per_octave=64)
     kernel = dy._Kernel(field)
-    f, dt, _ = kernel.step(field.f_values, field.t, math.inf)
+    h, dt, _ = kernel.step(kernel.state(field), field.t, math.inf)
     tracemalloc.start()
     try:
-        kernel.step(f, field.t + dt, math.inf)
+        kernel.step(h, field.t + dt, math.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * f.nbytes
+    assert peak <= 1.5 * h.nbytes
 
 
 def _evolve_input(kind, profile):
@@ -433,8 +417,8 @@ def test_evolve_matches_reference_bit_for_bit(canonical_profile, kind):
     fields = dy.evolve(field, t_end, n_outputs)
     ref = field
     for fld, t_out in zip(fields, np.geomspace(1.0, t_end, n_outputs)):
-        while ref.t < t_out * (1.0 - 1e-15):
-            ref = _reference_step(ref, min(_reference_stable_dt(ref), t_out - ref.t))
+        if ref.t < t_out * (1.0 - 1e-15):
+            ref = _reference_advance(ref, t_out)
         _assert_same_field(fld, ref)
     assert fields[0] is field
 
@@ -482,11 +466,13 @@ def test_lattices_step_independently(canonical_profile, kind):
 
 
 @pytest.mark.parametrize(
-    "amplitude, named", [(1e150, "boundary flux"), (1e200, r"loss xi\*\*\(1\+gamma\) f\*\*2")]
+    "amplitude, named",
+    [(1e147, "boundary flux"), (1e150, r"loss \(t xi\*\*\(1\+gamma\) f\)\*\*2")],
 )
 def test_an_overflowing_density_is_refused_up_front(canon, amplitude, named):
-    # a flat density of 1e150 overflows only the top octave's flux, 1e200 the loss too;
-    # warnings are errors here, so neither may overflow on the way to the refusal
+    # the step squares H = t xi f: a flat density of 1e147 overflows only the top
+    # octave's flux, 1e150 the largest square H**2 = 1.1e312 too; warnings are
+    # errors here, so neither may overflow on the way to the refusal
     field = dy.power_law_field(canon.gamma, amplitude, 0.0)
     for run in (
         lambda: dy.evolve(field, 2.0, 2),
@@ -729,6 +715,23 @@ def test_smooth_data_approaches_the_profile(canonical_profile, canon):
     distances = report.distances
     assert all(later < earlier for earlier, later in zip(distances, distances[1:]))
     assert distances[-1] <= distances[0] / 10.0
+
+
+@pytest.mark.parametrize(
+    "gamma, beta, t_end", [(-1.0, 2.0, 16.0), (0.5, 4.0, 4.0), (-5.0, 0.4, 64.0)]
+)
+def test_profile_data_collapse_away_from_gamma_zero(gamma, beta, t_end):
+    # criterion 10's collapse gates on profile-seeded runs at md 16; max D reads
+    # 7.5e-7, 7.1e-5 and 3.1e-6
+    profile = pipeline.build_profile(make_params(gamma, beta))
+    field = dy.field_from_profile(profile)
+    report, fields = dy.simulate_collapse(field, profile, beta, t_end, collect_fields=True)
+    assert max(report.distances) < 0.05
+    counts = [dy.moments(fld)[0] for fld in fields]
+    assert all(later <= earlier for earlier, later in zip(counts, counts[1:]))
+    mass0 = dy.moments(fields[0])[1]
+    for fld in fields:
+        assert abs(dy.moments(fld)[1] + fld.escaped_mass - mass0) <= 1e-14 * mass0
 
 
 # -- the collapse run's grid ----------------------------------------------------------

@@ -213,24 +213,58 @@ _LONG_HORIZONS = {
 }
 
 
+def _budgeted_steps(monkeypatch, budget):
+    """Count ``_Kernel.step`` calls, raising past ``budget`` so that a creeping march fails."""
+    step = dy._Kernel.step
+    steps = []
+
+    def budgeted_step(kernel, *args):
+        if len(steps) == budget:
+            raise AssertionError(f"t_end not reached within {budget:,} steps")
+        steps.append(None)
+        return step(kernel, *args)
+
+    monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
+    return steps
+
+
 @pytest.mark.parametrize("case", _LONG_HORIZONS)
 def test_a_long_horizon_ends_within_its_step_budget(case, monkeypatch):
     make, t_end, steps = _LONG_HORIZONS[case]
     field = make()
-    budget = 3 * steps // 2
-    step = dy._Kernel.step
-    taken = []
-
-    def budgeted_step(kernel, *args):
-        if len(taken) == budget:
-            raise AssertionError(f"t_end not reached within {budget:,} steps")
-        taken.append(None)
-        return step(kernel, *args)
-
-    monkeypatch.setattr(dy._Kernel, "step", budgeted_step)
+    _budgeted_steps(monkeypatch, 3 * steps // 2)
     (end,) = dy.evolve(field, t_end, 1)
     assert end.t == pytest.approx(t_end, rel=1e-15)
     assert np.all(end.f_values >= 0.0) and np.all(np.isfinite(end.f_values))
+    mass0 = dy.moments(field)[1]
+    assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
+
+
+def test_a_frozen_node_leaves_the_step_bound(monkeypatch):
+    # gamma = -5: from t ~ 3e162 the loss xi**(1+gamma) f**2 of the node with the
+    # largest xi**(1+gamma) f underflows, so a step in f would freeze it and bound dt
+    # near 7e160 while t runs to 1e300.  In H = t xi**(1+gamma) f no node freezes: the
+    # bound dt <= t ETA / max H grows with t, and the top octave keeps its f.
+    field = dy.pulse_field(-5.0, 320)
+    steps = _budgeted_steps(monkeypatch, 10_000)
+    (end,) = dy.evolve(field, 1e300, 1)
+    assert len(steps) > 1000
+    assert np.all(end.f_values >= 0.0)
+    assert np.count_nonzero(end.f_values[-field.nodes_per_octave :]) > 0
+    mass0 = dy.moments(field)[1]
+    assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
+    assert end.t == pytest.approx(1e300, rel=1e-15)
+
+
+def test_a_frozen_state_has_no_boundary_flux():
+    # the gamma = -5 pulse at 1e300: the top octave still holds f > 0, yet its loss
+    # density (xi**(1+gamma) f)**2, of order (H / t)**2 ~ 1e-600, rounds to 0, so no
+    # flux moves mass out; the step bound, taken in H, stays finite
+    field = dy.pulse_field(-5.0, 320)
+    (end,) = dy.evolve(field, 1e300, 1)
+    assert np.count_nonzero(end.f_values[-field.nodes_per_octave :]) > 0
+    assert 0.0 < dy.stable_dt(end) < math.inf
+    assert dy.moments(end)[2] == 0.0
     mass0 = dy.moments(field)[1]
     assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
 

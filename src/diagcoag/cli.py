@@ -211,6 +211,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profile = read_profile_csv(args.profile)
 
     out_prefix = cfg.get("out", "sim")
+    # refuse a rescaling overflow before building the times; output_times names an end < field.t
+    if args.snapshots > 0 and field.t <= args.t_end:
+        dynamics.similarity_factors(args.t_end, params.gamma, params.beta)
     # The times rise geometrically from field.t = 1; when the second, ~t_end**(1/(n-1)),
     # is below 1.0000049 it is named t1 too, so two t1 stand in before any is allocated.
     crowded = 1.0 <= args.t_end and math.log(args.t_end) / math.log(1.0000049) < args.snapshots - 1
@@ -220,8 +223,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if name == later:  # the times increase, so equal names are neighbours
             raise DomainError(f"two snapshot times would both be written to {name}; "
                               "change --t-end or --snapshots")
-    if names:  # the writer rescales every snapshot, so refuse before evolving
-        dynamics.similarity_factors(args.t_end, params.gamma, params.beta)
     collapse_name = f"{out_prefix}.collapse.json"
     first_file = collapse_name if profile is not None else (names[0] if names else None)
     _check_out_dir(first_file)

@@ -25,13 +25,14 @@ balance exact to rounding.
 A private kernel, built once per run from the grid and gamma, applies the
 scheme to plain arrays of H: it holds the H-independent weights (the loss
 weight xi**(1+gamma) that turns f into H, theta and the flux weight of the
-top octave), and ``evolve`` marches on arrays with it, forming H from each
-field it starts an output interval from and making one field of f per
-output time.  The kernel also owns a step's scratch (stage rates and
-states, one loss density per stage, the top-octave flux block) and every
-slice of it that a stage reads or writes, all built once, since on a few
-thousand nodes numpy's per-call dispatch costs about as much as an array
-pass; each array a step returns is a fresh one, so every field owns its data.
+top octave), and ``evolve``, the one output loop, marches on arrays with it:
+it forms H from the field that starts each output interval, steps until t
+reaches the output time and makes one field of f at exactly that time.  The
+kernel also owns a step's scratch (stage rates and states, one loss density
+per stage, the top-octave flux block) and every slice of it that a stage
+reads or writes, all built once, since on a few thousand nodes numpy's
+per-call dispatch costs about as much as an array pass; each array a step
+returns is a fresh one, so every field owns its data.
 
 The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
 in its window, so data with empty nodes (a pulse) can be measured against a
@@ -220,23 +221,6 @@ class _Kernel:
         s0, s1, s2, s3 = _boundary_flux(self.flux_weight, self.density_tops, self.top).tolist()
         return h, dt, (dtau / 6.0) * (s0 + 2.0 * (s1 + s2) + s3) / t
 
-    def advance(self, field: NumberDensityField, t_target: float) -> NumberDensityField:
-        """March the field to t_target with the adaptive step bound.
-
-        Returns the field itself when no step is due.  H is formed from the
-        field and f from the last H, so evolving on from an output repeats
-        the march that reached the next one.
-        """
-        t_stop = t_target * (1.0 - 1e-15)
-        if not field.t < t_stop:
-            return field
-        h, t, escaped_mass = self.state(field), field.t, field.escaped_mass
-        while t < t_stop:
-            h, dt, escaped = self.step(h, t, t_target - t)
-            t = t + dt
-            escaped_mass = escaped_mass + escaped
-        return replace(field, f_values=self.density(h, t), t=t, escaped_mass=escaped_mass)
-
 
 def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray:
     if not xi_min >= np.finfo(float).tiny:
@@ -396,13 +380,21 @@ def output_times(field: NumberDensityField, t_end: float, n_outputs: int) -> np.
 def evolve(
     field: NumberDensityField, t_end: float, n_outputs: int
 ) -> list[NumberDensityField]:
-    """The field at the ``output_times(field, t_end, n_outputs)``; t_end >= field.t."""
+    """The field at each ``output_times(field, t_end, n_outputs)`` entry: H formed
+    from the field before it, stepped until t >= t_out and recorded at t_out
+    exactly; an entry at that field's time is the field itself."""
     times = output_times(field, t_end, n_outputs)
     kernel = _Kernel(field)
-    fields = [field]
-    for t_out in times:
-        fields.append(kernel.advance(fields[-1], float(t_out)))
-    return fields[1:]
+    fields = []
+    for t_out in times.tolist():
+        if field.t < t_out:
+            h, t, mass = kernel.state(field), field.t, field.escaped_mass
+            while t < t_out:
+                h, dt, escaped = kernel.step(h, t, t_out - t)
+                t, mass = t + dt, mass + escaped
+            field = replace(field, f_values=kernel.density(h, t_out), t=t_out, escaped_mass=mass)
+        fields.append(field)
+    return fields
 
 
 def similarity_factors(t: float, gamma: float, beta: float) -> tuple[float, float]:
@@ -414,6 +406,12 @@ def similarity_factors(t: float, gamma: float, beta: float) -> tuple[float, floa
         return t**beta, t ** (1.0 + (1.0 + gamma) * beta)
     except OverflowError:
         raise DomainError(f"the self-similar rescaling at t = {t:g} overflows") from None
+
+
+def _check_window_in_profile(window: tuple[float, float], profile: Profile) -> None:
+    """D's domain rule: the window lies in the profile's domain."""
+    if window[0] < profile.x_min or window[1] > profile.x_max:
+        raise DomainError("window leaves the profile domain")
 
 
 def self_similar_distance(
@@ -435,8 +433,7 @@ def self_similar_distance(
         raise DomainError(
             f"rescaled window [{scale * x_lo:g}, {scale * x_hi:g}] leaves the size grid"
         )
-    if x_lo < profile.x_min or x_hi > profile.x_max:
-        raise DomainError("window leaves the profile domain")
+    _check_window_in_profile(window, profile)
     x = xi / scale
     inside = (x >= x_lo) & (x <= x_hi)
     if not np.any(inside):
@@ -493,14 +490,14 @@ def simulate_collapse(
     """Evolve the field to t_end, recording D(t) at geometric output times.
 
     The window is ``default_window`` of the given grid.  Only the nodes up to
-    the first one at or above the window's top at t_end, x_hi t**beta, are
-    evolved, with t one ulp past t_end since the last output's t can round
-    there: mass moves only upward, so larger sizes never reach D.  The fields
-    returned end at that node, and their ``escaped_mass`` includes the mass
-    that crossed it.
+    the first one at or above the window's top at t_end, x_hi t_end**beta, are
+    evolved: every output lands on its time, at most t_end, and mass moves only
+    upward, so larger sizes never reach D.  The fields returned end at that
+    node, and their ``escaped_mass`` includes the mass that crossed it.
 
     Raises ``DomainError`` before any work on a bad ``t_end`` (as ``evolve``),
-    and before evolving when ``beta`` or the kernel gamma differs from the profile's.
+    and before evolving when ``beta`` or the kernel gamma differs from the
+    profile's or the window leaves the profile's domain.
     """
     times = output_times(field, t_end, n_outputs)
     window = default_window(field, beta, t_end)
@@ -510,8 +507,8 @@ def simulate_collapse(
             f"gamma = {field.gamma:g}, beta = {beta:g} do not match the "
             f"reference profile's gamma = {ref.gamma:g}, beta = {ref.beta:g}"
         )
-    # D's range check needs scale * x_hi <= xi[-1] at every output
-    scale = similarity_factors(np.nextafter(t_end, math.inf), field.gamma, beta)[0]
+    _check_window_in_profile(window, profile)
+    scale = similarity_factors(t_end, field.gamma, beta)[0]
     n = int(np.searchsorted(field.xi_grid, window[1] * scale, "left")) + 1
     cut = replace(field, xi_grid=field.xi_grid[:n], f_values=field.f_values[:n])
     fields = evolve(cut, t_end, n_outputs)

@@ -5,7 +5,7 @@ p(x) = x**(1/beta) h(x) has a positive limit d, with the a-priori rate
 |p(x) - p(x0)| <= C x0**(-1/beta) for x >= x0 >= 2, C = ``RATE_CONSTANT``.
 The module sets how far a profile must reach for its tail to be resolved
 (``target_octaves``: where that rate is small against d over the slope
-window), and evaluates d with that rigorous error bound, the supersolution
+window), and evaluates d with the truncation bound that rate gives, the supersolution
 bound h <= 1/(1+x**(1/beta)), the lower-bound chain through
 Phi(x) = int_0^x s**(-gamma) h ds, and the residual of the integral form of
 the profile equation
@@ -73,10 +73,11 @@ def p_of(profile: Profile) -> np.ndarray:
 
 
 def estimate_d(profile: Profile) -> tuple[float, float]:
-    """Tail constant estimate p(x_max) with its rigorous error bound.
+    """Tail constant estimate p(x_max) with its truncation bound.
 
-    The bound RATE_CONSTANT*x_max**(-1/beta) is theorem-backed for normalized profiles; an
-    estimate is converged when the bound is at most ``D_CONVERGED_SHARE`` of it.
+    The bound RATE_CONSTANT*x_max**(-1/beta) covers |d - p(x_max)| for the exact
+    normalized profile (the theorem's rate), not the march's discretization error
+    in p; the estimate is converged when the bound is at most ``D_CONVERGED_SHARE`` of it.
     Raises ``RangeError`` when x_max**(1/beta) overflows.
     """
     if not profile.normalized:

@@ -491,18 +491,27 @@ def test_simulate_window_off_grid_exits_2(saved_profile, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--init", "pulse", "--snapshots", "1"], ["--init", "profile:{canon}"]],
-    ids=["pulse", "profile"],
+    [
+        ["--init", "pulse", "--snapshots", "1"],
+        ["--init", "profile:{canon}"],
+        ["--snapshots", "3000000"],
+    ],
+    ids=["pulse", "profile", "3000000 snapshots"],
 )
 def test_simulate_t_end_whose_rescaling_overflows_exits_2(
     flags, saved_profile, tmp_path, capsys, monkeypatch
 ):
     # t_end**beta = 1e400 at beta = 2: the snapshots cannot be rescaled, so the
-    # run is refused before it evolves, with a reference profile or without
+    # run is refused before it evolves, with a reference profile or without, and
+    # before it builds the snapshot times and names (3,000,000 of them take 3 s)
     def no_evolve(*args, **kwargs):
         raise AssertionError("evolved before t_end was checked")
 
+    def no_times(*args, **kwargs):
+        raise AssertionError("built the snapshot times before t_end was checked")
+
     monkeypatch.setattr(dynamics, "evolve", no_evolve)
+    monkeypatch.setattr(dynamics, "output_times", no_times)
     flags = [flag.format(canon=saved_profile) for flag in flags]
     code = run(["simulate", "--gamma", "0", "--rho", "0.5", *flags,
                 "--t-end", "1e200", "--out", str(tmp_path / "far")])
@@ -622,6 +631,10 @@ _INVALID_INPUTS = {
     "simulate --xi-min 0": (["simulate", *_CANON, "--xi-min", "0"], "xi_min must be positive"),
     "simulate --snapshots -1": (["simulate", *_CANON, "--snapshots", "-1"], "got 4 and -1"),
     "simulate --t-end 0": (["simulate", *_CANON, "--t-end", "0"], "got 0 and 5"),
+    # 1 + (1 + gamma) beta = -0.6 < 0: 0.0**-0.6 is never formed for the rescaling check
+    "simulate --t-end 0 at gamma -5": (
+        ["simulate", "--gamma", "-5", "--beta", "0.4", "--t-end", "0"], "got 0 and 5"
+    ),
     "simulate --t-end inf": (
         ["simulate", *_CANON, "--t-end", "inf", "--snapshots", "2"], "got inf and 2"
     ),

@@ -166,7 +166,7 @@ def test_evolve_outputs_at_geometric_times(canon):
     fields = dy.evolve(field, 2.0, 4)
     assert fields[0] is field
     targets = np.geomspace(1.0, 2.0, 4)
-    assert [f.t for f in fields] == pytest.approx(targets, rel=1e-14)
+    assert [f.t for f in fields] == targets.tolist()
     assert np.array_equal(fields[-1].f_values, dy.evolve(fields[-2], 2.0, 2)[-1].f_values)
 
 
@@ -176,7 +176,7 @@ def test_evolve_single_output_is_at_the_end(canon):
     assert np.array_equal(dy.output_times(field, 2.0, 5), np.geomspace(1.0, 2.0, 5))
     assert dy.output_times(field, 2.0, 1).tolist() == [2.0]
     (only,) = dy.evolve(field, 2.0, 1)
-    assert only.t == pytest.approx(2.0, rel=1e-14)
+    assert only.t == 2.0
     assert np.array_equal(only.f_values, dy.evolve(field, 2.0, 2)[-1].f_values)
 
 
@@ -234,7 +234,7 @@ def test_a_long_horizon_ends_within_its_step_budget(case, monkeypatch):
     field = make()
     _budgeted_steps(monkeypatch, 3 * steps // 2)
     (end,) = dy.evolve(field, t_end, 1)
-    assert end.t == pytest.approx(t_end, rel=1e-15)
+    assert end.t == t_end
     assert np.all(end.f_values >= 0.0) and np.all(np.isfinite(end.f_values))
     mass0 = dy.moments(field)[1]
     assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
@@ -253,7 +253,7 @@ def test_a_frozen_node_leaves_the_step_bound(monkeypatch):
     assert np.count_nonzero(end.f_values[-field.nodes_per_octave :]) > 0
     mass0 = dy.moments(field)[1]
     assert abs(dy.moments(end)[1] + end.escaped_mass - mass0) <= 1e-14 * mass0
-    assert end.t == pytest.approx(1e300, rel=1e-15)
+    assert end.t == 1e300
 
 
 def test_a_frozen_state_has_no_boundary_flux():
@@ -380,13 +380,15 @@ def _reference_step(field, dt):
 
 
 def _reference_advance(field, t_out):
-    """The march to t_out: H is formed from the field, stepped, and turned into f at t_out."""
+    """The march to t_out: H is formed from the field, stepped until t >= t_out, and
+    turned into f at t_out, the output's time."""
     h, t, escaped_mass = _reference_h(field), field.t, field.escaped_mass
-    while t < t_out * (1.0 - 1e-15):
+    while t < t_out:
         dt = min(_reference_bound(h, t), t_out - t)
         h, escaped = _reference_h_step(field, h, t, dt)
         t, escaped_mass = t + dt, escaped_mass + escaped
-    return replace(field, f_values=_reference_f(field, h, t), t=t, escaped_mass=escaped_mass)
+    f = _reference_f(field, h, t_out)
+    return replace(field, f_values=f, t=t_out, escaped_mass=escaped_mass)
 
 
 def _assert_same_field(out, ref):
@@ -451,7 +453,7 @@ def test_evolve_matches_reference_bit_for_bit(canonical_profile, kind):
     fields = dy.evolve(field, t_end, n_outputs)
     ref = field
     for fld, t_out in zip(fields, np.geomspace(1.0, t_end, n_outputs)):
-        if ref.t < t_out * (1.0 - 1e-15):
+        if ref.t < t_out:
             ref = _reference_advance(ref, t_out)
         _assert_same_field(fld, ref)
     assert fields[0] is field
@@ -713,6 +715,23 @@ def test_window_under_one_octave_raises_before_evolving(canonical_field, canon, 
         dy.simulate_collapse(canonical_field, None, canon.beta, 1e6)
 
 
+def test_window_outside_the_profile_raises_before_evolving(canonical_profile, canon, monkeypatch):
+    # 140 octaves from xi = 1e-30 put the window's bottom to t = 1e5 at x = 1.1e-22,
+    # below the profile's x range; D's own rule refuses it before the first step,
+    # not after all 922 of them
+    field = dy.power_law_field(
+        canon.gamma, 1.0, 1.5, xi_min=1e-30, octaves=140, nodes_per_octave=64
+    )
+    assert dy.default_window(field, canon.beta, 1e5)[0] < canonical_profile.x_min
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the window was checked against the profile")
+
+    monkeypatch.setattr(dy._Kernel, "step", no_step)
+    with pytest.raises(DomainError, match="window leaves the profile domain"):
+        dy.simulate_collapse(field, canonical_profile, canon.beta, 1e5)
+
+
 @pytest.mark.parametrize(
     "beta, t_end", [(2.0, 0.0), (2.5, -1.0), (2.0, math.inf), (2.0, math.nan)]
 )
@@ -789,6 +808,7 @@ def test_collapse_steps_the_grid_up_to_the_window_top_at_t_end(canonical_profile
     report, fields = dy.simulate_collapse(
         field, canonical_profile, canon.beta, 256.0, n_outputs=9, collect_fields=True
     )
+    assert report.times == tuple(f.t for f in fields)
     # larger sizes never reach D: the grid ends at the first node at or above
     # x_hi t_end**beta, 2,177 of the 2,561 nodes
     top = report.window[1] * dy.similarity_factors(256.0, canon.gamma, canon.beta)[0]
@@ -816,20 +836,21 @@ def test_collapse_report_is_the_full_grids(data, canonical_profile, canon):
     )
 
 
-def test_collapse_grid_holds_the_window_when_the_last_output_rounds_past_t_end(
+def test_collapse_grid_holds_the_window_when_the_last_output_lands_on_t_end(
     canonical_profile, canon
 ):
-    # A zero field is frozen everywhere, so each output is one step, and the last
-    # lands one ulp past t_end.  There x_hi t**beta passes node 502, the first
-    # node at or above x_hi t_end**beta, so the grid keeps node 503 too.
+    # A zero field never bounds the step, so each output is one step, and the last
+    # one's t_mid + (t_end - t_mid) rounds one ulp past t_end.  The output still
+    # lands on t_end, so the grid ends at node 502, the first at or above x_hi t_end**beta.
     t_end = 6.727171322029698
     field = dy.make_field(canon.gamma, np.zeros(641), xi_min=2.0**-20 * (1.0 + 9 * 2.0**-52))
+    t_mid = dy.output_times(field, t_end, 3)[1]
+    assert t_mid + (t_end - t_mid) == np.nextafter(t_end, math.inf)
     x_hi = dy.default_window(field, canon.beta, t_end)[1]
     assert field.xi_grid[501] < x_hi * t_end**canon.beta <= field.xi_grid[502]
     report, fields = dy.simulate_collapse(
         field, canonical_profile, canon.beta, t_end, n_outputs=3, collect_fields=True
     )
-    assert fields[-1].t == np.nextafter(t_end, math.inf)
-    assert x_hi * fields[-1].t ** canon.beta > field.xi_grid[502]
-    assert len(fields[-1].xi_grid) == 504
+    assert fields[-1].t == t_end
+    assert len(fields[-1].xi_grid) == 503
     assert report.distances == (1.0, 1.0, 1.0)

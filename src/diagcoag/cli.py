@@ -211,7 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profile = read_profile_csv(args.profile)
 
     out_prefix = cfg.get("out", "sim")
-    # refuse a rescaling overflow before building the times; output_times names an end < field.t
+    # refuse a rescaling overflow before building times and names; output_times names t_end < t
     if args.snapshots > 0 and field.t <= args.t_end:
         dynamics.similarity_factors(args.t_end, params.gamma, params.beta)
     # The times rise geometrically from field.t = 1; when the second, ~t_end**(1/(n-1)),

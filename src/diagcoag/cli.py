@@ -17,6 +17,7 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -346,21 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Options taking a comma-separated list of numbers, whose first entry may be
-# negative ("--gammas -1,0,0.5"); argparse would take such a value for a flag.
-_LIST_OPTIONS = ("--gammas", "--rhos")
-
-
-def _attach_negative_lists(argv: list[str]) -> list[str]:
-    """Rewrite ``--gammas -1,0`` as ``--gammas=-1,0`` so argparse keeps the value."""
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--gamma -1e-1`` as ``--gamma=-1e-1`` and ``--gammas -1,0`` as
+    ``--gammas=-1,0``: argparse takes such a value after an option for a flag."""
     out: list[str] = []
     for arg in argv:
-        if (
-            out
-            and out[-1] in _LIST_OPTIONS
-            and arg[:1] == "-"
-            and (arg[1:2].isdigit() or arg[1:2] == ".")
-        ):
+        if out and re.fullmatch(r"--[a-z-]+", out[-1]) and re.match(r"-[\d.]", arg):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -370,7 +362,7 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line (``sys.argv[1:]`` when ``argv`` is None)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    return build_parser().parse_args(_attach_negative_lists(argv))
+    return build_parser().parse_args(_attach_negative_values(argv))
 
 
 def main(argv=None) -> int:

@@ -25,21 +25,20 @@ balance exact to rounding.
 A private kernel, built once per run from the grid and gamma, applies the
 scheme to plain arrays of H: it holds the H-independent weights (the loss
 weight xi**(1+gamma) that turns f into H, theta and the flux weight of the
-top octave), and ``evolve``, the one output loop, marches on arrays with it:
-it forms H from the field that starts each output interval, steps until t
-reaches the output time and makes one field of f at exactly that time.  The
-kernel also owns a step's scratch (stage rates and states, one loss density
-per stage, the top-octave flux block) and every slice of it that a stage
-reads or writes, all built once, since on a few thousand nodes numpy's
-per-call dispatch costs about as much as an array pass; each array a step
-returns is a fresh one, so every field owns its data.
+top octave), refused when 0 or inf at a grid end, and ``evolve``, the one
+output loop, marches on arrays with it: it forms H from the field that
+starts each output interval, steps until t reaches the output time and
+makes one field of f at exactly that time.  The kernel also owns a step's
+scratch and its slices, all built once (see ``_Kernel``); each array a
+step returns is a fresh one, so every field owns its data.
 
-The collapse metric D(t) reads f at the grid nodes whose rescaled size lies
-in its window, so data with empty nodes (a pulse) can be measured against a
-profile, and a field sampled from the profile has D = 0 at t = 1.  Since
-mass only moves up, the nodes above the window's top at t_end never feed
-back into D, so ``simulate_collapse`` evolves the grid only up to the first
-node at or above it and books what crosses that node as escaped mass.
+Every field checks its gamma < 1 and a finite t >= 1 when it is built, and
+the rescaling x = xi / t**beta takes any finite t > 0.  The collapse metric
+D(t) reads f at the grid nodes whose rescaled size lies in its window, so
+data with empty nodes (a pulse) can be measured against a profile, and a
+field sampled from the profile has D = 0 at t = 1.  Mass only moves up, so
+``simulate_collapse`` evolves the grid only up to the first node at or
+above the window's top at t_end, and books what crosses it as escaped mass.
 """
 
 from __future__ import annotations
@@ -65,8 +64,10 @@ ETA = 0.1
 class NumberDensityField:
     """Number density f(xi, t) on a geometric size grid.
 
-    ``escaped_mass`` accumulates the mass flux that left through the
-    truncated upper boundary since the field was created.
+    The record checks its scalars when built, gamma < 1 and a finite t >= 1,
+    and no array, so a ``replace`` adds no pass over f; the constructors that
+    take a density check it.  ``escaped_mass`` accumulates the mass flux that
+    left through the truncated upper boundary since the field was created.
     """
 
     gamma: float
@@ -75,6 +76,11 @@ class NumberDensityField:
     f_values: np.ndarray
     t: float
     escaped_mass: float = 0.0
+
+    def __post_init__(self):
+        check_gamma(self.gamma)
+        if not 1.0 <= self.t < math.inf:
+            raise DomainError(f"a field's time t must be finite and at least 1; got {self.t:g}")
 
     @property
     def dlog(self) -> float:
@@ -125,7 +131,8 @@ class _Kernel:
     stays near that bound, where RK4 on du/dtau = -u**2 with dtau u <= ETA
     keeps u positive, and t_{n+1}/t_n > 0 keeps the sign.  The mass never
     grows, and it moves up to sizes where the same mass gives a smaller u,
-    so the kernel checks once, when it is built, that the square and the
+    so the kernel checks once, when it is built, that its weights are
+    neither 0 nor inf at the grid's ends and that the square and the
     boundary flux of the initial H are finite.  A step that still leaves a
     negative or non-finite H raises ``PositivityError``; no step is retried.
     """
@@ -135,11 +142,16 @@ class _Kernel:
     )
 
     def __init__(self, field: NumberDensityField):
-        n = len(field.xi_grid)
+        xi = field.xi_grid
+        n = len(xi)
         m = field.nodes_per_octave
-        self.loss = field.xi_grid ** (1.0 + field.gamma)
+        with np.errstate(over="ignore"):  # a weight out of the double range is refused below
+            self.loss = xi ** (1.0 + field.gamma)
+            self.flux_weight = _flux_weight(field)
+        for name, w in (("xi**(1+gamma)", self.loss), ("xi**(1-gamma) dlog", self.flux_weight)):
+            if not (0.0 < w[0] < math.inf and 0.0 < w[-1] < math.inf):
+                raise DomainError(f"weight {name} is 0 or inf on the grid [{xi[0]:g}, {xi[-1]:g}]")
         self.theta = theta_of(field.gamma)
-        self.flux_weight = _flux_weight(field)
         with np.errstate(over="ignore"):  # an overflow is refused below
             h = self.state(field)
             square = np.multiply(h, h, h)
@@ -244,24 +256,12 @@ def _size_grid(n_nodes: int, xi_min: float, nodes_per_octave: int) -> np.ndarray
     return xi
 
 
-def _field(
-    gamma: float,
-    f_values: np.ndarray,
-    xi_min: float,
-    nodes_per_octave: int,
-    xi: np.ndarray | None = None,
-) -> NumberDensityField:
-    """Field at t = 1 on the grid xi, or, when xi is None, on the grid of
-    len(f_values) nodes from xi_min that is built once the density is checked."""
-    check_gamma(gamma)
+def _density(f_values) -> np.ndarray:
+    """The nodal densities as floats, refused unless finite and nonnegative."""
     f = np.asarray(f_values, dtype=float)
     if not (np.isfinite(f).all() and (f >= 0.0).all()):
         raise DomainError("number density must be finite and nonnegative")
-    if xi is None:
-        xi = _size_grid(len(f), xi_min, nodes_per_octave)
-    return NumberDensityField(
-        gamma=float(gamma), nodes_per_octave=nodes_per_octave, xi_grid=xi, f_values=f, t=1.0
-    )
+    return f
 
 
 def make_field(
@@ -271,7 +271,9 @@ def make_field(
     nodes_per_octave: int = DEFAULT_NODES_PER_OCTAVE,
 ) -> NumberDensityField:
     """Field at t = 1 for kernel exponent gamma, nodal densities from xi_min upward."""
-    return _field(gamma, f_values, xi_min, nodes_per_octave)
+    f = _density(f_values)
+    xi = _size_grid(len(f), xi_min, nodes_per_octave)
+    return NumberDensityField(float(gamma), nodes_per_octave, xi, f, 1.0)
 
 
 def field_from_profile(
@@ -284,7 +286,7 @@ def field_from_profile(
     xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
     if xi[0] < profile.x_min or xi[-1] > profile.x_max:
         raise DomainError("profile does not cover the requested size grid")
-    return _field(profile.params.gamma, profile.g_at(xi), xi_min, nodes_per_octave, xi)
+    return NumberDensityField(profile.params.gamma, nodes_per_octave, xi, profile.g_at(xi), 1.0)
 
 
 def power_law_field(
@@ -297,9 +299,9 @@ def power_law_field(
 ) -> NumberDensityField:
     """f = amplitude * xi**(-exponent); exponent (3+gamma)/2 is stationary."""
     xi = _size_grid(octaves * nodes_per_octave + 1, xi_min, nodes_per_octave)
-    with np.errstate(over="ignore"):  # _field rejects a density that overflows
+    with np.errstate(over="ignore"):  # _density rejects a density that overflows
         f = amplitude * xi ** (-exponent)
-    return _field(gamma, f, xi_min, nodes_per_octave, xi)
+    return NumberDensityField(float(gamma), nodes_per_octave, xi, _density(f), 1.0)
 
 
 def pulse_field(
@@ -316,7 +318,7 @@ def pulse_field(
     if not 0 <= node < len(f):
         raise DomainError(f"pulse node {node} is outside the grid's nodes 0..{len(f) - 1}")
     f[node] = amplitude
-    return _field(gamma, f, xi_min, nodes_per_octave, xi)
+    return NumberDensityField(float(gamma), nodes_per_octave, xi, _density(f), 1.0)
 
 
 def coag_rhs(field: NumberDensityField) -> np.ndarray:
@@ -400,8 +402,10 @@ def evolve(
 def similarity_factors(t: float, gamma: float, beta: float) -> tuple[float, float]:
     """(t**beta, t**(1+(1+gamma)beta)): at time t, size xi = t**beta x and density
     f = g(x) / t**(1+(1+gamma)beta) of a self-similar solution with profile g;
-    ``DomainError`` when either factor overflows."""
+    ``DomainError`` unless t is finite and positive, and when either factor overflows."""
     t, gamma, beta = float(t), float(gamma), float(beta)  # numpy scalars would give inf
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"the self-similar rescaling needs a finite t > 0; got t = {t:g}")
     try:
         return t**beta, t ** (1.0 + (1.0 + gamma) * beta)
     except OverflowError:
@@ -422,8 +426,6 @@ def self_similar_distance(
     The sup runs over the grid nodes whose x lies in the window; beta and g
     come from the profile (g by its dense evaluation).
     """
-    if field.t < 1.0:
-        raise DomainError("distance defined for t >= 1")
     x_lo, x_hi = window
     if not 0.0 < x_lo < x_hi:
         raise DomainError("window must satisfy 0 < x_lo < x_hi")
@@ -461,13 +463,15 @@ def default_window(
     the boundary-contaminated nodes at both ends.  The sizes above the
     window's top at t_end, the top quarter of the rescaled span there, lie
     above the window at every t up to t_end, so ``simulate_collapse`` does
-    not evolve them.  A window narrower than one
-    octave (fewer than ``nodes_per_octave`` nodes) raises ``DomainError``:
-    D would rest on a handful of nodes.
+    not evolve them.  ``DomainError`` is raised for a t_end before the
+    field's t and for a window narrower than one octave (fewer than
+    ``nodes_per_octave`` nodes), on which D would rest on a handful of nodes.
     """
-    xi = field.xi_grid
-    lo = math.log(xi[0] / similarity_factors(field.t, field.gamma, beta)[0])
-    hi = math.log(xi[-1] / similarity_factors(t_end, field.gamma, beta)[0])
+    scale_end = similarity_factors(t_end, field.gamma, beta)[0]
+    if t_end < field.t:  # t_end**beta could underflow
+        raise DomainError(f"t_end = {t_end:g} is before the field's time t = {field.t:g}")
+    lo = math.log(field.xi_grid[0] / similarity_factors(field.t, field.gamma, beta)[0])
+    hi = math.log(field.xi_grid[-1] / scale_end)
     if hi <= lo:
         raise DomainError("rescaled domains do not overlap; grid too short")
     span = hi - lo

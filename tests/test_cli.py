@@ -41,6 +41,18 @@ def test_mu_rho_equivalent(capsys):
     assert via_beta == via_rho
 
 
+def test_negative_value_in_exponent_form_reads_as_a_value(tmp_path, capsys):
+    # argparse takes "-1e-1" after an option for a flag unless it is attached with "="
+    assert run(["mu", "--gamma=-1e-1", "--rho", "0.5"]) == 0
+    attached = capsys.readouterr().out
+    assert run(["mu", "--gamma", "-1e-1", "--rho", "0.5"]) == 0
+    assert capsys.readouterr().out == attached
+    argv = ["simulate", "--gamma", "-1e-1", "--rho", "0.5", "--t-end", "2", "--snapshots", "1",
+            "--out", str(tmp_path / "neg")]
+    assert run(argv) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["neg.t2.csv"]
+
+
 def test_mu_invalid_gamma(capsys):
     assert run(["mu", "--gamma", "1.5", "--beta", "2"]) == 2
     assert "gamma must be < 1" in capsys.readouterr().err
@@ -253,6 +265,18 @@ def test_verify_overflowing_tail_estimate_is_typed(subnormal_tail_profile, capsy
     assert run(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert "precondition failed" in err and "overflows" in err
+
+
+def test_verify_profile_missing_x_1_exits_2(saved_profile, tmp_path, capsys):
+    # the gauge h(1) = 1/2 is read at x = 1, which a table cut above it no longer holds
+    rows = saved_profile.read_text().splitlines(keepends=True)
+    path = tmp_path / "above1.csv"
+    path.write_text("".join([rows[0]] + [r for r in rows[1:] if float(r.split(",")[0]) > 1.0]))
+    path.with_name("above1.meta.json").write_text(
+        saved_profile.with_name(saved_profile.stem + ".meta.json").read_text()
+    )
+    assert run(["verify", str(path)]) == 2
+    assert "precondition failed: x = 1 outside the stored domain" in capsys.readouterr().err
 
 
 # -- simulate --------------------------------------------------------------------
@@ -635,8 +659,9 @@ _INVALID_INPUTS = {
     "simulate --t-end 0 at gamma -5": (
         ["simulate", "--gamma", "-5", "--beta", "0.4", "--t-end", "0"], "got 0 and 5"
     ),
+    # refused by the rescaling, which simulate checks at t_end before the snapshot times
     "simulate --t-end inf": (
-        ["simulate", *_CANON, "--t-end", "inf", "--snapshots", "2"], "got inf and 2"
+        ["simulate", *_CANON, "--t-end", "inf", "--snapshots", "2"], "finite t > 0; got t = inf"
     ),
     "simulate --octaves 2000": (["simulate", *_CANON, "--octaves", "2000"], "xi_min * 2**2000"),
     "simulate --octaves 1e15": (
@@ -710,6 +735,18 @@ _INVALID_INPUTS = {
     "simulate --snapshots 1e15": (
         ["simulate", *_CANON, "--snapshots", str(10**15)], "written to sim.t1.csv"
     ),
+    # a kernel weight xi**(1+gamma) that underflows to 0 or overflows, refused before a step
+    "simulate weight 0": (
+        ["simulate", "--gamma", "0.9", "--rho", "0.95", "--init", "pulse:0",
+         "--xi-min", "2.2250738585072014e-308", "--md", "1", "--octaves", "3",
+         "--t-end", "10", "--snapshots", "1"],
+        "weight xi**(1+gamma) is 0 or inf on the grid [2.22507e-308, 1.78006e-307]",
+    ),
+    "simulate weight inf": (
+        ["simulate", "--gamma=-5", "--beta", "0.4", "--init", "pulse:0", "--xi-min", "1e-300",
+         "--md", "1", "--octaves", "3", "--t-end", "10", "--snapshots", "1"],
+        "weight xi**(1+gamma) is 0 or inf on the grid [1e-300, 8e-300]",
+    ),
 }
 # The config files the cases above read.
 _CONFIG_FILES = {
@@ -735,6 +772,27 @@ def test_invalid_input_exits_2_naming_it(case, tmp_path, capsys, monkeypatch):
     assert run(argv) == 2
     assert named in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CONFIG_FILES)
+
+
+# Solver failures (exit 3), each with the text by which its message names it.
+_SOLVER_FAILURES = {
+    "profile --beta 1000 --xmax 1e10": (
+        ["profile", "--gamma", "0", "--beta", "1000", "--xmax", "1e10"],
+        "no admissible hand-off point z found",
+    ),
+    "mu --gamma -1e30 --beta 1e-29": (
+        ["mu", "--gamma=-1e30", "--beta", "1e-29"], "failed to bracket mu"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _SOLVER_FAILURES)
+def test_solver_failure_exits_3_naming_it(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv, named = _SOLVER_FAILURES[case]
+    assert run(argv) == 3
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_profile_explicit_xmax_is_used_as_given(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -520,6 +521,25 @@ def test_an_overflowing_density_is_refused_up_front(canon, amplitude, named):
             run()
 
 
+# Grids on which a kernel weight leaves the double range: (gamma, xi_min, named weight).
+_WEIGHT_OUT_OF_RANGE = {
+    "xi**(1+gamma) underflows": (0.9, np.finfo(float).tiny, r"xi\*\*\(1\+gamma\)"),
+    "xi**(1+gamma) overflows": (-5.0, 1e-300, r"xi\*\*\(1\+gamma\)"),
+    "xi**(1-gamma) overflows": (-0.9, 1e290, r"xi\*\*\(1-gamma\) dlog"),
+    "xi**(1-gamma) underflows": (-5.0, 1e-60, r"xi\*\*\(1-gamma\) dlog"),
+}
+
+
+@pytest.mark.parametrize("case", _WEIGHT_OUT_OF_RANGE)
+def test_a_kernel_weight_out_of_the_double_range_is_refused_up_front(case):
+    # a zero loss weight would turn H back into f = 0/0, an infinite one into inf * 0;
+    # warnings are errors here, so neither may warn on the way to the refusal
+    gamma, xi_min, named = _WEIGHT_OUT_OF_RANGE[case]
+    field = dy.pulse_field(gamma, 0, xi_min=xi_min, octaves=3, nodes_per_octave=1)
+    with pytest.raises(DomainError, match=f"weight {named} is 0 or inf on the grid"):
+        dy.evolve(field, 10.0, 1)
+
+
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(
     gamma=st.floats(-5.0, 0.99),
@@ -658,6 +678,63 @@ def test_similarity_factors_refuse_an_overflow(t, named, canonical_field):
     assert dy.similarity_factors(1e100, 0.0, 2.0) == (1e100**2.0, 1e100**3.0)
 
 
+# Times out of range at every call that takes one, with the gamma and beta used.
+_TIMES_OUT_OF_RANGE = {
+    "similarity_factors t = 0 at gamma -5": lambda f: dy.similarity_factors(0.0, -5.0, 0.4),
+    "similarity_factors t = -1 at beta 2.5": lambda f: dy.similarity_factors(-1.0, 0.0, 2.5),
+    "similarity_factors t = nan": lambda f: dy.similarity_factors(math.nan, 0.0, 2.0),
+    "default_window t_end = 0 at gamma -5": (
+        lambda f: dy.default_window(replace(f, gamma=-5.0), 0.4, 0.0)
+    ),
+    "default_window t_end = -1": lambda f: dy.default_window(f, 2.0, -1.0),
+    "default_window t_end = inf": lambda f: dy.default_window(f, 2.0, math.inf),
+    "evolve from t = 0": lambda f: dy.evolve(replace(f, t=0.0), 2.0, 3),
+    "evolve from t = -1": lambda f: dy.evolve(replace(f, t=-1.0), 2.0, 3),
+    "evolve from t = nan": lambda f: dy.evolve(replace(f, t=math.nan), 2.0, 3),
+}
+
+
+@pytest.mark.parametrize("case", _TIMES_OUT_OF_RANGE)
+def test_a_time_out_of_range_is_refused_typed(case):
+    # unchecked, these raise ZeroDivisionError (0.0**-0.6), give complex factors
+    # ((-1.0)**2.5) or NaN, or warn; warnings are errors here
+    field = dy.pulse_field(0.0, 5, octaves=4)
+    with pytest.raises(DomainError):
+        _TIMES_OUT_OF_RANGE[case](field)
+
+
+def test_a_negative_density_set_by_replace_fails_at_the_first_step():
+    # the record reads no array, so a density set after construction is the step's to refuse
+    field = dy.pulse_field(0.0, 5, octaves=4)
+    with pytest.raises(PositivityError):
+        dy.evolve(replace(field, f_values=-field.f_values), 2.0, 3)
+
+
+_ANY_TIME = st.floats() | st.sampled_from(
+    [0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-160, 0.5, 1.0, 1e308, math.inf, -math.inf, math.nan]
+)
+
+
+@pytest.mark.parametrize("gamma, beta", [(0.0, 2.0), (-5.0, 0.4), (0.5, 4.0)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=_ANY_TIME)
+def test_any_time_gives_finite_values_or_a_domain_error(gamma, beta, t):
+    field = dy.pulse_field(gamma, 5, octaves=4)
+    calls = {
+        "similarity_factors": lambda: dy.similarity_factors(t, gamma, beta),
+        "default_window": lambda: dy.default_window(field, beta, t),
+        "replace": lambda: (replace(field, t=t).t,),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = call()
+            except DomainError:
+                continue
+        assert all(math.isfinite(v) for v in values), (name, t, values)
+
+
 def _cut_below(profile, x):
     """The profile cut to its nodes below x."""
     n = int(np.searchsorted(profile.x_values, x))
@@ -665,8 +742,9 @@ def _cut_below(profile, x):
 
 
 # One input per check of the distance's arguments: (field t, profile cut at x, window).
+# A time below one is the record's own check, refused at ``replace``.
 _UNMEASURABLE = {
-    "t below one": (0.5, None, (1.0, 2.0), "distance defined for t >= 1"),
+    "t below one": (0.5, None, (1.0, 2.0), "a field's time t must be finite and at least 1"),
     "reversed window": (1.0, None, (2.0, 1.0), "window must satisfy 0 < x_lo < x_hi"),
     "past a truncated profile": (1.0, 1.5, (1.0, 2.0), "window leaves the profile domain"),
     # the grid's nodes 1 and 2**(1/16) bracket the window
